@@ -1,16 +1,20 @@
 """Dominance and gap machinery, for true means and plug-in estimates alike.
 
 All functions take a K x m matrix of mean vectors; applying them to estimated
-means yields the empirical quantities used by the elimination loops. Argmax
-and argmin ties always break toward the lowest arm index. Unbounded gap
-components are ``math.inf`` - which compares above every finite gap - and are
-serialised as the string ``"inf"``.
+means yields the empirical quantities used by the elimination loops. The
+Pareto front and gaps come from one dense all-pairs pass (``_pair_terms``,
+O(K^2 m) numpy work) instead of a loop over arm pairs. Argmax and argmin ties
+always break toward the lowest arm index, as Python's ``min``/``max`` would,
+so even the sign of a zero gap is reproducible. Unbounded gap components are
+``math.inf`` - which compares above every finite gap - and are serialised as
+the string ``"inf"``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -74,27 +78,29 @@ def _check_means(means: np.ndarray) -> np.ndarray:
     return mat
 
 
-def dominates(u: np.ndarray, v: np.ndarray) -> bool:
-    """Strict Pareto dominance: >= everywhere and > somewhere."""
-    return bool(np.all(u >= v) and np.any(u > v))
+def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs closeness terms: small[x, y] = min_i (mu_i(y) - mu_i(x)),
+    large[x, y] = max_i (mu_i(x) - mu_i(y)).
+
+    One K x K outer difference per objective. ``large`` negates the same
+    differences instead of subtracting the other way round: the two forms
+    differ in the sign of zero, and reported gaps keep the negated form's.
+    """
+    diffs = [col[None, :] - col[:, None] for col in mat.T]  # diff[x, y] = mu_i(y) - mu_i(x)
+    return reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
+
+
+def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """values[x, cols[x]] for every row x."""
+    return np.take_along_axis(values, cols[:, None], axis=1)[:, 0]
 
 
 def pareto_front(means: np.ndarray) -> list[int]:
     """Indices of the non-dominated arms; equal vectors never dominate each other."""
-    mat = _check_means(means)
-    k = mat.shape[0]
-    front = []
-    for x in range(k):
-        if not any(dominates(mat[y], mat[x]) for y in range(k) if y != x):
-            front.append(x)
-    return front
-
-
-def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs closeness terms: small[x, y] = min_i (mu_i(y) - mu_i(x)),
-    large[x, y] = max_i (mu_i(x) - mu_i(y))."""
-    diff = mat[None, :, :] - mat[:, None, :]  # diff[x, y, i] = mu_i(y) - mu_i(x)
-    return diff.min(axis=2), (-diff).max(axis=2)
+    small, large = _pair_terms(_check_means(means))
+    # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
+    dominated = ((small >= 0) & (large.T > 0)).any(axis=1)
+    return np.flatnonzero(~dominated).tolist()
 
 
 def pareto_gap_report(means: np.ndarray) -> GapReport:
@@ -104,47 +110,49 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     arms get the smaller of their distinguishability from the rest of the
     front (delta_plus) and the cheapest route through a dominated arm
     (delta_minus). Missing comparison sets yield unbounded components.
+
+    Every min/max keeps the first of tied operands, as Python's ``min`` and
+    ``max`` do (``argmin``/``argmax`` pick the lowest index), which fixes the
+    sign of zero gaps on exact ties.
     """
     mat = _check_means(means)
     k = mat.shape[0]
-    front = set(pareto_front(mat))
+    on_front = np.zeros(k, dtype=bool)
+    on_front[pareto_front(mat)] = True
+    front, dominated = np.flatnonzero(on_front), np.flatnonzero(~on_front)
     small, large = _pair_terms(mat)
 
-    dominated = [x for x in range(k) if x not in front]
-    entries: list[GapEntry] = []
-    dominated_gap: dict[int, float] = {}
-    for x in dominated:
-        dominated_gap[x] = float(max(small[x, y] for y in sorted(front)))
+    margins = small[np.ix_(dominated, front)]
+    dominated_gap = _pick(margins, margins.argmax(axis=1))
 
-    for x in range(k):
-        if x not in front:
-            entries.append(
-                GapEntry(
-                    arm=x,
-                    gap=dominated_gap[x],
-                    classification="dominated",
-                    components={"domination_margin": dominated_gap[x]},
-                )
-            )
-            continue
-        others = [y for y in sorted(front) if y != x]
-        if others:
-            delta_plus = float(min(min(large[x, y], large[y, x]) for y in others))
-        else:
-            delta_plus = UNBOUNDED
-        if dominated:
-            delta_minus = float(
-                min(max(large[y, x], 0.0) + dominated_gap[y] for y in dominated)
-            )
-        else:
-            delta_minus = UNBOUNDED
-        entries.append(
-            GapEntry(
-                arm=x,
-                gap=min(delta_plus, delta_minus),
-                classification="pareto",
-                components={"delta_plus": delta_plus, "delta_minus": delta_minus},
-            )
+    pair = large[np.ix_(front, front)]
+    pair = np.where(pair.T < pair, pair.T, pair)  # min(large[x, y], large[y, x])
+    np.fill_diagonal(pair, UNBOUNDED)  # so a singleton front gets delta_plus = inf
+    delta_plus = _pick(pair, pair.argmin(axis=1))
+    if len(dominated):
+        route = large[np.ix_(dominated, front)].T  # route[x, y] = large[y, x]
+        route = np.where(0.0 > route, 0.0, route) + dominated_gap[None, :]
+        delta_minus = _pick(route, route.argmin(axis=1))
+    else:
+        delta_minus = np.full(len(front), UNBOUNDED)
+    gap = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
+
+    entries: list[GapEntry | None] = [None] * k
+    for x, g in zip(dominated.tolist(), dominated_gap.tolist()):
+        entries[x] = GapEntry(
+            arm=x,
+            gap=g,
+            classification="dominated",
+            components={"domination_margin": g},
+        )
+    for x, g, plus, minus in zip(
+        front.tolist(), gap.tolist(), delta_plus.tolist(), delta_minus.tolist()
+    ):
+        entries[x] = GapEntry(
+            arm=x,
+            gap=g,
+            classification="pareto",
+            components={"delta_plus": plus, "delta_minus": minus},
         )
     return GapReport(mode="pareto", entries=tuple(entries))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import GENPSI, GENSEC, UNIFORM, RunConfig, RunResult, run_algorithm
-from .core import ConfigurationError, Instance, MopxError
+from .core import ConfigurationError, Instance
 from .environments import (
     GaussianEnvironment,
     LinearEnvironment,
@@ -137,6 +138,30 @@ _VARIANT_KEYS = {
     "redistribute_leftover",
 }
 
+_NESTED_KEYS = {
+    "g_optimal": {"epsilon", "kappa"},
+    "mlp": {"hidden", "lambda", "iters", "step_size", "data_scope"},
+}
+
+_CONFIG_KEYS = {
+    "environment",
+    "algorithms",
+    "k_values",
+    "per_arm_budgets",
+    "seeds",
+    "tau",
+    "hv_reference",
+    "out_dir",
+}
+
+_ENVIRONMENT_KEYS = {"kind", "instance", "path", "mode", "brevity"}
+
+
+def _reject_unknown(section: str, data: dict, known: set[str]) -> None:
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -153,9 +178,9 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
         for variant in self.algorithms:
-            unknown = set(variant) - _VARIANT_KEYS
-            if unknown:
-                raise ConfigurationError(f"unknown algorithm config keys: {sorted(unknown)}")
+            _reject_unknown("algorithm config", variant, _VARIANT_KEYS)
+            for section, known in _NESTED_KEYS.items():
+                _reject_unknown(f"algorithm {section}", variant.get(section, {}), known)
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return [
@@ -169,6 +194,8 @@ class ExperimentConfig:
 def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if "environment" not in data:
         raise ConfigurationError("experiment config needs an 'environment' section")
+    _reject_unknown("experiment config", data, _CONFIG_KEYS)
+    _reject_unknown("environment", data["environment"], _ENVIRONMENT_KEYS)
     source = environment_source_from_dict(data["environment"], base_dir)
     algorithms = tuple(dict(variant) for variant in data.get("algorithms", _DEFAULT_ALGORITHMS))
     k_values = tuple(int(k) for k in data.get("k_values", [source.n_arms]))
@@ -302,31 +329,59 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome
     cells = [(config, variant, k, b, seed) for variant, k, b, seed in config.cells()]
     outcome = ExperimentOutcome()
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(cell, pool.submit(_execute_cell, cell)) for cell in cells]
-            for cell, future in futures:
-                _collect(outcome, cell, future.result, from_future=True)
+        _run_parallel(outcome, cells, jobs)
     else:
         for cell in cells:
-            _collect(outcome, cell, lambda c=cell: _execute_cell(c), from_future=False)
+            _collect(outcome, cell, lambda c=cell: _execute_cell(c))
     outcome.records.sort(key=MetricRecord.sort_key)
     return outcome
 
 
-def _collect(outcome: ExperimentOutcome, cell, produce, from_future: bool) -> None:
-    _, variant, k, b, seed = cell
+def _run_parallel(outcome: ExperimentOutcome, cells: list, jobs: int) -> None:
+    """Run ``cells`` in worker processes, surviving workers that die.
+
+    A worker that dies breaks its pool and every cell still pending in it.
+    Those cells run again in a one-worker pool, which runs them in order, so
+    the first cell to break it is the one that crashed: it is recorded as a
+    failure and the cells after it go back to a ``jobs``-wide pool.
+    """
+    pending, workers = cells, jobs
+    while pending:
+        broken = []  # (cell, error) in submission order
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [(cell, pool.submit(_execute_cell, cell)) for cell in pending]
+            for cell, future in futures:
+                err = future.exception()
+                if isinstance(err, BrokenProcessPool):
+                    broken.append((cell, err))
+                else:
+                    _collect(outcome, cell, future.result)
+        if workers == 1 and broken:
+            _record_failure(outcome, *broken.pop(0))
+        pending = [cell for cell, _ in broken]
+        workers = 1 if workers > 1 else jobs
+    order = {(_label(v), k, b, seed): i for i, (_, v, k, b, seed) in enumerate(cells)}
+    outcome.failures.sort(key=lambda f: order[f["algorithm"], f["K"], f["b"], f["seed"]])
+
+
+def _collect(outcome: ExperimentOutcome, cell, produce) -> None:
     try:
         outcome.records.extend(produce())
-    except (MopxError, ValueError, KeyError) as err:
-        outcome.failures.append(
-            {
-                "algorithm": _label(variant),
-                "K": k,
-                "b": b,
-                "seed": seed,
-                "error": f"{type(err).__name__}: {err}",
-            }
-        )
+    except Exception as err:  # any failure of one cell is that cell's answer
+        _record_failure(outcome, cell, err)
+
+
+def _record_failure(outcome: ExperimentOutcome, cell, err: BaseException) -> None:
+    _, variant, k, b, seed = cell
+    outcome.failures.append(
+        {
+            "algorithm": _label(variant),
+            "K": k,
+            "b": b,
+            "seed": seed,
+            "error": f"{type(err).__name__}: {err}",
+        }
+    )
 
 
 def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:

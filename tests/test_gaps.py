@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     oracle_constrained_gap,
@@ -94,6 +96,60 @@ def test_pareto_oracle_equivalence_random_instances():
         report = pareto_gap_report(means)
         for x in range(k):
             assert abs(report.gap(x) - oracle_pareto_gap(means, x)) <= 1e-12
+
+
+# Coarse grid so that ties, duplicate rows and signed zeros are common.
+_GRID = st.sampled_from([i * 0.25 for i in range(-4, 5)] + [-0.0])
+
+
+@st.composite
+def _tie_heavy_means(draw):
+    k = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(_GRID, min_size=m, max_size=m), min_size=k, max_size=k))
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_means())
+def test_front_and_gaps_match_oracles_exactly_on_ties(means):
+    assert pareto_front(means) == oracle_front(means)
+    report = pareto_gap_report(means)
+    for x in range(means.shape[0]):
+        assert report.gap(x) == oracle_pareto_gap(means, x)
+
+
+# Exact report JSON on exact ties, pinned byte for byte: tie-breaking and the
+# sign of zero gaps are part of the ``mopx gaps`` output format.
+_PINNED_REPORTS = [
+    (
+        [[0.5, 0.5], [0.5, 0.5], [0.25, 0.25]],
+        '{"mode": "pareto", "entries": ['
+        '{"arm": 0, "gap": -0.0, "classification": "pareto", '
+        '"components": {"delta_plus": -0.0, "delta_minus": 0.25}}, '
+        '{"arm": 1, "gap": -0.0, "classification": "pareto", '
+        '"components": {"delta_plus": -0.0, "delta_minus": 0.25}}, '
+        '{"arm": 2, "gap": 0.25, "classification": "dominated", '
+        '"components": {"domination_margin": 0.25}}]}',
+    ),
+    (
+        [[-0.0, 1.0], [0.0, 1.0], [0.5, 0.5], [0.0, 0.5]],
+        '{"mode": "pareto", "entries": ['
+        '{"arm": 0, "gap": -0.0, "classification": "pareto", '
+        '"components": {"delta_plus": -0.0, "delta_minus": 0.0}}, '
+        '{"arm": 1, "gap": -0.0, "classification": "pareto", '
+        '"components": {"delta_plus": -0.0, "delta_minus": -0.0}}, '
+        '{"arm": 2, "gap": -0.0, "classification": "pareto", '
+        '"components": {"delta_plus": 0.5, "delta_minus": -0.0}}, '
+        '{"arm": 3, "gap": -0.0, "classification": "dominated", '
+        '"components": {"domination_margin": -0.0}}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("means,expected", _PINNED_REPORTS)
+def test_pareto_report_json_pinned_on_ties_and_signed_zeros(means, expected):
+    assert json.dumps(pareto_gap_report(means).to_dict()) == expected
 
 
 def test_adding_dominated_arm_keeps_front_and_delta_plus():

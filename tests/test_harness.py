@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mopx.harness as harness
 from mopx.core import ConfigurationError
 from mopx.harness import (
     MetricRecord,
@@ -157,6 +159,72 @@ def test_config_validation():
         _config(seeds=[])
     with pytest.raises(ConfigurationError):
         _config(algorithms=[{"label": "x", "algorithm": "gensec", "bogus_key": 1}])
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"per_arm_budget": [3]}, "per_arm_budget"),
+        ({"seed": [1]}, "seed"),
+        ({"environment": {"kind": "gaussian", "instance": INSTANCE, "mdoe": "iid"}}, "mdoe"),
+        (
+            {"algorithms": [{"algorithm": "genpsi", "estimator": "mlp", "mlp": {"hiden": 8}}]},
+            "hiden",
+        ),
+        (
+            {"algorithms": [{"algorithm": "gensec", "g_optimal": {"epsilon": 0.1, "kapa": 0.3}}]},
+            "kapa",
+        ),
+    ],
+)
+def test_unknown_config_keys_are_rejected_by_name(overrides, key):
+    with pytest.raises(ConfigurationError, match=key):
+        _config(**overrides)
+
+
+def test_known_nested_keys_load():
+    config = _config(
+        algorithms=[
+            {
+                "algorithm": "genpsi",
+                "estimator": "mlp",
+                "mlp": {"hidden": 8, "lambda": 0.0, "iters": 5, "step_size": 0.1, "data_scope": "round"},
+                "g_optimal": {"epsilon": 0.2, "kappa": 0.3},
+            }
+        ]
+    )
+    assert config.algorithms[0]["mlp"]["hidden"] == 8
+
+
+_PARENT_PID = os.getpid()
+_execute_cell = harness._execute_cell
+
+
+def _failing_cell(args):
+    """Fails the ``sh`` cell of seed 2: kills its worker process when run in
+    one, raises otherwise (never kills the test process itself)."""
+    _, variant, _, _, seed = args
+    if variant["label"] == "sh" and seed == 2:
+        if os.getpid() != _PARENT_PID:
+            os._exit(1)
+        raise RuntimeError("cell exploded")
+    return _execute_cell(args)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jobs):
+    config = _config(per_arm_budgets=[3], seeds=[1, 2, 3, 4])
+    clean = run_experiment(config)
+    monkeypatch.setattr(harness, "_execute_cell", _failing_cell)
+    outcome = run_experiment(config, jobs=jobs)
+    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == [("sh", 2)]
+    error = outcome.failures[0]["error"]
+    assert error.startswith("BrokenProcessPool:" if jobs > 1 else "RuntimeError: cell exploded")
+    assert outcome.records == [
+        rec for rec in clean.records if (rec.algorithm, rec.seed) != ("sh", 2)
+    ]
+    paths = write_outputs(tmp_path, outcome)
+    assert json.loads(paths["failures"].read_text()) == outcome.failures
 
 
 def test_environment_subsetting_takes_first_k():
