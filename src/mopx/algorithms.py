@@ -6,7 +6,9 @@ the collected observations into mean estimates, and an elimination rule shrinks
 the active set to the scheduled keep count. The constrained loop ranks
 empirically feasible arms by primary reward ahead of infeasible arms ranked by
 constraint value; the Pareto loop removes the arms with the largest empirical
-Pareto gap, accepting those on the empirical front.
+Pareto gap, accepting those on the empirical front. The uniform baseline is
+either loop run on a one-round plan that spends the whole budget and keeps a
+single arm.
 
 Dominance checks for the empirical front quantify over the active arms plus
 every arm already accepted into the answer set. Keeping accepted arms in
@@ -46,6 +48,9 @@ from .schedulers import Schedule, make_schedule
 GENSEC = "gensec"
 GENPSI = "genpsi"
 UNIFORM = "uniform"
+CONSTRAINED = "constrained"
+PARETO = "pareto"
+_LOOP_MODES = {GENSEC: CONSTRAINED, GENPSI: PARETO}  # uniform takes either
 
 _ENV_DRAWS = 0  # rng path tag for environment pulls
 _MLP_DRAWS = 1  # rng path tag for estimator initialisation
@@ -55,11 +60,11 @@ _MLP_DRAWS = 1  # rng path tag for estimator initialisation
 class RunConfig:
     """Everything one algorithm run needs besides the environment."""
 
-    algorithm: str
+    algorithm: str = GENSEC
     scheduler: str = "sequential_halving"
     allocator: str = "uniform"
     estimator: str = "mean"
-    mode: str | None = None  # uniform baseline: "constrained" or "pareto"
+    mode: str | None = None  # fixed by gensec/genpsi; uniform needs "constrained" or "pareto"
     tau: float | None = None
     budget: int | None = None
     per_arm_budget: int | None = None
@@ -78,6 +83,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (GENSEC, GENPSI, UNIFORM):
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        fixed_mode = _LOOP_MODES.get(self.algorithm)
+        if fixed_mode is not None:
+            if self.mode not in (None, fixed_mode):
+                raise ConfigurationError(
+                    f"{self.algorithm} always runs in mode {fixed_mode!r}, not {self.mode!r}"
+                )
+            object.__setattr__(self, "mode", fixed_mode)
+        elif self.mode not in _LOOP_MODES.values():
+            raise ConfigurationError("uniform baseline needs mode 'constrained' or 'pareto'")
+        if self.mode == CONSTRAINED and self.tau is None:
+            raise ConfigurationError("constrained mode needs a threshold tau")
         if self.budget is None and self.per_arm_budget is None:
             raise ConfigurationError("either budget or per_arm_budget is required")
         if self.per_arm_budget is not None and self.per_arm_budget < 1:
@@ -90,6 +106,12 @@ class RunConfig:
             raise ConfigurationError(f"unknown eliminator {self.eliminator!r}")
         if self.mlp_data_scope not in ("cumulative", "round"):
             raise ConfigurationError(f"unknown mlp data scope {self.mlp_data_scope!r}")
+        if self.algorithm == UNIFORM and (
+            self.allocator != "uniform" or self.estimator != "mean" or self.eliminator != "ege"
+        ):
+            raise ConfigurationError(
+                "uniform baseline runs with allocator 'uniform', estimator 'mean' and eliminator 'ege'"
+            )
 
     def resolve_budget(self, n_arms: int) -> int:
         if self.budget is not None:
@@ -205,11 +227,19 @@ class _RoundRunner:
 
     def schedule(self) -> Schedule:
         cfg = self.config
-        budget = cfg.resolve_budget(self.env.n_arms)
+        n_arms = self.env.n_arms
+        budget = cfg.resolve_budget(n_arms)
+        if cfg.algorithm == UNIFORM:
+            # single-phase successive rejects: spend B in round 1, keep one arm
+            if n_arms < 2:
+                raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
+            if budget < n_arms:
+                raise ConfigurationError(f"budget B={budget} violates B >= K={n_arms}")
+            return Schedule(1, (budget,), (1,), budget)
         dim = self.features.shape[1] if cfg.enforce_design_budget else None
         return make_schedule(
             cfg.scheduler,
-            self.env.n_arms,
+            n_arms,
             budget,
             feature_dim=dim,
             redistribute_leftover=cfg.redistribute_leftover,
@@ -290,8 +320,8 @@ def _round_log(round_index: int, active: list[int], counts: PullCounts, extra: d
 
 def run_gensec(config: RunConfig, env: Environment) -> RunResult:
     """Constrained elimination: returns the estimated best feasible arm."""
-    if config.tau is None:
-        raise ConfigurationError("the constrained loop needs a threshold tau")
+    if config.mode != CONSTRAINED:
+        raise ConfigurationError(f"the constrained loop cannot run a {config.mode}-mode config")
     if env.n_objectives != 2:
         raise ConfigurationError("the constrained loop supports exactly two objectives")
     runner = _RoundRunner(config, env)
@@ -322,7 +352,7 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
         )
     selected = active[0]
     return RunResult(
-        algorithm=GENSEC,
+        algorithm=config.algorithm,
         selected_arm=selected,
         selected_set=None,
         pulls_used=runner.pulls_used,
@@ -378,7 +408,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     survivors = [a for a in active if a in front]
     selected = tuple(sorted(set(accepted) | set(survivors)))
     return RunResult(
-        algorithm=GENPSI,
+        algorithm=config.algorithm,
         selected_arm=None,
         selected_set=selected,
         pulls_used=runner.pulls_used,
@@ -391,50 +421,12 @@ def _gap_for_log(value: float) -> float | str:
     return "inf" if math.isinf(value) else float(value)
 
 
-def run_uniform_baseline(config: RunConfig, env: Environment, mode: str | None = None) -> RunResult:
-    """Pull every arm equally often, then read the answer off the sample means."""
-    mode = mode or config.mode
-    if mode not in ("constrained", "pareto"):
-        raise ConfigurationError("uniform baseline needs mode 'constrained' or 'pareto'")
-    if mode == "constrained" and config.tau is None:
-        raise ConfigurationError("constrained mode needs a threshold tau")
-    budget = config.resolve_budget(env.n_arms)
-    if budget < env.n_arms:
-        raise ConfigurationError(f"budget B={budget} violates B >= K={env.n_arms}")
-    features = _env_features(env)
-    counts = allocate_uniform(budget, list(range(env.n_arms)))
-    sequence = counts.round_robin_sequence()
-    batch = ObservationBatch()
-    gen = RngStream(config.seed).child(_ENV_DRAWS, 1).generator()
-    for arm in sequence:
-        batch.append(arm, features[arm], env.pull(arm, gen), 1)
-    estimates = estimate_sample_mean(batch, list(range(env.n_arms)))
-    log = {
-        "round": 1,
-        "active": list(range(env.n_arms)),
-        "pull_counts": {str(a): counts.counts[a] for a in sorted(counts.counts)},
-        "estimates": {str(a): [float(v) for v in estimates[a]] for a in sorted(estimates)},
-    }
-    if mode == "constrained":
-        ranking = rank_constrained(estimates, config.tau)
-        return RunResult(
-            algorithm=UNIFORM,
-            selected_arm=ranking[0],
-            selected_set=None,
-            pulls_used=len(sequence),
-            budget=budget,
-            rounds=(log,),
-        )
-    arms, mat = _estimates_matrix(estimates)
-    front = tuple(sorted(arms[i] for i in pareto_front(mat)))
-    return RunResult(
-        algorithm=UNIFORM,
-        selected_arm=None,
-        selected_set=front,
-        pulls_used=len(sequence),
-        budget=budget,
-        rounds=(log,),
-    )
+def run_uniform_baseline(config: RunConfig, env: Environment) -> RunResult:
+    """Pull every arm equally often, then read the answer off the sample means:
+    the shared loop of ``config.mode`` run as one round that keeps one arm."""
+    if config.mode == CONSTRAINED:
+        return run_gensec(config, env)
+    return run_genpsi(config, env)
 
 
 def run_algorithm(config: RunConfig, env: Environment) -> RunResult:

@@ -183,9 +183,6 @@ class ObservationBatch:
                 out.append(a, f, rw, r)
         return out
 
-    def observed_arms(self) -> list[int]:
-        return sorted(set(self._arms))
-
 
 @runtime_checkable
 class Environment(Protocol):

@@ -138,17 +138,6 @@ class ReplayEnvironment:
         return self.table.means()
 
 
-def make_environment(kind: str, source, **options):
-    """Build an environment: kind in {gaussian, linear, replay}."""
-    if kind == "gaussian":
-        return GaussianEnvironment(source)
-    if kind == "linear":
-        return LinearEnvironment(source)
-    if kind == "replay":
-        return ReplayEnvironment(source, **options)
-    raise ConfigurationError(f"unknown environment kind {kind!r}")
-
-
 def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None) -> ReplayTable:
     """Read a replay table from CSV: header arm_id[,len_tokens],obj_1,...,obj_m.
 

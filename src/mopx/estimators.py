@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, NumericalError, ObservationBatch
+from .core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
 
 BASIS_RESIDUAL_TOL = 1e-9
 MAX_CONDITION = 1e12
@@ -198,22 +198,22 @@ def mlp_loss_grad(
 def mlp_fit(
     batch: ObservationBatch,
     lam: float,
-    seed: int = 0,
     *,
+    rng: np.random.Generator | None = None,
     hidden: int = 30,
     iters: int = 2000,
     step_size: float = 1e-2,
     init: MlpParams | None = None,
     checkpoint_every: int = 100,
     return_trace: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> MlpParams | tuple[MlpParams, list[float]]:
     """Full-batch adaptive gradient descent on the regularised squared loss.
 
-    Deterministic for fixed (seed, config); ``init`` warm-starts from a previous
-    round's parameters. The lowest-loss iterate is retained, so the logged
-    checkpoint losses are non-increasing. With ``return_trace`` the checkpoint
-    losses are returned alongside the parameters.
+    ``rng`` draws the initial weights; ``init`` instead warm-starts from a
+    previous round's parameters. Deterministic for a fixed ``rng`` state and
+    config. The lowest-loss iterate is retained, so the logged checkpoint
+    losses are non-increasing. With ``return_trace`` the checkpoint losses are
+    returned alongside the parameters.
     """
     if len(batch) == 0:
         raise EstimationError("cannot fit on an empty batch")
@@ -221,9 +221,10 @@ def mlp_fit(
     n_obj = batch.rewards.shape[1]
     if init is not None:
         params = init.copy()
+    elif rng is not None:
+        params = mlp_init(dim, n_obj, hidden, rng)
     else:
-        gen = rng if rng is not None else np.random.default_rng(seed)
-        params = mlp_init(dim, n_obj, hidden, gen)
+        raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     values = [params.w1, params.b1, params.w2, params.b2]

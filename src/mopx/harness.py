@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import GENPSI, GENSEC, UNIFORM, RunConfig, RunResult, run_algorithm
+from .algorithms import GENPSI, UNIFORM, RunConfig, RunResult, run_algorithm
 from .core import ConfigurationError, Instance
 from .environments import (
     GaussianEnvironment,
@@ -124,23 +124,32 @@ _DEFAULT_ALGORITHMS = (
     {"label": "uniform", "algorithm": UNIFORM, "mode": "pareto"},
 )
 
-_VARIANT_KEYS = {
-    "label",
-    "algorithm",
-    "scheduler",
-    "allocator",
-    "estimator",
-    "mode",
-    "eliminator",
-    "g_optimal",
-    "mlp",
-    "enforce_design_budget",
-    "redistribute_leftover",
+# Algorithm-entry key ("section.key" inside a nested section) -> (RunConfig
+# field, type). Only the keys a variant sets are passed on, so every default
+# lives in RunConfig.
+_VARIANT_FIELDS = {
+    "algorithm": ("algorithm", str),
+    "scheduler": ("scheduler", str),
+    "allocator": ("allocator", str),
+    "estimator": ("estimator", str),
+    "mode": ("mode", str),
+    "eliminator": ("eliminator", str),
+    "g_optimal.epsilon": ("g_optimal_epsilon", float),
+    "g_optimal.kappa": ("g_optimal_kappa", float),
+    "mlp.hidden": ("mlp_hidden", int),
+    "mlp.lambda": ("mlp_lambda", float),
+    "mlp.iters": ("mlp_iters", int),
+    "mlp.step_size": ("mlp_step_size", float),
+    "mlp.data_scope": ("mlp_data_scope", str),
+    "enforce_design_budget": ("enforce_design_budget", bool),
+    "redistribute_leftover": ("redistribute_leftover", bool),
 }
 
+_VARIANT_KEYS = {"label"} | {key.partition(".")[0] for key in _VARIANT_FIELDS}
+
 _NESTED_KEYS = {
-    "g_optimal": {"epsilon", "kappa"},
-    "mlp": {"hidden", "lambda", "iters", "step_size", "data_scope"},
+    section: {key.partition(".")[2] for key in _VARIANT_FIELDS if key.startswith(f"{section}.")}
+    for section in {key.partition(".")[0] for key in _VARIANT_FIELDS if "." in key}
 }
 
 _CONFIG_KEYS = {
@@ -177,10 +186,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigurationError("seed list must be non-empty")
+        for k in self.k_values:
+            if not 2 <= k <= self.environment.n_arms:
+                raise ConfigurationError(
+                    f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
+                )
         for variant in self.algorithms:
             _reject_unknown("algorithm config", variant, _VARIANT_KEYS)
             for section, known in _NESTED_KEYS.items():
                 _reject_unknown(f"algorithm {section}", variant.get(section, {}), known)
+            # every setting error raises here, at load; cells fail only on
+            # what depends on K and the budget together
+            for budget in self.per_arm_budgets:
+                _run_config(variant, self.tau, budget, self.seeds[0])
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return [
@@ -224,40 +242,23 @@ def _label(variant: dict) -> str:
 
 
 def _run_config(variant: dict, tau: float | None, per_arm_budget: int, seed: int) -> RunConfig:
-    g_opt = variant.get("g_optimal", {})
-    mlp = variant.get("mlp", {})
-    return RunConfig(
-        algorithm=variant.get("algorithm", GENSEC),
-        scheduler=variant.get("scheduler", "sequential_halving"),
-        allocator=variant.get("allocator", "uniform"),
-        estimator=variant.get("estimator", "mean"),
-        mode=variant.get("mode"),
-        tau=tau,
-        per_arm_budget=per_arm_budget,
-        seed=seed,
-        eliminator=variant.get("eliminator", "ege"),
-        g_optimal_epsilon=float(g_opt.get("epsilon", 0.1)),
-        g_optimal_kappa=float(g_opt.get("kappa", 1.0 / 3.0)),
-        mlp_hidden=int(mlp.get("hidden", 30)),
-        mlp_lambda=float(mlp.get("lambda", 1e-4)),
-        mlp_iters=int(mlp.get("iters", 2000)),
-        mlp_step_size=float(mlp.get("step_size", 1e-2)),
-        mlp_data_scope=mlp.get("data_scope", "cumulative"),
-        enforce_design_budget=bool(variant.get("enforce_design_budget", False)),
-        redistribute_leftover=bool(variant.get("redistribute_leftover", False)),
-    )
-
-
-def _cell_mode(variant: dict) -> str:
-    algorithm = variant.get("algorithm", GENSEC)
-    if algorithm == GENSEC:
-        return "constrained"
-    if algorithm == GENPSI:
-        return "pareto"
-    mode = variant.get("mode")
-    if mode not in ("constrained", "pareto"):
-        raise ConfigurationError("uniform baseline needs mode 'constrained' or 'pareto'")
-    return mode
+    fields = {}
+    for key, (name, kind) in _VARIANT_FIELDS.items():
+        section, _, sub = key.rpartition(".")
+        entries = variant.get(section, {}) if section else variant
+        if sub not in entries:
+            continue
+        value = entries[sub]
+        # names and flags are taken as written: bool("false") would be True
+        if kind in (str, bool) and not isinstance(value, kind):
+            raise ConfigurationError(
+                f"algorithm key {key!r} must be a JSON {kind.__name__}, got {value!r}"
+            )
+        try:
+            fields[name] = kind(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(f"algorithm key {key!r}: {err}") from None
+    return RunConfig(tau=tau, per_arm_budget=per_arm_budget, seed=seed, **fields)
 
 
 def cell_metrics(
@@ -293,7 +294,6 @@ def cell_metrics(
 
 def _execute_cell(args) -> list[MetricRecord]:
     config, variant, n_arms, budget, seed = args
-    mode = _cell_mode(variant)
     env = config.environment.build(n_arms)
     run_cfg = _run_config(variant, config.tau, budget, seed)
     result = run_algorithm(run_cfg, env)
@@ -310,7 +310,7 @@ def _execute_cell(args) -> list[MetricRecord]:
             metric=name,
             value=float(value),
         )
-        for name, value in cell_metrics(result, mode, truth, config.tau, config.hv_reference)
+        for name, value in cell_metrics(result, run_cfg.mode, truth, config.tau, config.hv_reference)
     ]
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ege_transcript_zero_noise, oracle_front
 from mopx.algorithms import (
@@ -116,6 +118,8 @@ def test_gensec_requires_tau_and_two_objectives():
     env = GaussianEnvironment(Instance(means=[[0.1, 0.2], [0.3, 0.4]], sigma=0.0))
     with pytest.raises(ConfigurationError):
         run_gensec(RunConfig(algorithm="gensec", per_arm_budget=5), env)
+    with pytest.raises(ConfigurationError, match="pareto"):
+        run_gensec(RunConfig(algorithm="genpsi", per_arm_budget=5), env)
     wide = GaussianEnvironment(Instance(means=[[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]], sigma=0.0))
     with pytest.raises(ConfigurationError):
         run_gensec(RunConfig(algorithm="gensec", tau=0.5, per_arm_budget=5), wide)
@@ -243,6 +247,57 @@ def test_uniform_baseline_deterministic_per_seed():
         config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, per_arm_budget=3, seed=9)
         outs.add(json.dumps(run_uniform_baseline(config, env).to_dict(), sort_keys=True))
     assert len(outs) == 1
+
+
+@st.composite
+def _uniform_cases(draw):
+    k = draw(st.integers(2, 7))
+    grid = st.sampled_from([i * 0.25 for i in range(5)])
+    rows = draw(st.lists(st.lists(grid, min_size=2, max_size=2), min_size=k, max_size=k))
+    sigma = draw(st.sampled_from([0.0, 0.3]))
+    budget = draw(st.integers(k, 4 * k))
+    tau = draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
+    return np.array(rows), sigma, budget, tau, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_uniform_cases())
+def test_uniform_baseline_matches_brute_force_on_hand_pulled_means(case):
+    means, sigma, budget, tau, seed = case
+    k = len(means)
+    inst = Instance(means=means, sigma=sigma)
+    mode = "pareto" if tau is None else "constrained"
+    config = RunConfig(algorithm="uniform", mode=mode, tau=tau, budget=budget, seed=seed)
+    result = run_uniform_baseline(config, GaussianEnvironment(inst))
+
+    # the same pulls by hand: round-robin from the round-1 environment stream
+    gen = RngStream(seed).child(0, 1).generator()
+    env = GaussianEnvironment(inst)
+    rows = {arm: [] for arm in range(k)}
+    for t in range(budget):
+        rows[t % k].append(env.pull(t % k, gen))
+    est = np.array([np.array(rows[arm]).mean(axis=0) for arm in range(k)])
+
+    assert result.algorithm == "uniform"
+    assert result.pulls_used == result.budget == budget
+    if mode == "pareto":
+        assert list(result.selected_set) == oracle_front(est)
+        return
+    feasible = [a for a in range(k) if est[a, 1] > tau]
+    pool, column = (feasible, 0) if feasible else (list(range(k)), 1)
+    assert result.selected_arm == max(pool, key=lambda a: (est[a, column], -a))
+
+
+def test_uniform_baseline_rejects_one_arm_and_three_objectives():
+    one = GaussianEnvironment(Instance(means=[[0.1, 0.2]], sigma=0.0))
+    for mode, tau in (("constrained", 0.5), ("pareto", None)):
+        config = RunConfig(algorithm="uniform", mode=mode, tau=tau, budget=3)
+        with pytest.raises(ConfigurationError):
+            run_uniform_baseline(config, one)
+    wide = GaussianEnvironment(Instance(means=[[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]], sigma=0.0))
+    config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, budget=4)
+    with pytest.raises(ConfigurationError, match="two objectives"):
+        run_uniform_baseline(config, wide)
 
 
 # ------------------------------------------------------------ theorem bound

@@ -81,6 +81,13 @@ def test_run_command_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert (out / "table.txt").exists()
 
 
+def test_run_command_golden_summary_with_two_jobs(tmp_path, capsys):
+    out = tmp_path / "golden"
+    config = FIXTURES / "regression_config.json"
+    assert main(["run", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+
+
 def test_run_command_partial_failure_exit_code(tmp_path, capsys):
     config = {
         "environment": {

@@ -11,10 +11,10 @@ from mopx.environments import (
     instance_from_dict,
     load_instance_json,
     load_replay_csv,
-    make_environment,
     random_constrained_instance,
     random_linear_instance,
 )
+from mopx.harness import EnvironmentSource, environment_source_from_dict
 
 
 def test_linear_environment_zero_noise_matches_structure():
@@ -86,11 +86,12 @@ def test_environment_mean_fidelity_every_kind():
         assert np.all(np.abs(draws.mean(axis=0) - truth) < 5 * spread / np.sqrt(n) + 5e-3), name
 
 
-def test_make_environment_dispatch_and_replay_validation():
+def test_environment_source_dispatch_and_replay_validation():
     inst = Instance(means=[[0.1, 0.2]])
-    assert isinstance(make_environment("gaussian", inst), GaussianEnvironment)
+    source = EnvironmentSource(kind="gaussian", instance=inst)
+    assert isinstance(source.build(1), GaussianEnvironment)
     with pytest.raises(ConfigurationError):
-        make_environment("refusal", inst)
+        environment_source_from_dict({"kind": "refusal"})
     with pytest.raises(ConfigurationError):
         ReplayTable([np.zeros((0, 2))])
     with pytest.raises(ConfigurationError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_mlp_grad
-from mopx.core import EstimationError, NumericalError, ObservationBatch
+from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
 from mopx.estimators import (
     MlpParams,
     estimate_sample_mean,
@@ -195,7 +195,7 @@ def test_mlp_gradient_matches_finite_differences():
 
 def test_mlp_fit_interpolates_one_sample():
     batch = _batch([(0, [0.3, -0.2], [0.4, 0.9])] * 4)
-    params = mlp_fit(batch, 0.0, seed=5, hidden=8, iters=2000)
+    params = mlp_fit(batch, 0.0, rng=np.random.default_rng(5), hidden=8, iters=2000)
     pred = mlp_predict(params, np.array([[0.3, -0.2]]))[0]
     assert np.max(np.abs(pred - [0.4, 0.9])) < 1e-2
 
@@ -205,8 +205,8 @@ def test_mlp_fit_deterministic():
     batch = ObservationBatch()
     for arm in range(5):
         batch.append(arm, rng.normal(size=2), rng.normal(size=2), 1)
-    a = mlp_fit(batch, 1e-4, seed=9, hidden=6, iters=50)
-    b = mlp_fit(batch, 1e-4, seed=9, hidden=6, iters=50)
+    a = mlp_fit(batch, 1e-4, rng=np.random.default_rng(9), hidden=6, iters=50)
+    b = mlp_fit(batch, 1e-4, rng=np.random.default_rng(9), hidden=6, iters=50)
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.b2, b.b2)
 
 
@@ -216,24 +216,29 @@ def test_mlp_fit_checkpoint_losses_non_increasing():
     for arm in range(8):
         feat = rng.normal(size=2)
         batch.append(arm, feat, [feat @ [0.5, -0.2], feat @ [0.1, 0.3]], 1)
-    _, trace = mlp_fit(batch, 1e-4, seed=1, hidden=10, iters=600, return_trace=True)
+    gen = np.random.default_rng(1)
+    _, trace = mlp_fit(batch, 1e-4, rng=gen, hidden=10, iters=600, return_trace=True)
     assert all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
 
 
 def test_mlp_fit_warm_start_continues_from_given_params():
     batch = _batch([(0, [1.0, 0.0], [0.5, 0.5])] * 3)
-    first = mlp_fit(batch, 0.0, seed=2, hidden=4, iters=100)
-    second = mlp_fit(batch, 0.0, seed=999, hidden=4, iters=1, init=first)
-    # warm start means the seed plays no role
-    third = mlp_fit(batch, 0.0, seed=123, hidden=4, iters=1, init=first)
+    first = mlp_fit(batch, 0.0, rng=np.random.default_rng(2), hidden=4, iters=100)
+    second = mlp_fit(batch, 0.0, rng=np.random.default_rng(999), hidden=4, iters=1, init=first)
+    # warm start means the rng plays no role
+    third = mlp_fit(batch, 0.0, rng=np.random.default_rng(123), hidden=4, iters=1, init=first)
     assert np.array_equal(second.w1, third.w1)
+    fourth = mlp_fit(batch, 0.0, hidden=4, iters=1, init=first)
+    assert np.array_equal(second.w1, fourth.w1)
+    with pytest.raises(ConfigurationError, match="rng"):
+        mlp_fit(batch, 0.0, hidden=4, iters=1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mlp_fit_reports_non_finite_loss_iteration():
     batch = _batch([(0, [1e200, 0.0], [1e200, -1e200])])
     with pytest.raises(NumericalError, match="iteration"):
-        mlp_fit(batch, 0.0, seed=0, hidden=4, iters=10)
+        mlp_fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10)
 
 
 def test_mlp_empty_batch():

@@ -196,6 +196,68 @@ def test_known_nested_keys_load():
     assert config.algorithms[0]["mlp"]["hidden"] == 8
 
 
+@pytest.mark.parametrize(
+    "variant, tau, match",
+    [
+        ({"algorithm": "gensec"}, None, "tau"),
+        ({"algorithm": "uniform", "mode": "constrained"}, None, "tau"),
+        ({"algorithm": "uniform"}, 0.5, "mode"),
+        ({"algorithm": "gensec", "mode": "pareto"}, 0.5, "pareto"),
+        ({"algorithm": "genpsi", "mode": "constrained"}, 0.5, "constrained"),
+        ({"algorithm": "gensec", "allocator": "greedy"}, 0.5, "allocator"),
+        ({"algorithm": "gensec", "estimator": "knn"}, 0.5, "estimator"),
+        ({"algorithm": "genpsi", "eliminator": "drop"}, 0.5, "eliminator"),
+        ({"algorithm": "genpsi", "estimator": "mlp", "mlp": {"data_scope": "all"}}, 0.5, "scope"),
+        ({"algorithm": "uniform", "mode": "pareto", "allocator": "g-optimal"}, 0.5, "uniform"),
+        ({"algorithm": "uniform", "mode": "pareto", "estimator": "linear"}, 0.5, "uniform"),
+        ({"algorithm": "uniform", "mode": "pareto", "eliminator": "truncate"}, 0.5, "uniform"),
+    ],
+)
+def test_setting_errors_fail_at_load(variant, tau, match):
+    with pytest.raises(ConfigurationError, match=match):
+        _config(algorithms=[variant], tau=tau)
+
+
+@pytest.mark.parametrize("k_values", [[1], [5], [2, 4, 5]])
+def test_k_values_outside_arm_range_fail_at_load(k_values):
+    with pytest.raises(ConfigurationError, match="k_values"):
+        _config(k_values=k_values)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("enforce_design_budget", "false"),
+        ("enforce_design_budget", 0),
+        ("redistribute_leftover", "true"),
+        ("redistribute_leftover", None),
+        ("scheduler", 5),
+        ("mlp.iters", "many"),
+    ],
+)
+def test_mistyped_algorithm_values_are_rejected_by_key(key, value):
+    section, _, name = key.rpartition(".")
+    variant = {"algorithm": "genpsi"}
+    if section:
+        variant[section] = {name: value}
+    else:
+        variant[name] = value
+    with pytest.raises(ConfigurationError, match=key):
+        _config(algorithms=[variant])
+
+
+def test_boolean_keys_take_json_booleans():
+    config = _config(
+        algorithms=[
+            {"label": "off", "algorithm": "gensec", "enforce_design_budget": False},
+            {"label": "on", "algorithm": "gensec", "redistribute_leftover": True},
+        ],
+        per_arm_budgets=[3],
+        seeds=[0],
+    )
+    assert run_experiment(config).ok
+
+
 _PARENT_PID = os.getpid()
 _execute_cell = harness._execute_cell
 
