@@ -1,14 +1,14 @@
-"""Round-based elimination loops for best-feasible-arm and Pareto-set search.
+"""One round-based elimination loop for best-feasible-arm and Pareto-set search.
 
-Both loops share the same skeleton: a scheduler fixes the round plan, an
-allocator spends each round's budget over the active arms, an estimator turns
-the collected observations into mean estimates, and an elimination rule shrinks
-the active set to the scheduled keep count. The constrained loop ranks
-empirically feasible arms by primary reward ahead of infeasible arms ranked by
-constraint value; the Pareto loop removes the arms with the largest empirical
-Pareto gap, accepting those on the empirical front. The uniform baseline is
-either loop run on a one-round plan that spends the whole budget and keeps a
-single arm.
+A scheduler fixes the round plan, an allocator spends each round's budget over
+the active arms, an estimator turns the collected observations into mean
+estimates, and an elimination rule shrinks the active set to the scheduled
+keep count. Only the rule differs between the two searches: the constrained
+rule ranks empirically feasible arms by primary reward ahead of infeasible
+arms ranked by constraint value; the Pareto rule removes the arms with the
+largest empirical Pareto gap, accepting those on the empirical front. The
+uniform baseline is either rule run on a one-round plan that spends the whole
+budget and keeps a single arm.
 
 Dominance checks for the empirical front quantify over the active arms plus
 every arm already accepted into the answer set. Keeping accepted arms in
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .estimators import (
     predict_linear,
 )
 from .gaps import pareto_front, pareto_gap_report
-from .schedulers import Schedule, make_schedule
+from .schedulers import SCHEDULER_NAMES, Schedule, make_schedule
 
 GENSEC = "gensec"
 GENPSI = "genpsi"
@@ -98,6 +99,8 @@ class RunConfig:
             raise ConfigurationError("either budget or per_arm_budget is required")
         if self.per_arm_budget is not None and self.per_arm_budget < 1:
             raise ConfigurationError("per-arm budget must be >= 1")
+        if self.scheduler not in SCHEDULER_NAMES:
+            raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
         if self.allocator not in ("uniform", "g-optimal"):
             raise ConfigurationError(f"unknown allocator {self.allocator!r}")
         if self.estimator not in ("mean", "linear", "mlp"):
@@ -203,14 +206,8 @@ def _env_features(env: Environment) -> np.ndarray:
     return np.asarray(feats, dtype=float)
 
 
-def _wrap_round_error(err: Exception, round_index: int) -> Exception:
-    if isinstance(err, MopxError):
-        return type(err)(f"round {round_index}: {err}")
-    return err
-
-
 class _RoundRunner:
-    """Shared allocate -> pull -> estimate machinery for the elimination loops."""
+    """The allocate -> pull -> estimate -> eliminate loop of one run."""
 
     def __init__(self, config: RunConfig, env: Environment):
         self.config = config
@@ -274,19 +271,20 @@ class _RoundRunner:
 
     def estimate(self, round_index: int, arms: list[int]) -> MeanEstimates:
         cfg = self.config
-        round_rows = self.batch.round_slice(round_index)
-        if self._round_scoped and len(round_rows) == 0:
-            # no new pulls this round: carry the previous round's estimates
-            if self._cached is None:
-                raise EstimationError("no observations in the first round")
-            return {a: self._cached[a] for a in arms}
+        data = self.batch
+        if self._round_scoped:
+            data = self.batch.round_slice(round_index)
+            if len(data) == 0:
+                # no new pulls this round: carry the previous round's estimates
+                if self._cached is None:
+                    raise EstimationError("no observations in the first round")
+                return {a: self._cached[a] for a in arms}
         if cfg.estimator == "mean":
-            estimates = estimate_sample_mean(self.batch, arms)
+            estimates = estimate_sample_mean(data, arms)
         elif cfg.estimator == "linear":
-            fit = fit_linear(round_rows)
+            fit = fit_linear(data)
             estimates = predict_linear(fit, self.features[arms], arms=arms)
         else:
-            data = self.batch if cfg.mlp_data_scope == "cumulative" else round_rows
             gen = self.stream.child(_MLP_DRAWS, 0).generator()
             params = mlp_fit(
                 data,
@@ -302,20 +300,44 @@ class _RoundRunner:
         self._cached = estimates
         return estimates
 
-
-def _estimates_matrix(estimates: MeanEstimates) -> tuple[list[int], np.ndarray]:
-    arms = sorted(estimates)
-    return arms, np.array([estimates[a] for a in arms], dtype=float)
-
-
-def _round_log(round_index: int, active: list[int], counts: PullCounts, extra: dict) -> dict:
-    log = {
-        "round": round_index,
-        "active": sorted(active),
-        "pull_counts": {str(a): counts.counts[a] for a in sorted(counts.counts)},
-    }
-    log.update(extra)
-    return log
+    def run(
+        self,
+        scope: Callable[[list[int]], list[int]],
+        eliminate: Callable[[list[int], int, MeanEstimates], tuple[list[int], dict]],
+        answer: Callable[[list[int]], tuple[int | None, tuple[int, ...] | None]],
+    ) -> RunResult:
+        """The elimination loop. Each round allocates over the active arms,
+        pulls, and estimates every arm in ``scope(active)``; ``eliminate``
+        returns the next active set plus its round-log entries, and ``answer``
+        maps the final active set to (selected_arm, selected_set)."""
+        schedule = self.schedule()
+        active = list(range(self.env.n_arms))
+        rounds: list[dict] = []
+        for r in range(1, schedule.n_rounds + 1):
+            try:
+                counts, sequence = self.allocate(schedule.pulls_per_round[r - 1], active)
+                self.pull(sequence, r, schedule.budget)
+                estimates = self.estimate(r, scope(active))
+            except MopxError as err:
+                raise type(err)(f"round {r}: {err}") from err
+            active, entries = eliminate(active, schedule.keep_counts[r - 1], estimates)
+            rounds.append(
+                {
+                    "round": r,
+                    "active": sorted(active),
+                    "pull_counts": {str(a): counts.counts[a] for a in sorted(counts.counts)},
+                    **entries,
+                }
+            )
+        selected_arm, selected_set = answer(active)
+        return RunResult(
+            algorithm=self.config.algorithm,
+            selected_arm=selected_arm,
+            selected_set=selected_set,
+            pulls_used=self.pulls_used,
+            budget=schedule.budget,
+            rounds=tuple(rounds),
+        )
 
 
 def run_gensec(config: RunConfig, env: Environment) -> RunResult:
@@ -324,40 +346,16 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
         raise ConfigurationError(f"the constrained loop cannot run a {config.mode}-mode config")
     if env.n_objectives != 2:
         raise ConfigurationError("the constrained loop supports exactly two objectives")
-    runner = _RoundRunner(config, env)
-    schedule = runner.schedule()
-    budget = config.resolve_budget(env.n_arms)
-    active = list(range(env.n_arms))
-    rounds: list[dict] = []
-    for r in range(1, schedule.n_rounds + 1):
-        keep = schedule.keep_counts[r - 1]
-        try:
-            counts, sequence = runner.allocate(schedule.pulls_per_round[r - 1], active)
-            runner.pull(sequence, r, budget)
-            estimates = runner.estimate(r, sorted(active))
-        except MopxError as err:
-            raise _wrap_round_error(err, r) from err
-        ranking = rank_constrained({a: estimates[a] for a in active}, config.tau)
-        active = sorted(ranking[:keep])
-        rounds.append(
-            _round_log(
-                r,
-                active,
-                counts,
-                {
-                    "ranking": ranking,
-                    "estimates": {str(a): [float(v) for v in estimates[a]] for a in ranking},
-                },
-            )
-        )
-    selected = active[0]
-    return RunResult(
-        algorithm=config.algorithm,
-        selected_arm=selected,
-        selected_set=None,
-        pulls_used=runner.pulls_used,
-        budget=budget,
-        rounds=tuple(rounds),
+
+    def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
+        ranking = rank_constrained(estimates, config.tau)
+        return sorted(ranking[:keep]), {
+            "ranking": ranking,
+            "estimates": {str(a): [float(v) for v in estimates[a]] for a in ranking},
+        }
+
+    return _RoundRunner(config, env).run(
+        lambda active: active, eliminate, lambda active: (active[0], None)
     )
 
 
@@ -365,26 +363,13 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     """Pareto-set elimination: returns the accepted arms plus the surviving front."""
     if env.n_arms < 2:
         raise ConfigurationError("the Pareto loop needs K >= 2 arms")
-    runner = _RoundRunner(config, env)
-    schedule = runner.schedule()
-    budget = config.resolve_budget(env.n_arms)
-    active = list(range(env.n_arms))
     accepted: list[int] = []
-    rounds: list[dict] = []
     front: set[int] = set()
-    for r in range(1, schedule.n_rounds + 1):
-        keep = schedule.keep_counts[r - 1]
-        scope = sorted(set(active) | set(accepted))
-        try:
-            counts, sequence = runner.allocate(schedule.pulls_per_round[r - 1], active)
-            runner.pull(sequence, r, budget)
-            estimates = runner.estimate(r, scope)
-        except MopxError as err:
-            raise _wrap_round_error(err, r) from err
-        missing = [a for a in active if a not in estimates]
-        if missing:
-            raise EstimationError(f"round {r}: active arm {missing[0]} has no estimate")
-        arms, mat = _estimates_matrix(estimates)
+
+    def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
+        nonlocal front
+        arms = sorted(estimates)
+        mat = np.array([estimates[a] for a in arms], dtype=float)
         front = {arms[i] for i in pareto_front(mat)}
         gap_report = pareto_gap_report(mat)
         gaps = {arms[i]: gap_report.entries[i].gap for i in range(len(arms))}
@@ -393,27 +378,18 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
             accepted.extend(newly_accepted)
         else:
             newly_accepted = []
-        rounds.append(
-            _round_log(
-                r,
-                active,
-                counts,
-                {
-                    "front": sorted(front),
-                    "gaps": {str(a): _gap_for_log(gaps[a]) for a in sorted(gaps)},
-                    "accepted": sorted(newly_accepted),
-                },
-            )
-        )
-    survivors = [a for a in active if a in front]
-    selected = tuple(sorted(set(accepted) | set(survivors)))
-    return RunResult(
-        algorithm=config.algorithm,
-        selected_arm=None,
-        selected_set=selected,
-        pulls_used=runner.pulls_used,
-        budget=budget,
-        rounds=tuple(rounds),
+        return active, {
+            "front": sorted(front),
+            "gaps": {str(a): _gap_for_log(gaps[a]) for a in sorted(gaps)},
+            "accepted": sorted(newly_accepted),
+        }
+
+    def answer(active: list[int]) -> tuple[None, tuple[int, ...]]:
+        survivors = [a for a in active if a in front]
+        return None, tuple(sorted(set(accepted) | set(survivors)))
+
+    return _RoundRunner(config, env).run(
+        lambda active: sorted(set(active) | set(accepted)), eliminate, answer
     )
 
 
@@ -423,7 +399,8 @@ def _gap_for_log(value: float) -> float | str:
 
 def run_uniform_baseline(config: RunConfig, env: Environment) -> RunResult:
     """Pull every arm equally often, then read the answer off the sample means:
-    the shared loop of ``config.mode`` run as one round that keeps one arm."""
+    the round loop with the elimination rule of ``config.mode``, run as one
+    round that keeps one arm."""
     if config.mode == CONSTRAINED:
         return run_gensec(config, env)
     return run_genpsi(config, env)

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MopxError
+from .core import ConfigurationError, MopxError
 from .environments import load_instance_json
 from .features import load_embeddings_csv, pca_reduce, write_features_csv
 from .gaps import constrained_gap_report, hardness, pareto_gap_report
 from .harness import load_experiment_config, run_experiment, write_outputs
 from .metrics import hypervolume
-from .schedulers import make_schedule
+from .schedulers import SCHEDULER_NAMES, make_schedule
 
 
 def _cmd_run(args) -> int:
@@ -56,15 +56,18 @@ def _cmd_gaps(args) -> int:
 
 def _load_points(path: str) -> np.ndarray:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
         try:
-            rows.append([float(v) for v in parts])
+            rows.append([float(v) for v in line.split(",")])
         except ValueError:
-            continue  # header line
+            if number == 1:
+                continue  # header line
+            raise ConfigurationError(
+                f"{path} line {number} is not a row of numbers: {line!r}"
+            ) from None
     return np.array(rows, dtype=float)
 
 
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser("schedule", help="print a round plan as JSON")
     p_sched.add_argument("--k", type=int, required=True)
     p_sched.add_argument("--budget", type=int, required=True)
-    p_sched.add_argument("--scheduler", default="sh", choices=["sh", "sr", "sequential_halving", "successive_rejects"])
+    p_sched.add_argument("--scheduler", default="sh", choices=list(SCHEDULER_NAMES))
     p_sched.set_defaults(func=_cmd_schedule)
 
     p_gaps = sub.add_parser("gaps", help="print a gap report for an instance file")

@@ -177,10 +177,13 @@ def mlp_loss_grad(
         raise EstimationError("regularisation weight must be >= 0")
     if len(batch) == 0:
         raise EstimationError("cannot evaluate the loss on an empty batch")
-    feats = batch.features
-    targets = batch.rewards
-    n = feats.shape[0]
+    return _mlp_loss_grad(params, batch.features, batch.rewards, lam)
 
+
+def _mlp_loss_grad(
+    params: MlpParams, feats: np.ndarray, targets: np.ndarray, lam: float
+) -> tuple[float, MlpParams]:
+    n = feats.shape[0]
     pre, out = _mlp_forward(params, feats)
     err = out - targets
     loss = float(np.sum(err**2) / n + lam * params.squared_norm())
@@ -217,14 +220,16 @@ def mlp_fit(
     """
     if len(batch) == 0:
         raise EstimationError("cannot fit on an empty batch")
-    dim = batch.features.shape[1]
-    n_obj = batch.rewards.shape[1]
+    feats = batch.features  # read the log once, not once per iteration
+    targets = batch.rewards
     if init is not None:
         params = init.copy()
     elif rng is not None:
-        params = mlp_init(dim, n_obj, hidden, rng)
+        params = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
     else:
         raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
+    if lam < 0:
+        raise EstimationError("regularisation weight must be >= 0")
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     values = [params.w1, params.b1, params.w2, params.b2]
@@ -235,7 +240,7 @@ def mlp_fit(
     best = params
     trace: list[float] = []
     for it in range(iters):
-        loss, grad = mlp_loss_grad(params, batch, lam)
+        loss, grad = _mlp_loss_grad(params, feats, targets, lam)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite training loss at iteration {it}")
         if loss < best_loss:
@@ -254,7 +259,7 @@ def mlp_fit(
         values = new_values
         params = MlpParams(*values)
 
-    final_loss, _ = mlp_loss_grad(params, batch, lam)
+    final_loss, _ = _mlp_loss_grad(params, feats, targets, lam)
     if np.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
         best = params.copy()

@@ -113,9 +113,17 @@ def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> En
             raise ConfigurationError("replay environments need a 'path'")
         brevity = data.get("brevity")
         if brevity is not None:
-            brevity = (float(brevity["tau_low"]), float(brevity["tau_high"]))
+            if not isinstance(brevity, dict) or set(brevity) != {"tau_low", "tau_high"}:
+                raise ConfigurationError(
+                    f"environment brevity needs exactly 'tau_low' and 'tau_high', got {brevity!r}"
+                )
+            brevity = tuple(
+                _typed(f"brevity.{key}", brevity[key], float) for key in ("tau_low", "tau_high")
+            )
         table = load_replay_csv(base / path, brevity=brevity)
-        return EnvironmentSource(kind=kind, table=table, replay_mode=data.get("mode", "iid"))
+        mode = data.get("mode", "iid")
+        ReplayEnvironment(table, mode=mode)  # the environment's own mode check, once at load
+        return EnvironmentSource(kind=kind, table=table, replay_mode=mode)
     raise ConfigurationError(f"unknown environment kind {kind!r}")
 
 
@@ -172,6 +180,26 @@ def _reject_unknown(section: str, data: dict, known: set[str]) -> None:
         raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
 
 
+_JSON_TYPES = {str: "string", bool: "boolean", int: "integer", float: "number"}
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` as ``kind``, if it has the matching JSON type. Nothing is
+    coerced: bool("false") would be True and int(1.7) would be 1."""
+    expected = (int, float) if kind is float else kind
+    if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigurationError(
+            f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}"
+        )
+    return kind(value)
+
+
+def _typed_list(key: str, values, kind: type) -> tuple:
+    if not isinstance(values, list):
+        raise ConfigurationError(f"config key {key!r} must be a JSON list, got {values!r}")
+    return tuple(_typed(f"{key}[{i}]", value, kind) for i, value in enumerate(values))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: EnvironmentSource
@@ -195,10 +223,17 @@ class ExperimentConfig:
             _reject_unknown("algorithm config", variant, _VARIANT_KEYS)
             for section, known in _NESTED_KEYS.items():
                 _reject_unknown(f"algorithm {section}", variant.get(section, {}), known)
+            if "label" in variant:
+                _typed("label", variant["label"], str)
             # every setting error raises here, at load; cells fail only on
             # what depends on K and the budget together
             for budget in self.per_arm_budgets:
                 _run_config(variant, self.tau, budget, self.seeds[0])
+        # labels name summary rows and run ids, so two variants must not share one
+        labels = [_label(variant) for variant in self.algorithms]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return [
@@ -216,25 +251,27 @@ def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> Exp
     _reject_unknown("environment", data["environment"], _ENVIRONMENT_KEYS)
     source = environment_source_from_dict(data["environment"], base_dir)
     algorithms = tuple(dict(variant) for variant in data.get("algorithms", _DEFAULT_ALGORITHMS))
-    k_values = tuple(int(k) for k in data.get("k_values", [source.n_arms]))
-    budgets = tuple(int(b) for b in data.get("per_arm_budgets", [5]))
-    seeds = tuple(int(s) for s in data.get("seeds", range(20)))
+    tau = data.get("tau")
     reference = data.get("hv_reference")
     return ExperimentConfig(
         environment=source,
         algorithms=algorithms,
-        k_values=k_values,
-        per_arm_budgets=budgets,
-        seeds=seeds,
-        tau=data.get("tau"),
-        hv_reference=tuple(float(v) for v in reference) if reference is not None else None,
+        k_values=_typed_list("k_values", data.get("k_values", [source.n_arms]), int),
+        per_arm_budgets=_typed_list("per_arm_budgets", data.get("per_arm_budgets", [5]), int),
+        seeds=_typed_list("seeds", data.get("seeds", list(range(20))), int),
+        tau=None if tau is None else _typed("tau", tau, float),
+        hv_reference=None if reference is None else _typed_list("hv_reference", reference, float),
         out_dir=data.get("out_dir"),
     )
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    return experiment_config_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
+    return experiment_config_from_dict(data, base_dir=path.parent)
 
 
 def _label(variant: dict) -> str:
@@ -246,18 +283,8 @@ def _run_config(variant: dict, tau: float | None, per_arm_budget: int, seed: int
     for key, (name, kind) in _VARIANT_FIELDS.items():
         section, _, sub = key.rpartition(".")
         entries = variant.get(section, {}) if section else variant
-        if sub not in entries:
-            continue
-        value = entries[sub]
-        # names and flags are taken as written: bool("false") would be True
-        if kind in (str, bool) and not isinstance(value, kind):
-            raise ConfigurationError(
-                f"algorithm key {key!r} must be a JSON {kind.__name__}, got {value!r}"
-            )
-        try:
-            fields[name] = kind(value)
-        except (TypeError, ValueError) as err:
-            raise ConfigurationError(f"algorithm key {key!r}: {err}") from None
+        if sub in entries:
+            fields[name] = _typed(key, entries[sub], kind)
     return RunConfig(tau=tau, per_arm_budget=per_arm_budget, seed=seed, **fields)
 
 

@@ -14,10 +14,11 @@ from .core import ConfigurationError
 
 SEQUENTIAL_HALVING = "sequential_halving"
 SUCCESSIVE_REJECTS = "successive_rejects"
-_ALIASES = {
+# every accepted scheduler name -> the schedule it builds
+SCHEDULER_NAMES = {
     "sh": SEQUENTIAL_HALVING,
-    SEQUENTIAL_HALVING: SEQUENTIAL_HALVING,
     "sr": SUCCESSIVE_REJECTS,
+    SEQUENTIAL_HALVING: SEQUENTIAL_HALVING,
     SUCCESSIVE_REJECTS: SUCCESSIVE_REJECTS,
 }
 
@@ -75,9 +76,9 @@ def make_schedule(
     small-budget runs. ``redistribute_leftover`` moves the unspent remainder
     of the budget into the final round instead of discarding it.
     """
-    if kind not in _ALIASES:
+    if kind not in SCHEDULER_NAMES:
         raise ConfigurationError(f"unknown scheduler kind {kind!r}")
-    kind = _ALIASES[kind]
+    kind = SCHEDULER_NAMES[kind]
     if n_arms < 2:
         raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
     if budget < n_arms:

@@ -116,3 +116,30 @@ def test_run_command_partial_failure_exit_code(tmp_path, capsys):
 
 def test_run_command_missing_config_is_configuration_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_run_command_malformed_json_is_configuration_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"environment": {"kind": "replay",}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "broken.json" in err and "not valid JSON" in err
+
+
+def test_run_command_mistyped_value_is_configuration_error(tmp_path, capsys):
+    config = json.loads((FIXTURES / "regression_config.json").read_text())
+    config["environment"]["path"] = str(FIXTURES / "replay_small.csv")
+    config["per_arm_budgets"] = ["three"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    assert "per_arm_budgets" in capsys.readouterr().err
+
+
+def test_hv_command_rejects_non_numeric_rows_after_the_first(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("obj_1,obj_2\n0.8,0.2\n0.9,abc\n0.2,0.8\n")
+    assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
+    assert "line 3" in capsys.readouterr().err
+    path.write_text("0.8,0.2\nobj_1,obj_2\n")
+    assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2

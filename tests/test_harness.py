@@ -211,6 +211,7 @@ def test_known_nested_keys_load():
         ({"algorithm": "uniform", "mode": "pareto", "allocator": "g-optimal"}, 0.5, "uniform"),
         ({"algorithm": "uniform", "mode": "pareto", "estimator": "linear"}, 0.5, "uniform"),
         ({"algorithm": "uniform", "mode": "pareto", "eliminator": "truncate"}, 0.5, "uniform"),
+        ({"algorithm": "gensec", "scheduler": "halving"}, 0.5, "scheduler"),
     ],
 )
 def test_setting_errors_fail_at_load(variant, tau, match):
@@ -233,6 +234,8 @@ def test_k_values_outside_arm_range_fail_at_load(k_values):
         ("redistribute_leftover", None),
         ("scheduler", 5),
         ("mlp.iters", "many"),
+        ("mlp.iters", 5.5),
+        ("label", 7),
     ],
 )
 def test_mistyped_algorithm_values_are_rejected_by_key(key, value):
@@ -302,3 +305,50 @@ def test_table_rendering_smoke(tmp_path):
     table = paths["table"].read_text()
     assert "soft_reward" in table and "b=3" in table and "+/-" in table
     assert (tmp_path / "out" / "records.csv").exists()
+
+
+def _replay_config(**environment):
+    return experiment_config_from_dict(
+        {
+            "environment": {"kind": "replay", "path": "replay_small.csv", **environment},
+            "tau": 0.5,
+            "algorithms": [{"algorithm": "gensec"}],
+            "per_arm_budgets": [3],
+            "seeds": [0],
+        },
+        base_dir=Path(__file__).resolve().parent.parent / "fixtures",
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"tau": "0.5"}, "'tau' must be a JSON number"),
+        ({"seeds": [1.7]}, r"'seeds\[0\]' must be a JSON integer"),
+        ({"seeds": 3}, "'seeds' must be a JSON list"),
+        ({"per_arm_budgets": ["three"]}, r"'per_arm_budgets\[0\]'"),
+        ({"k_values": [True]}, r"'k_values\[0\]'"),
+        ({"hv_reference": ["a", "b"]}, r"'hv_reference\[0\]'"),
+        ({"algorithms": [{"algorithm": "gensec"}, {"algorithm": "gensec"}]}, "distinct"),
+        (
+            {"algorithms": [{"label": "a", "algorithm": "gensec"}, {"label": "a", "algorithm": "genpsi"}]},
+            "distinct",
+        ),
+    ],
+)
+def test_config_faults_fail_at_load(overrides, match):
+    with pytest.raises(ConfigurationError, match=match):
+        _config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "environment, match",
+    [
+        ({"mode": "sequentail"}, "replay mode"),
+        ({"brevity": {"tau_low": 0.1}}, "brevity"),
+        ({"brevity": {"tau_low": 0.1, "tau_high": "0.9"}}, "brevity.tau_high"),
+    ],
+)
+def test_replay_environment_faults_fail_at_load(environment, match):
+    with pytest.raises(ConfigurationError, match=match):
+        _replay_config(**environment)

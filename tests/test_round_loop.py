@@ -1,0 +1,98 @@
+"""Every setting combination RunConfig accepts, run through the round loop.
+
+Each run's ``RunResult.to_dict()`` JSON, or its error class and message, is
+hashed per algorithm and mode. The digests pin answers, round logs, pull
+counts and error messages byte for byte, so a rewrite of the loop must leave
+every one of them unchanged.
+"""
+
+import hashlib
+import json
+import warnings
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+
+from mopx.algorithms import RunConfig, run_algorithm
+from mopx.core import Instance
+from mopx.environments import (
+    GaussianEnvironment,
+    LinearEnvironment,
+    ReplayEnvironment,
+    load_replay_csv,
+    random_linear_instance,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# 0.25-grid means with exact ties, observed without noise
+TIED = np.array([[0.75, 0.5], [0.5, 0.75], [0.75, 0.5], [0.25, 0.25], [0.5, 0.5]])
+
+DIGESTS = {
+    ("gensec", "constrained"): "56031f71b92f834c78ea22f07e82edb37862452f390eb000d8361e4a21f0f550",
+    ("genpsi", "pareto"): "f34a1b3d9ca0c66de585d5027b61dcb1d3a9af6b34316a2c40e7a9f97a9fdd51",
+    ("uniform", "constrained"): "77d2a6b54489e55692b84a761e521fad36e972dd220728b7bb869a3a133baa28",
+    ("uniform", "pareto"): "3f8421f3cc3ebd0307fab90109d811f7626b908e4ee82c11d425d7e8d75e8296",
+}
+
+
+def _environments():
+    linear = random_linear_instance(np.random.default_rng(5), 6, 3, sigma=0.3)
+    yield "linear", lambda: LinearEnvironment(linear), float(np.median(linear.means[:, 1]))
+    yield "tied", lambda: GaussianEnvironment(Instance(means=TIED, sigma=0.0)), 0.5
+    table = load_replay_csv(FIXTURES / "replay_small.csv")
+    yield "replay", lambda: ReplayEnvironment(table, mode="sequential"), 0.5
+
+
+def _settings(algorithm: str):
+    loop = algorithm != "uniform"
+    return product(
+        ("sequential_halving", "successive_rejects"),
+        ("uniform", "g-optimal") if loop else ("uniform",),
+        ("mean", "linear", "mlp") if loop else ("mean",),
+        ("ege", "truncate") if loop else ("ege",),
+        ("cumulative", "round"),
+        (1, 6),  # per-arm budget; 1 starves round 1 of some arms
+        (False, True),  # enforce_design_budget
+        (False, True),  # redistribute_leftover
+    )
+
+
+def _outcome(config: RunConfig, env) -> str:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return json.dumps(run_algorithm(config, env).to_dict(), sort_keys=True)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _digest(algorithm: str, mode: str | None) -> str:
+    sha = hashlib.sha256()
+    for name, make_env, tau in _environments():
+        for seed, setting in enumerate(_settings(algorithm)):
+            scheduler, allocator, estimator, eliminator, scope, per_arm, enforce, redistribute = setting
+            config = RunConfig(
+                algorithm=algorithm,
+                mode=mode,
+                scheduler=scheduler,
+                allocator=allocator,
+                estimator=estimator,
+                eliminator=eliminator,
+                mlp_data_scope=scope,
+                enforce_design_budget=enforce,
+                redistribute_leftover=redistribute,
+                tau=tau if mode == "constrained" else None,
+                per_arm_budget=per_arm,
+                seed=seed,
+                mlp_hidden=4,
+                mlp_iters=3,
+            )
+            sha.update(f"{name}|{setting}|{_outcome(config, make_env())}\n".encode())
+    return sha.hexdigest()
+
+
+def test_every_setting_combination_matches_its_recorded_digest():
+    got = {key: _digest(*key) for key in DIGESTS}
+    assert got == DIGESTS
