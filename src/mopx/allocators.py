@@ -7,11 +7,18 @@ iterate retained (subgradient steps are not individually monotone). The
 rounding step turns simplex weights into integer pull counts by largest
 remainder, then forces one pull onto every arm of the greedily selected
 feature basis so the round's design matrix spans the active feature space.
+
+A design depends only on the active feature rows, so successful solves are
+memoised in a small per-process LRU cache keyed on the exact feature bytes and
+layout, ``epsilon``, the active arm ids and ``max_iters``. A hit returns the
+same bits a fresh solve would; failed solves are not cached and raise again.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +27,7 @@ from .core import ConfigurationError, DomainError, NumericalError
 from .estimators import pseudo_inverse, select_independent_basis
 
 MAX_DESIGN_ITERS = 5000
+DESIGN_CACHE_SIZE = 32  # designs kept per process
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,8 @@ def allocate_uniform(n: int, active: list[int]) -> PullCounts:
     return PullCounts(counts=counts)
 
 
-def _leverages(gram_pinv: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", feats, gram_pinv, feats)
+# solve_g_optimal's memo of successful designs, least recently used first
+_DESIGNS: OrderedDict[tuple, DesignWeights] = OrderedDict()
 
 
 def solve_g_optimal(
@@ -111,16 +119,33 @@ def solve_g_optimal(
     supplies the arm ids for the returned weight map (defaults to row numbers).
     Raises DesignConvergenceError (carrying the best design) if the target
     objective (1+epsilon)*d_act is not reached within ``max_iters`` iterations.
+    Repeated calls with the same inputs are answered from the design cache.
     """
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise DomainError(f"features must be a non-empty 2-D array, got shape {feats.shape}")
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-    arms = list(range(feats.shape[0])) if active is None else sorted(active)
+    arms = tuple(range(feats.shape[0])) if active is None else tuple(sorted(active))
     if len(arms) != feats.shape[0]:
         raise DomainError("active arm list must match the feature rows")
+    # matmul rounding can depend on memory layout, so the strides are part of the key
+    key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon), arms, max_iters)
+    design = _DESIGNS.get(key)
+    if design is None:
+        design = _mirror_descent(feats, epsilon, arms, max_iters)  # errors are not cached
+        _DESIGNS[key] = design
+        if len(_DESIGNS) > DESIGN_CACHE_SIZE:
+            _DESIGNS.popitem(last=False)
+    else:
+        _DESIGNS.move_to_end(key)
+    # a fresh weight map per call, so a caller's edits never reach the cache
+    return DesignWeights(dict(design.weights), design.objective_value, design.trace)
 
+
+def _mirror_descent(
+    feats: np.ndarray, epsilon: float, arms: tuple[int, ...], max_iters: int
+) -> DesignWeights:
     basis = select_independent_basis(feats)
     d_act = len(basis)
     if d_act < 1:
@@ -128,29 +153,30 @@ def solve_g_optimal(
     target = (1.0 + epsilon) * d_act
 
     k = feats.shape[0]
+    feats_t = feats.T
     w = np.full(k, 1.0 / k)
-    best_w = w.copy()
+    best_w = w
     best_obj = np.inf
     trace: list[float] = []
     for it in range(max_iters):
-        gram = feats.T @ (w[:, None] * feats)
+        gram = feats_t @ (w[:, None] * feats)
         pinv = pseudo_inverse(gram, feats, basis=basis)
-        lev = _leverages(pinv, feats)
-        obj = float(np.max(lev))
+        lev = np.einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
+        star = int(lev.argmax())
+        obj = float(lev[star])
         if obj < best_obj:
             best_obj = obj
-            best_w = w.copy()
+            best_w = w  # w is rebound below, never written in place
         trace.append(best_obj)
         if best_obj <= target:
             break
-        star = int(np.argmax(lev))
         cross = feats @ (pinv @ feats[star])
         subgrad = -(cross**2)
-        scale = float(np.max(np.abs(subgrad)))
+        scale = float(abs(subgrad).max())
         if scale <= 0.0:
             break
         # 1/sqrt(t) decay; a constant step oscillates without reaching the target
-        step = 0.5 / (scale * np.sqrt(it + 1.0))
+        step = 0.5 / (scale * math.sqrt(it + 1.0))
         w = w * np.exp(-step * subgrad)
         w = w / w.sum()
 

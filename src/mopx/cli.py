@@ -56,18 +56,26 @@ def _cmd_gaps(args) -> int:
 
 def _load_points(path: str) -> np.ndarray:
     rows = []
+    first = 0  # line number of the first row, which fixes the row width
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rows.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError:
             if number == 1:
                 continue  # header line
             raise ConfigurationError(
                 f"{path} line {number} is not a row of numbers: {line!r}"
             ) from None
+        if not rows:
+            first = number
+        elif len(row) != len(rows[0]):
+            raise ConfigurationError(
+                f"{path} line {number} has {len(row)} values, line {first} has {len(rows[0])}"
+            )
+        rows.append(row)
     return np.array(rows, dtype=float)
 
 

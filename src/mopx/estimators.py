@@ -10,6 +10,7 @@ lowest-loss iterate retained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,13 @@ def pseudo_inverse(
         raise NumericalError("all active features are numerically zero")
     phi = feats[basis].T  # d x k
     inner = phi.T @ np.asarray(gram, dtype=float) @ phi
-    cond = float(np.linalg.cond(inner))
+    # np.linalg.cond(inner) without its per-call overhead: 2-norm condition
+    # from the singular values, 0/0 read as inf unless inner itself holds a NaN
+    s = np.linalg.svd(inner, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
+    if math.isnan(cond) and not np.isnan(inner).any():
+        cond = math.inf
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise NumericalError(
             f"restricted Gram matrix is numerically singular (condition {cond:.3g})"

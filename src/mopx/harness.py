@@ -105,7 +105,10 @@ def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> En
         raw = data.get("instance")
         if raw is None:
             raise ConfigurationError("gaussian/linear environments need an 'instance'")
-        instance = load_instance_json(base / raw) if isinstance(raw, str) else instance_from_dict(raw)
+        if isinstance(raw, str):
+            instance = load_instance_json(base / raw)
+        else:
+            instance = instance_from_dict(_object("environment.instance", raw))
         return EnvironmentSource(kind=kind, instance=instance)
     if kind == "replay":
         path = data.get("path")
@@ -194,6 +197,12 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _typed_list(key: str, values, kind: type) -> tuple:
     if not isinstance(values, list):
         raise ConfigurationError(f"config key {key!r} must be a JSON list, got {values!r}")
@@ -219,10 +228,11 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
                 )
-        for variant in self.algorithms:
+        for i, variant in enumerate(self.algorithms):
             _reject_unknown("algorithm config", variant, _VARIANT_KEYS)
             for section, known in _NESTED_KEYS.items():
-                _reject_unknown(f"algorithm {section}", variant.get(section, {}), known)
+                entries = _object(f"algorithms[{i}].{section}", variant.get(section, {}))
+                _reject_unknown(f"algorithm {section}", entries, known)
             if "label" in variant:
                 _typed("label", variant["label"], str)
             # every setting error raises here, at load; cells fail only on
@@ -245,12 +255,19 @@ class ExperimentConfig:
 
 
 def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"experiment config must be a JSON object, got {data!r}")
     if "environment" not in data:
         raise ConfigurationError("experiment config needs an 'environment' section")
     _reject_unknown("experiment config", data, _CONFIG_KEYS)
-    _reject_unknown("environment", data["environment"], _ENVIRONMENT_KEYS)
+    _reject_unknown("environment", _object("environment", data["environment"]), _ENVIRONMENT_KEYS)
     source = environment_source_from_dict(data["environment"], base_dir)
-    algorithms = tuple(dict(variant) for variant in data.get("algorithms", _DEFAULT_ALGORITHMS))
+    variants = data.get("algorithms", list(_DEFAULT_ALGORITHMS))
+    if not isinstance(variants, list):
+        raise ConfigurationError(f"config key 'algorithms' must be a JSON list, got {variants!r}")
+    algorithms = tuple(
+        dict(_object(f"algorithms[{i}]", variant)) for i, variant in enumerate(variants)
+    )
     tau = data.get("tau")
     reference = data.get("hv_reference")
     return ExperimentConfig(

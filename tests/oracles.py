@@ -3,12 +3,17 @@
 These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
-meaningful.
+meaningful. The one exception is the untrimmed mirror-descent reference, which
+keeps the library's own arithmetic so that the library must match it bit for
+bit.
 """
 
 import math
 
 import numpy as np
+
+from mopx.core import NumericalError
+from mopx.estimators import select_independent_basis
 
 
 # ---------------------------------------------------------------- dominance
@@ -158,6 +163,57 @@ def frank_wolfe_design(features, tol=1e-6, max_iters=200_000):
         w = (1.0 - gamma) * w
         w[star] += gamma
     return w, obj
+
+
+# ------------------------------------------- mirror descent, untrimmed form
+# The restricted inverse and the mirror-descent design loop as first written
+# (np.linalg.cond, np.max, per-iteration copies). The library trims their
+# per-call overhead; it must still reproduce these bit for bit.
+
+
+def reference_restricted_inverse(gram, features, basis):
+    feats = np.asarray(features, dtype=float)
+    phi = feats[basis].T
+    inner = phi.T @ np.asarray(gram, dtype=float) @ phi
+    cond = float(np.linalg.cond(inner))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NumericalError(
+            f"restricted Gram matrix is numerically singular (condition {cond:.3g})"
+        )
+    return phi @ np.linalg.inv(inner) @ phi.T
+
+
+def reference_mirror_descent(features, epsilon, max_iters=5000):
+    """Returns (best weights, best objective, trace) of the untrimmed loop."""
+    feats = np.asarray(features, dtype=float)
+    basis = select_independent_basis(feats)
+    target = (1.0 + epsilon) * len(basis)
+    k = feats.shape[0]
+    w = np.full(k, 1.0 / k)
+    best_w = w.copy()
+    best_obj = np.inf
+    trace = []
+    for it in range(max_iters):
+        gram = feats.T @ (w[:, None] * feats)
+        pinv = reference_restricted_inverse(gram, feats, basis)
+        lev = np.einsum("ij,jk,ik->i", feats, pinv, feats)
+        obj = float(np.max(lev))
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w.copy()
+        trace.append(best_obj)
+        if best_obj <= target:
+            break
+        star = int(np.argmax(lev))
+        cross = feats @ (pinv @ feats[star])
+        subgrad = -(cross**2)
+        scale = float(np.max(np.abs(subgrad)))
+        if scale <= 0.0:
+            break
+        step = 0.5 / (scale * np.sqrt(it + 1.0))
+        w = w * np.exp(-step * subgrad)
+        w = w / w.sum()
+    return best_w, best_obj, tuple(trace)
 
 
 # ----------------------------------------------------------- EGE transcript

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import frank_wolfe_design
+import mopx.allocators as allocators
+from oracles import frank_wolfe_design, reference_mirror_descent
 from mopx.allocators import (
+    DESIGN_CACHE_SIZE,
     DesignConvergenceError,
     allocate_uniform,
     round_design,
     solve_g_optimal,
 )
-from mopx.core import ConfigurationError, DomainError
+from mopx.core import ConfigurationError, DomainError, NumericalError
 from mopx.estimators import select_independent_basis
 
 
@@ -164,3 +168,114 @@ def test_round_design_budget_and_linfty_deviation():
         assert np.max(np.abs(got - n * w)) < 1.0 + d_act
         for b in select_independent_basis(feats):
             assert counts.counts[b] >= 1
+
+
+# ------------------------------------------------------------ design cache
+
+
+def _design_features(seed: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 25))
+    d = int(rng.integers(1, 6))
+    if kind == "grid":  # half-integer grid: tied leverages and repeated rows
+        return np.round(rng.normal(size=(k, d)) * 2) / 2
+    if kind == "rank_deficient":
+        rank = max(d - 2, 1)
+        return rng.normal(size=(k, rank)) @ rng.normal(size=(rank, d))
+    return rng.normal(size=(k, d))
+
+
+def _solve(feats, epsilon, active=None):
+    """(weights, objective, trace) or the error's class, text and carried design."""
+    try:
+        design = solve_g_optimal(feats, epsilon, active=active)
+    except (DesignConvergenceError, NumericalError, DomainError) as err:
+        carried = getattr(err, "weights", None)
+        return type(err), str(err), None if carried is None else (carried.weights, carried.trace)
+    return design.weights, design.objective_value, design.trace
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "grid", "rank_deficient"]),
+    epsilon=st.sampled_from([0.05, 0.1, 0.3, 0.9]),
+)
+def test_cached_design_equals_fresh_solve(seed, kind, epsilon):
+    feats = _design_features(seed, kind)
+    ids = sorted(np.random.default_rng(seed).choice(1000, size=len(feats), replace=False).tolist())
+    allocators._DESIGNS.clear()
+    fresh = _solve(feats, epsilon)
+    fresh_ids = _solve(feats, epsilon, active=ids)
+    allocators._DESIGNS.clear()
+    fresh_ids_alone = _solve(feats, epsilon, active=ids)
+    # hits: the same rows under either id list, in either order
+    assert _solve(feats, epsilon, active=ids) == fresh_ids == fresh_ids_alone
+    assert _solve(feats.copy(), epsilon) == fresh
+    if isinstance(fresh[0], dict):
+        assert list(fresh_ids[0].values()) == list(fresh[0].values())
+    # a hit after eviction re-solves to the same bits
+    for i in range(DESIGN_CACHE_SIZE):
+        solve_g_optimal(np.eye(2) * (i + 2), 0.1)
+    assert len(allocators._DESIGNS) == DESIGN_CACHE_SIZE
+    assert _solve(feats, epsilon) == fresh
+    assert _solve(feats, epsilon) == fresh
+
+
+def test_g_optimal_matches_untrimmed_mirror_descent():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        feats = rng.normal(size=(int(rng.integers(2, 31)), int(rng.integers(1, 6))))
+        allocators._DESIGNS.clear()
+        design = solve_g_optimal(feats, 0.1)
+        best_w, best_obj, trace = reference_mirror_descent(feats, 0.1)
+        assert list(design.weights.values()) == best_w.tolist()
+        assert design.objective_value == best_obj
+        assert design.trace == trace
+
+
+def test_design_convergence_error_is_raised_again_every_call():
+    feats = np.random.default_rng(3).normal(size=(6, 3))
+    allocators._DESIGNS.clear()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(DesignConvergenceError) as err:
+            solve_g_optimal(feats, 0.01, max_iters=1)
+        raised.append((str(err.value), err.value.weights.weights, err.value.weights.trace))
+    assert raised[0] == raised[1] == raised[2]
+    assert not allocators._DESIGNS
+
+
+def test_numerical_error_is_raised_again_every_call():
+    feats = np.array([[1.0, 0.0], [1.0, 1e-7]])
+    allocators._DESIGNS.clear()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="numerically singular") as err:
+            solve_g_optimal(feats, 0.1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert not allocators._DESIGNS
+
+
+def test_repeat_call_does_not_mutate_cached_weights():
+    feats = np.random.default_rng(9).normal(size=(8, 3))
+    allocators._DESIGNS.clear()
+    first = solve_g_optimal(feats, 0.1)
+    expected = dict(first.weights)
+    first.weights[0] = 99.0  # a caller editing its copy
+    second = solve_g_optimal(feats, 0.1)
+    third = solve_g_optimal(feats, 0.1)
+    assert second.weights == expected == third.weights
+    assert second.weights is not third.weights
+    assert len(allocators._DESIGNS) == 1
+
+
+def test_design_cache_key_includes_layout_and_epsilon_type():
+    feats = np.random.default_rng(4).normal(size=(10, 3))
+    allocators._DESIGNS.clear()
+    solve_g_optimal(feats, 0.1)
+    solve_g_optimal(np.asfortranarray(feats), 0.1)
+    solve_g_optimal(feats, np.float32(0.1))
+    solve_g_optimal(feats, 0.1, max_iters=4000)
+    assert len(allocators._DESIGNS) == 4

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mopx.allocators as allocators
+import mopx.harness as harness
 from mopx.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -88,6 +90,34 @@ def test_run_command_golden_summary_with_two_jobs(tmp_path, capsys):
     assert (out / "summary.csv").read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
 
 
+def test_g_optimal_sweep_output_does_not_depend_on_jobs_or_design_cache(tmp_path, monkeypatch, capsys):
+    config = str(FIXTURES / "linear_gopt_config.json")
+
+    def run(name, jobs=1):
+        out = tmp_path / name
+        assert main(["run", "--config", config, "--jobs", str(jobs), "--out", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("summary.csv", "records.csv")]
+
+    two_jobs = run("jobs2", jobs=2)
+    solves = []
+    solve = allocators._mirror_descent
+    monkeypatch.setattr(allocators, "_mirror_descent", lambda *a: solves.append(a) or solve(*a))
+    allocators._DESIGNS.clear()
+    one_job = run("jobs1")
+    cached_solves = len(solves)
+
+    run_cell = harness.run_algorithm
+
+    def run_uncached(*args):
+        allocators._DESIGNS.clear()
+        return run_cell(*args)
+
+    monkeypatch.setattr(harness, "run_algorithm", run_uncached)
+    uncached = run("uncached")
+    assert one_job == two_jobs == uncached
+    assert cached_solves < len(solves) - cached_solves  # the cached run did reuse designs
+
+
 def test_run_command_partial_failure_exit_code(tmp_path, capsys):
     config = {
         "environment": {
@@ -143,3 +173,21 @@ def test_hv_command_rejects_non_numeric_rows_after_the_first(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
     path.write_text("0.8,0.2\nobj_1,obj_2\n")
     assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
+
+
+def test_run_command_non_object_algorithm_entry_is_configuration_error(tmp_path, capsys):
+    config = json.loads((FIXTURES / "regression_config.json").read_text())
+    config["environment"]["path"] = str(FIXTURES / "replay_small.csv")
+    config["algorithms"] = ["gensec"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    assert "'algorithms[0]' must be a JSON object" in capsys.readouterr().err
+
+
+def test_hv_command_rejects_ragged_rows(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("obj_1,obj_2\n0.8,0.2\n0.5\n")
+    assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 3 has 1 values, line 2 has 2" in err

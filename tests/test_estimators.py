@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference_mlp_grad
+import mopx.estimators as estimators
+from oracles import finite_difference_mlp_grad, reference_restricted_inverse
 from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
 from mopx.estimators import (
     MlpParams,
@@ -73,6 +74,55 @@ def test_pseudo_inverse_singular_raises():
     gram = np.diag([1.0, 1e-14])
     with pytest.raises(NumericalError, match="condition"):
         pseudo_inverse(gram, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        (np.diag([1.0, 1e-13]), "condition 1e+13"),  # near-singular
+        (np.zeros((2, 2)), "condition inf"),  # 0/0 reads as inf, not nan
+        (np.diag([1.0, 0.0]), "condition inf"),  # exactly singular
+    ],
+)
+def test_pseudo_inverse_condition_error_texts(gram, message):
+    with pytest.raises(NumericalError) as err:
+        pseudo_inverse(gram, np.eye(2))
+    assert str(err.value) == f"restricted Gram matrix is numerically singular ({message})"
+
+
+def _conditioned_instances(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 30))
+        d = int(rng.integers(1, 6))
+        yield rng, k, rng.normal(size=(k, d))
+
+
+def test_pseudo_inverse_matches_np_linalg_cond_form_bit_for_bit():
+    for rng, k, feats in _conditioned_instances(23, 60):
+        gram = feats.T @ (rng.uniform(0.1, 1.0, size=k)[:, None] * feats)
+        basis = select_independent_basis(feats)
+        expected = reference_restricted_inverse(gram, feats, basis)
+        assert pseudo_inverse(gram, feats).tobytes() == expected.tobytes()
+
+
+def test_fit_linear_matches_np_linalg_cond_form_bit_for_bit(monkeypatch):
+    batches = []
+    for rng, k, feats in _conditioned_instances(29, 60):
+        arms = rng.integers(0, k, size=int(rng.integers(1, 3 * k + 2)))
+        batches.append(_batch([(int(a), feats[a], rng.normal(size=2)) for a in arms]))
+    fits = [fit_linear(batch) for batch in batches]
+    monkeypatch.setattr(
+        estimators,
+        "pseudo_inverse",
+        lambda gram, feats, basis=None: reference_restricted_inverse(
+            gram, feats, select_independent_basis(feats)
+        ),
+    )
+    for batch, fit in zip(batches, fits):
+        expected = fit_linear(batch)
+        for name in ("theta_hat", "gram", "gram_pinv"):
+            assert getattr(fit, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_basis_selection_scans_ascending_with_tolerance():

@@ -352,3 +352,30 @@ def test_config_faults_fail_at_load(overrides, match):
 def test_replay_environment_faults_fail_at_load(environment, match):
     with pytest.raises(ConfigurationError, match=match):
         _replay_config(**environment)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"algorithms": ["gensec"]}, r"'algorithms\[0\]' must be a JSON object"),
+        ({"algorithms": "gensec"}, "'algorithms' must be a JSON list"),
+        ({"algorithms": [{"algorithm": "gensec", "mlp": 5}]}, r"'algorithms\[0\]\.mlp' must be a JSON object"),
+        (
+            {"algorithms": [{"algorithm": "gensec", "g_optimal": []}]},
+            r"'algorithms\[0\]\.g_optimal' must be a JSON object",
+        ),
+        ({"environment": 3}, "'environment' must be a JSON object"),
+        (
+            {"environment": {"kind": "gaussian", "instance": [1, 2]}},
+            "'environment.instance' must be a JSON object",
+        ),
+    ],
+)
+def test_non_object_config_entries_fail_at_load(overrides, match):
+    with pytest.raises(ConfigurationError, match=match):
+        _config(**overrides)
+
+
+def test_non_object_config_fails_at_load():
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        experiment_config_from_dict([{"environment": {}}])
