@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,13 +64,13 @@ def pseudo_inverse(
         raise NumericalError("all active features are numerically zero")
     phi = feats[basis].T  # d x k
     inner = phi.T @ np.asarray(gram, dtype=float) @ phi
+    if not np.isfinite(inner).all():
+        raise NumericalError("restricted Gram matrix holds NaN or inf entries")
     # np.linalg.cond(inner) without its per-call overhead: 2-norm condition
-    # from the singular values, 0/0 read as inf unless inner itself holds a NaN
+    # from the singular values of the finite matrix, with x/0 and 0/0 read as inf
     s = np.linalg.svd(inner, compute_uv=False)
-    with np.errstate(all="ignore"):
-        cond = float(s[0] / s[-1])
-    if math.isnan(cond) and not np.isnan(inner).any():
-        cond = math.inf
+    smallest = float(s[-1])
+    cond = float(s[0]) / smallest if smallest > 0.0 else math.inf
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise NumericalError(
             f"restricted Gram matrix is numerically singular (condition {cond:.3g})"
@@ -134,7 +135,11 @@ def predict_linear(fit: LinearFit, features: np.ndarray, arms: list[int] | None 
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Weights of the one-hidden-layer ReLU network mapping features to rewards."""
+    """Weights of the one-hidden-layer ReLU network mapping features to rewards.
+
+    ``mlp_fit`` returns views of one flat float64 vector that holds w1, b1, w2
+    and b2 in that order, each in row-major order.
+    """
 
     w1: np.ndarray  # h x d
     b1: np.ndarray  # h
@@ -144,14 +149,6 @@ class MlpParams:
     @property
     def hidden(self) -> int:
         return self.w1.shape[0]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def squared_norm(self) -> float:
-        return float(
-            np.sum(self.w1**2) + np.sum(self.b1**2) + np.sum(self.w2**2) + np.sum(self.b2**2)
-        )
 
 
 def mlp_init(dim: int, n_objectives: int, hidden: int, rng: np.random.Generator) -> MlpParams:
@@ -166,10 +163,82 @@ def mlp_init(dim: int, n_objectives: int, hidden: int, rng: np.random.Generator)
     )
 
 
-def _mlp_forward(params: MlpParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pre = feats @ params.w1.T + params.b1
-    hidden = np.maximum(pre, 0.0)
-    return pre, hidden @ params.w2.T + params.b2
+class _MlpWorkspace:
+    """Buffers of one loss-and-gradient evaluation on n rows, shaped after
+    ``params``; a fit allocates them once and reuses them on every iteration.
+
+    Parameter-sized buffers are flat vectors in the layout of ``MlpParams``
+    (w1, b1, w2, b2); ``views`` reshapes one into the four blocks.
+    """
+
+    def __init__(self, n: int, params: MlpParams):
+        hidden, dim = params.w1.shape
+        n_objectives = params.w2.shape[0]
+        self.shapes = ((hidden, dim), (hidden,), (n_objectives, hidden), (n_objectives,))
+        ends = list(accumulate(math.prod(shape) for shape in self.shapes))
+        self.blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        self.pre = np.empty((n, hidden))
+        self.act = np.empty((n, hidden))
+        self.mask = np.empty((n, hidden))
+        self.d_hidden = np.empty((n, hidden))
+        self.err = np.empty((n, n_objectives))
+        self.d_out = np.empty((n, n_objectives))
+        self.grad = np.empty(ends[-1])
+        self.grads = self.views(self.grad)
+        self.squares = np.empty(ends[-1])
+        self.square_blocks = [self.squares[s] for s in self.blocks]
+        self.reg = np.empty(ends[-1])
+        self.regs = self.views(self.reg)
+
+    def views(self, flat: np.ndarray) -> MlpParams:
+        return MlpParams(*(flat[s].reshape(shape) for s, shape in zip(self.blocks, self.shapes)))
+
+
+def _flatten(params: MlpParams) -> np.ndarray:
+    """A new float64 vector holding ``params`` in the layout of ``MlpParams``."""
+    return np.concatenate([params.w1, params.b1, params.w2, params.b2], axis=None, dtype=float)
+
+
+def _mlp_loss_grad(
+    flat: np.ndarray, feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace
+) -> float:
+    """Loss at the flat parameters; the gradient is written into ``ws.grad``.
+
+    Sums keep the block and row shapes of the per-array form (pairwise
+    summation would round a regrouped sum differently), and the ReLU mask is
+    multiplied in as 1.0/0.0, so every bit equals the per-array computation.
+    """
+    n = feats.shape[0]
+    params, grads, reg = ws.views(flat), ws.grads, ws.regs
+    pre, act, err, d_out, d_hidden = ws.pre, ws.act, ws.err, ws.d_out, ws.d_hidden
+    np.matmul(feats, params.w1.T, out=pre)
+    np.add(pre, params.b1, out=pre)
+    np.maximum(pre, 0.0, out=act)
+    np.matmul(act, params.w2.T, out=err)
+    np.add(err, params.b2, out=err)
+    np.subtract(err, targets, out=err)
+
+    np.square(flat, out=ws.squares)
+    w1_sq, b1_sq, w2_sq, b2_sq = ws.square_blocks
+    norm = float(np.sum(w1_sq) + np.sum(b1_sq) + np.sum(w2_sq) + np.sum(b2_sq))
+    np.square(err, out=d_out)
+    loss = float(np.sum(d_out) / n + lam * norm)
+
+    np.multiply(err, 2.0, out=d_out)
+    np.divide(d_out, n, out=d_out)
+    np.multiply(flat, 2.0 * lam, out=ws.reg)
+    np.matmul(d_out.T, act, out=grads.w2)
+    np.add(grads.w2, reg.w2, out=grads.w2)
+    np.sum(d_out, axis=0, out=grads.b2)
+    np.add(grads.b2, reg.b2, out=grads.b2)
+    np.matmul(d_out, params.w2, out=d_hidden)
+    np.greater(pre, 0.0, out=ws.mask)
+    np.multiply(d_hidden, ws.mask, out=d_hidden)
+    np.matmul(d_hidden.T, feats, out=grads.w1)
+    np.add(grads.w1, reg.w1, out=grads.w1)
+    np.sum(d_hidden, axis=0, out=grads.b1)
+    np.add(grads.b1, reg.b1, out=grads.b1)
+    return loss
 
 
 def mlp_loss_grad(
@@ -184,25 +253,9 @@ def mlp_loss_grad(
         raise EstimationError("regularisation weight must be >= 0")
     if len(batch) == 0:
         raise EstimationError("cannot evaluate the loss on an empty batch")
-    return _mlp_loss_grad(params, batch.features, batch.rewards, lam)
-
-
-def _mlp_loss_grad(
-    params: MlpParams, feats: np.ndarray, targets: np.ndarray, lam: float
-) -> tuple[float, MlpParams]:
-    n = feats.shape[0]
-    pre, out = _mlp_forward(params, feats)
-    err = out - targets
-    loss = float(np.sum(err**2) / n + lam * params.squared_norm())
-
-    d_out = 2.0 * err / n  # n x m
-    hidden = np.maximum(pre, 0.0)
-    g_w2 = d_out.T @ hidden + 2.0 * lam * params.w2
-    g_b2 = d_out.sum(axis=0) + 2.0 * lam * params.b2
-    d_hidden = (d_out @ params.w2) * (pre > 0.0)
-    g_w1 = d_hidden.T @ feats + 2.0 * lam * params.w1
-    g_b1 = d_hidden.sum(axis=0) + 2.0 * lam * params.b1
-    return loss, MlpParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    ws = _MlpWorkspace(len(batch), params)
+    loss = _mlp_loss_grad(_flatten(params), batch.features, batch.rewards, lam, ws)
+    return loss, ws.grads
 
 
 def mlp_fit(
@@ -217,68 +270,69 @@ def mlp_fit(
     checkpoint_every: int = 100,
     return_trace: bool = False,
 ) -> MlpParams | tuple[MlpParams, list[float]]:
-    """Full-batch adaptive gradient descent on the regularised squared loss.
+    """Full-batch Adam on the regularised squared loss.
 
     ``rng`` draws the initial weights; ``init`` instead warm-starts from a
-    previous round's parameters. Deterministic for a fixed ``rng`` state and
-    config. The lowest-loss iterate is retained, so the logged checkpoint
-    losses are non-increasing. With ``return_trace`` the checkpoint losses are
-    returned alongside the parameters.
+    previous round's parameters, which are copied and never written to.
+    Deterministic for a fixed ``rng`` state and config. The lowest-loss
+    iterate is retained, so the logged checkpoint losses are non-increasing.
+    With ``return_trace`` the checkpoint losses are returned alongside the
+    parameters.
+
+    Adam runs element by element on one flat parameter vector, and every
+    iteration's loss and gradient go into one workspace allocated per fit.
     """
     if len(batch) == 0:
         raise EstimationError("cannot fit on an empty batch")
     feats = batch.features  # read the log once, not once per iteration
     targets = batch.rewards
-    if init is not None:
-        params = init.copy()
-    elif rng is not None:
-        params = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
-    else:
-        raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
+    if init is None:
+        if rng is None:
+            raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
+        init = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
     if lam < 0:
         raise EstimationError("regularisation weight must be >= 0")
 
+    ws = _MlpWorkspace(feats.shape[0], init)
+    flat = _flatten(init)
+    grad = ws.grad
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    values = [params.w1, params.b1, params.w2, params.b2]
-    first = [np.zeros_like(v) for v in values]
-    second = [np.zeros_like(v) for v in values]
+    first = np.zeros_like(flat)
+    second = np.zeros_like(flat)
 
     best_loss = np.inf
-    best = params
+    best = flat
     trace: list[float] = []
     for it in range(iters):
-        loss, grad = _mlp_loss_grad(params, feats, targets, lam)
-        if not np.isfinite(loss):
+        loss = _mlp_loss_grad(flat, feats, targets, lam, ws)
+        if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at iteration {it}")
         if loss < best_loss:
             best_loss = loss
-            best = params.copy()
+            best = flat  # the step below rebinds flat to a new array
         if it % checkpoint_every == 0:
             trace.append(best_loss)
-        grads = [grad.w1, grad.b1, grad.w2, grad.b2]
-        new_values = []
-        for j, (v, g) in enumerate(zip(values, grads)):
-            first[j] = beta1 * first[j] + (1 - beta1) * g
-            second[j] = beta2 * second[j] + (1 - beta2) * g**2
-            m_hat = first[j] / (1 - beta1 ** (it + 1))
-            v_hat = second[j] / (1 - beta2 ** (it + 1))
-            new_values.append(v - step_size * m_hat / (np.sqrt(v_hat) + eps))
-        values = new_values
-        params = MlpParams(*values)
+        first *= beta1
+        first += (1 - beta1) * grad
+        second *= beta2
+        second += (1 - beta2) * grad**2
+        m_hat = first / (1 - beta1 ** (it + 1))
+        v_hat = second / (1 - beta2 ** (it + 1))
+        flat = flat - step_size * m_hat / (np.sqrt(v_hat) + eps)
 
-    final_loss, _ = _mlp_loss_grad(params, feats, targets, lam)
-    if np.isfinite(final_loss) and final_loss < best_loss:
+    final_loss = _mlp_loss_grad(flat, feats, targets, lam, ws)
+    if math.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
-        best = params.copy()
+        best = flat
     trace.append(best_loss)
     if return_trace:
-        return best, trace
-    return best
+        return ws.views(best), trace
+    return ws.views(best)
 
 
 def mlp_predict(params: MlpParams, features: np.ndarray, arms: list[int] | None = None) -> MeanEstimates:
     """Network outputs for the given feature rows, keyed by arm id."""
     feats = np.asarray(features, dtype=float)
-    _, out = _mlp_forward(params, feats)
+    out = np.maximum(feats @ params.w1.T + params.b1, 0.0) @ params.w2.T + params.b2
     ids = list(range(feats.shape[0])) if arms is None else list(arms)
     return {arm: out[i] for i, arm in enumerate(ids)}

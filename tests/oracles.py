@@ -3,9 +3,9 @@
 These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
-meaningful. The one exception is the untrimmed mirror-descent reference, which
-keeps the library's own arithmetic so that the library must match it bit for
-bit.
+meaningful. The exceptions are the untrimmed mirror-descent reference and the
+per-array MLP fit, which keep the library's own arithmetic so that the library
+must match them bit for bit.
 """
 
 import math
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from mopx.core import NumericalError
-from mopx.estimators import select_independent_basis
+from mopx.estimators import MlpParams, mlp_init, select_independent_basis
 
 
 # ---------------------------------------------------------------- dominance
@@ -214,6 +214,74 @@ def reference_mirror_descent(features, epsilon, max_iters=5000):
         w = w * np.exp(-step * subgrad)
         w = w / w.sum()
     return best_w, best_obj, tuple(trace)
+
+
+# ------------------------------------------------ MLP fit, per-array form
+# The MLP training loop as first written: four separately allocated weight
+# arrays, one Adam update per array, fresh temporaries on every iteration and
+# a copy of all four arrays whenever the loss improves. The library runs Adam
+# on one flat vector with a per-fit workspace; it must reproduce these bits.
+
+
+def reference_mlp_loss_grad(w1, b1, w2, b2, feats, targets, lam):
+    n = feats.shape[0]
+    pre = feats @ w1.T + b1
+    out = np.maximum(pre, 0.0) @ w2.T + b2
+    err = out - targets
+    norm = float(np.sum(w1**2) + np.sum(b1**2) + np.sum(w2**2) + np.sum(b2**2))
+    loss = float(np.sum(err**2) / n + lam * norm)
+
+    d_out = 2.0 * err / n
+    hidden = np.maximum(pre, 0.0)
+    g_w2 = d_out.T @ hidden + 2.0 * lam * w2
+    g_b2 = d_out.sum(axis=0) + 2.0 * lam * b2
+    d_hidden = (d_out @ w2) * (pre > 0.0)
+    g_w1 = d_hidden.T @ feats + 2.0 * lam * w1
+    g_b1 = d_hidden.sum(axis=0) + 2.0 * lam * b1
+    return loss, [g_w1, g_b1, g_w2, g_b2]
+
+
+def reference_mlp_fit(
+    batch, lam, *, rng=None, hidden=30, iters=2000, step_size=1e-2, init=None,
+    checkpoint_every=100,
+):
+    """Returns (best MlpParams, checkpoint trace) of the per-array loop."""
+    feats = batch.features
+    targets = batch.rewards
+    if init is None:
+        init = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
+    values = [init.w1.copy(), init.b1.copy(), init.w2.copy(), init.b2.copy()]
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    first = [np.zeros_like(v) for v in values]
+    second = [np.zeros_like(v) for v in values]
+    best_loss = np.inf
+    best = values
+    trace = []
+    for it in range(iters):
+        loss, grads = reference_mlp_loss_grad(*values, feats, targets, lam)
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite training loss at iteration {it}")
+        if loss < best_loss:
+            best_loss = loss
+            best = [v.copy() for v in values]
+        if it % checkpoint_every == 0:
+            trace.append(best_loss)
+        new_values = []
+        for j, (v, g) in enumerate(zip(values, grads)):
+            first[j] = beta1 * first[j] + (1 - beta1) * g
+            second[j] = beta2 * second[j] + (1 - beta2) * g**2
+            m_hat = first[j] / (1 - beta1 ** (it + 1))
+            v_hat = second[j] / (1 - beta2 ** (it + 1))
+            new_values.append(v - step_size * m_hat / (np.sqrt(v_hat) + eps))
+        values = new_values
+
+    final_loss, _ = reference_mlp_loss_grad(*values, feats, targets, lam)
+    if np.isfinite(final_loss) and final_loss < best_loss:
+        best_loss = final_loss
+        best = [v.copy() for v in values]
+    trace.append(best_loss)
+    return MlpParams(*best), trace
 
 
 # ----------------------------------------------------------- EGE transcript

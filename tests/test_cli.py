@@ -118,6 +118,16 @@ def test_g_optimal_sweep_output_does_not_depend_on_jobs_or_design_cache(tmp_path
     assert cached_solves < len(solves) - cached_solves  # the cached run did reuse designs
 
 
+def test_mlp_sweep_output_does_not_depend_on_jobs(tmp_path, capsys):
+    config = str(FIXTURES / "mlp_config.json")
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", config, "--jobs", str(jobs), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("summary.csv", "records.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_command_partial_failure_exit_code(tmp_path, capsys):
     config = {
         "environment": {

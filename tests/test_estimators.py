@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mopx.algorithms as algorithms
 import mopx.estimators as estimators
-from oracles import finite_difference_mlp_grad, reference_restricted_inverse
+from oracles import finite_difference_mlp_grad, reference_mlp_fit, reference_restricted_inverse
+from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
+from mopx.environments import LinearEnvironment, random_linear_instance
 from mopx.estimators import (
     MlpParams,
     estimate_sample_mean,
@@ -88,6 +95,15 @@ def test_pseudo_inverse_condition_error_texts(gram, message):
     with pytest.raises(NumericalError) as err:
         pseudo_inverse(gram, np.eye(2))
     assert str(err.value) == f"restricted Gram matrix is numerically singular ({message})"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pseudo_inverse_non_finite_gram_is_numerical_error(bad):
+    gram = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericalError) as err:
+        pseudo_inverse(gram, np.eye(2))
+    assert str(err.value) == "restricted Gram matrix holds NaN or inf entries"
 
 
 def _conditioned_instances(seed: int, count: int):
@@ -296,3 +312,113 @@ def test_mlp_empty_batch():
         mlp_loss_grad(_zero_params(), ObservationBatch(), 0.0)
     with pytest.raises(EstimationError):
         mlp_fit(ObservationBatch(), 0.0)
+
+
+# ------------------------------------------- MLP fit against the reference
+
+
+def _mlp_bytes(params):
+    return [getattr(params, name).tobytes() for name in ("w1", "b1", "w2", "b2")]
+
+
+def _random_batch(seed, n, dim, m, grid=False):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, dim))
+    rewards = rng.normal(size=(n, m))
+    if grid:  # half-integer values give exact ties and exact zeros in ReLU inputs
+        feats, rewards = np.round(2 * feats) / 2, np.round(2 * rewards) / 2
+    return _batch([(int(a), f, y) for a, f, y in zip(rng.integers(0, 9, size=n), feats, rewards)])
+
+
+def _assert_fit_matches_reference(batch, lam, seed, warm_iters, **kwargs):
+    """Cold fit from a seeded rng, then a warm start from its result: weights
+    and traces equal the per-array loop bit for bit, and init is not written."""
+    got, trace = mlp_fit(batch, lam, rng=np.random.default_rng(seed), return_trace=True, **kwargs)
+    want, want_trace = reference_mlp_fit(batch, lam, rng=np.random.default_rng(seed), **kwargs)
+    assert _mlp_bytes(got) == _mlp_bytes(want)
+    assert repr(trace) == repr(want_trace)
+
+    kwargs["iters"] = warm_iters
+    init_bytes = _mlp_bytes(got)
+    warm, warm_trace = mlp_fit(batch, lam, init=got, return_trace=True, **kwargs)
+    want_warm, want_warm_trace = reference_mlp_fit(batch, lam, init=want, **kwargs)
+    assert _mlp_bytes(got) == init_bytes
+    assert _mlp_bytes(warm) == _mlp_bytes(want_warm)
+    assert repr(warm_trace) == repr(want_warm_trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 17, 64, 150]),
+    dim=st.integers(1, 5),
+    m=st.integers(1, 3),
+    hidden=st.sampled_from([1, 3, 8, 30]),
+    lam=st.sampled_from([0.0, 1e-4, 0.3]),
+    iters=st.sampled_from([0, 1, 5, 40]),
+    step_size=st.sampled_from([1e-2, 3e-3, 0.1]),
+    checkpoint_every=st.sampled_from([1, 7, 100]),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=5, dim=2, m=1, hidden=1, lam=0.0, iters=0, step_size=1e-2, checkpoint_every=1, grid=False, seed=0)
+@example(n=1, dim=1, m=3, hidden=1, lam=0.0, iters=1, step_size=1e-2, checkpoint_every=7, grid=True, seed=1)
+@example(n=17, dim=4, m=2, hidden=30, lam=1e-4, iters=40, step_size=0.1, checkpoint_every=7, grid=True, seed=2)
+def test_mlp_fit_matches_per_array_reference_bit_for_bit(
+    n, dim, m, hidden, lam, iters, step_size, checkpoint_every, grid, seed
+):
+    batch = _random_batch(seed, n, dim, m, grid)
+    _assert_fit_matches_reference(
+        batch, lam, seed, warm_iters=max(1, iters // 2), hidden=hidden, iters=iters,
+        step_size=step_size, checkpoint_every=checkpoint_every,
+    )
+
+
+def test_mlp_fit_matches_reference_above_128_kib_hidden_buffers():
+    # n x h float64 buffers of 640 * 30 * 8 = 153,600 bytes, the row count that
+    # sequential halving reaches on K=32 arms with a 640-pull budget
+    batch = _random_batch(11, 640, 4, 2)
+    _assert_fit_matches_reference(batch, 1e-4, 3, warm_iters=60, hidden=30, iters=60, checkpoint_every=7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows, step_size, message",
+    [
+        ([(0, [1e200, 0.0], [1e200, -1e200])], 1e-2, "iteration 0"),
+        ([(0, [1.0, 0.5], [0.2, 0.4]), (1, [0.3, -1.0], [0.9, 0.1])], 1e200, "iteration 1"),
+    ],
+)
+def test_mlp_fit_non_finite_loss_text_matches_reference(rows, step_size, message):
+    batch = _batch(rows)
+    errors = []
+    for fit in (mlp_fit, reference_mlp_fit):
+        with pytest.raises(NumericalError) as err:
+            fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10, step_size=step_size)
+        errors.append(str(err.value))
+    assert errors == [f"non-finite training loss at {message}"] * 2
+
+
+def test_round_scoped_mlp_run_matches_reference_fit(monkeypatch):
+    env = LinearEnvironment(random_linear_instance(np.random.default_rng(8), 6, 3, sigma=0.3))
+    config = RunConfig(
+        algorithm="genpsi",
+        mode="pareto",
+        scheduler="sequential_halving",
+        estimator="mlp",
+        mlp_data_scope="round",
+        per_arm_budget=6,
+        seed=4,
+        mlp_hidden=5,
+        mlp_iters=25,
+    )
+    got = json.dumps(run_algorithm(config, env).to_dict(), sort_keys=True)
+    fits = []
+
+    def reference_fit(batch, lam, **kwargs):
+        fits.append(len(batch))
+        return reference_mlp_fit(batch, lam, **kwargs)[0]
+
+    monkeypatch.setattr(algorithms, "mlp_fit", reference_fit)
+    env = LinearEnvironment(random_linear_instance(np.random.default_rng(8), 6, 3, sigma=0.3))
+    assert json.dumps(run_algorithm(config, env).to_dict(), sort_keys=True) == got
+    assert len(fits) > 1  # every round after the first warm-starts from the last fit
