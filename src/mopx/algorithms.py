@@ -260,9 +260,9 @@ class _RoundRunner:
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
         gen = self.stream.child(_ENV_DRAWS, round_index).generator()
-        for arm in sequence:
-            reward = self.env.pull(arm, gen)
-            self.batch.append(arm, self.features[arm], reward, round_index)
+        rewards = [self.env.pull(arm, gen) for arm in sequence]
+        if sequence:
+            self.batch.extend(sequence, self.features[sequence], rewards, round_index)
         self.pulls_used += len(sequence)
         if self.pulls_used > budget:
             raise ConfigurationError(

@@ -142,45 +142,124 @@ class Instance:
 
 
 class ObservationBatch:
-    """Append-only log of (arm, feature, reward, round) rows collected by a run."""
+    """Append-only log of (arm, feature, reward, round) rows collected by a run.
+
+    Rows live in arrays that double their capacity when full, so a round is
+    written in one ``extend`` call and read back without a rebuild. The first
+    write fixes the feature and reward widths. The array properties are
+    read-only views of the rows written so far; later writes never change them.
+
+    Every write also adds its rows into per-arm reward sums and pull counts
+    (``arm_totals``): each sum starts at +0.0 and adds its rows in pull order,
+    the order in which numpy's ``mean(axis=0)`` adds the rows of a C-ordered
+    array with two or more columns, so ``sums[a] / counts[a]`` equals
+    ``rewards[arms == a].mean(axis=0)`` bit for bit.
+    """
 
     def __init__(self) -> None:
-        self._arms: list[int] = []
-        self._features: list[np.ndarray] = []
-        self._rewards: list[np.ndarray] = []
-        self._rounds: list[int] = []
+        self._size = 0
+        self._arms = np.empty(0, dtype=int)
+        self._features = np.empty((0, 0))
+        self._rewards = np.empty((0, 0))
+        self._rounds = np.empty(0, dtype=int)
+        self._row_shapes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._sums = np.zeros((0, 0))
+        self._counts = np.zeros(0, dtype=int)
 
     def __len__(self) -> int:
-        return len(self._arms)
+        return self._size
 
     def append(self, arm: int, feature: np.ndarray, reward: np.ndarray, round_index: int) -> None:
-        self._arms.append(int(arm))
-        self._features.append(np.asarray(feature, dtype=float))
-        self._rewards.append(np.asarray(reward, dtype=float))
-        self._rounds.append(int(round_index))
+        """Write one row; ``extend`` writes a whole round in one call."""
+        self.extend([arm], [feature], [reward], round_index)
+
+    def extend(self, arms, features, rewards, round_index: int) -> None:
+        """Write the rows of one round: ``arms`` (n), ``features`` (n x d) and
+        ``rewards`` (n x m), in pull order."""
+        arms = np.asarray(arms, dtype=int)
+        features = np.asarray(features, dtype=float)
+        rewards = np.asarray(rewards, dtype=float)
+        if (arms.ndim, features.ndim, rewards.ndim) != (1, 2, 2) or not (
+            len(arms) == len(features) == len(rewards)
+        ):
+            raise DomainError(
+                f"a write needs n arms, n x d features and n x m rewards, got shapes "
+                f"{arms.shape}, {features.shape} and {rewards.shape}"
+            )
+        if len(arms) == 0:
+            return
+        row_shapes = (features.shape[1:], rewards.shape[1:])
+        if self._row_shapes is None:
+            self._row_shapes = row_shapes
+            self._sums = np.zeros((0, rewards.shape[1]))
+        elif row_shapes != self._row_shapes:
+            (dim,), (n_objectives,) = self._row_shapes
+            raise DomainError(
+                f"rows of width d={features.shape[1]}, m={rewards.shape[1]} do not match the "
+                f"log's d={dim}, m={n_objectives}"
+            )
+        if arms.min() < 0:
+            raise DomainError(f"arm {int(arms.min())} is negative")
+        start, end = self._size, self._size + len(arms)
+        if end > len(self._arms):
+            self._grow(end)
+        self._arms[start:end] = arms
+        self._features[start:end] = features
+        self._rewards[start:end] = rewards
+        self._rounds[start:end] = round_index
+        self._size = end
+        missing = int(arms.max()) + 1 - len(self._counts)
+        if missing > 0:
+            self._sums = np.pad(self._sums, ((0, missing), (0, 0)))
+            self._counts = np.pad(self._counts, (0, missing))
+        np.add.at(self._sums, arms, rewards)
+        self._counts += np.bincount(arms, minlength=len(self._counts))
+
+    def _grow(self, needed: int) -> None:
+        capacity = max(needed, 2 * len(self._arms), 16)
+        (dim,), (n_objectives,) = self._row_shapes
+        for name, shape in (
+            ("_arms", (capacity,)),
+            ("_features", (capacity, dim)),
+            ("_rewards", (capacity, n_objectives)),
+            ("_rounds", (capacity,)),
+        ):
+            old = getattr(self, name)
+            grown = np.empty(shape, dtype=old.dtype)
+            if self._size:
+                grown[: self._size] = old[: self._size]
+            setattr(self, name, grown)
+
+    def _view(self, rows: np.ndarray) -> np.ndarray:
+        view = rows[: self._size]
+        view.flags.writeable = False
+        return view
 
     @property
     def arms(self) -> np.ndarray:
-        return np.array(self._arms, dtype=int)
+        return self._view(self._arms)
 
     @property
     def features(self) -> np.ndarray:
-        return np.array(self._features, dtype=float)
+        return self._view(self._features)
 
     @property
     def rewards(self) -> np.ndarray:
-        return np.array(self._rewards, dtype=float)
+        return self._view(self._rewards)
 
-    @property
-    def rounds(self) -> np.ndarray:
-        return np.array(self._rounds, dtype=int)
+    def arm_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the per-arm reward sums (K x m) and pull counts (K) over
+        every row written so far. K is one past the largest arm written; arms
+        never pulled have zero counts."""
+        return self._sums.copy(), self._counts.copy()
 
     def round_slice(self, round_index: int) -> "ObservationBatch":
         """New batch containing only the rows of one round."""
+        n = self._size
+        rows = self._rounds[:n] == round_index
+        arms, features, rewards = self._arms[:n], self._features[:n], self._rewards[:n]
         out = ObservationBatch()
-        for a, f, rw, r in zip(self._arms, self._features, self._rewards, self._rounds):
-            if r == round_index:
-                out.append(a, f, rw, r)
+        out.extend(arms[rows], features[rows], rewards[rows], round_index)
         return out
 
 

@@ -79,18 +79,25 @@ def pseudo_inverse(
 
 
 def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEstimates:
-    """Cumulative per-arm coordinate-wise mean of all observations."""
+    """Cumulative per-arm coordinate-wise mean of all observations.
+
+    Reads the batch's per-arm sums and counts, so a call costs O(K) whatever
+    the row count; the means equal ``rewards[arms == a].mean(axis=0)`` bit for
+    bit.
+    """
     if len(batch) == 0:
         raise EstimationError("cannot estimate from an empty batch")
-    arms = batch.arms
-    rewards = batch.rewards
-    out: MeanEstimates = {}
+    sums, counts = batch.arm_totals()
     for arm in active:
-        mask = arms == arm
-        if not mask.any():
+        if not 0 <= arm < len(counts) or counts[arm] == 0:
             raise EstimationError(f"active arm {arm} has no observations")
-        out[arm] = rewards[mask].mean(axis=0)
-    return out
+    if sums.shape[1] == 1:
+        # numpy sums one column pairwise, not row by row: only the rows give its bits
+        arms, rewards = batch.arms, batch.rewards
+        return {arm: rewards[arms == arm].mean(axis=0) for arm in active}
+    idx = np.asarray(active, dtype=int)
+    means = sums[idx] / counts[idx][:, None]
+    return {arm: means[i] for i, arm in enumerate(active)}
 
 
 @dataclass(frozen=True)
@@ -199,18 +206,19 @@ def _flatten(params: MlpParams) -> np.ndarray:
     return np.concatenate([params.w1, params.b1, params.w2, params.b2], axis=None, dtype=float)
 
 
-def _mlp_loss_grad(
+def _mlp_loss(
     flat: np.ndarray, feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace
-) -> float:
-    """Loss at the flat parameters; the gradient is written into ``ws.grad``.
+) -> tuple[float, MlpParams]:
+    """Loss at the flat parameters and their block views; leaves the forward
+    pass in ``ws``.
 
     Sums keep the block and row shapes of the per-array form (pairwise
-    summation would round a regrouped sum differently), and the ReLU mask is
-    multiplied in as 1.0/0.0, so every bit equals the per-array computation.
+    summation would round a regrouped sum differently), so every bit equals
+    the per-array computation.
     """
     n = feats.shape[0]
-    params, grads, reg = ws.views(flat), ws.grads, ws.regs
-    pre, act, err, d_out, d_hidden = ws.pre, ws.act, ws.err, ws.d_out, ws.d_hidden
+    params = ws.views(flat)
+    pre, act, err, d_out = ws.pre, ws.act, ws.err, ws.d_out
     np.matmul(feats, params.w1.T, out=pre)
     np.add(pre, params.b1, out=pre)
     np.maximum(pre, 0.0, out=act)
@@ -222,8 +230,21 @@ def _mlp_loss_grad(
     w1_sq, b1_sq, w2_sq, b2_sq = ws.square_blocks
     norm = float(np.sum(w1_sq) + np.sum(b1_sq) + np.sum(w2_sq) + np.sum(b2_sq))
     np.square(err, out=d_out)
-    loss = float(np.sum(d_out) / n + lam * norm)
+    return float(np.sum(d_out) / n + lam * norm), params
 
+
+def _mlp_loss_grad(
+    flat: np.ndarray, feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace
+) -> float:
+    """Loss at the flat parameters; the gradient is written into ``ws.grad``.
+
+    The ReLU mask is multiplied in as 1.0/0.0, so every bit equals the
+    per-array computation.
+    """
+    n = feats.shape[0]
+    grads, reg = ws.grads, ws.regs
+    loss, params = _mlp_loss(flat, feats, targets, lam, ws)
+    pre, act, err, d_out, d_hidden = ws.pre, ws.act, ws.err, ws.d_out, ws.d_hidden
     np.multiply(err, 2.0, out=d_out)
     np.divide(d_out, n, out=d_out)
     np.multiply(flat, 2.0 * lam, out=ws.reg)
@@ -290,6 +311,16 @@ def mlp_fit(
         if rng is None:
             raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
         init = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
+    for name, want in zip(
+        ("w1", "b1", "w2", "b2"),
+        ((hidden, feats.shape[1]), (hidden,), (targets.shape[1], hidden), (targets.shape[1],)),
+    ):
+        got = getattr(init, name).shape
+        if got != want:
+            raise ConfigurationError(
+                f"init {name} has shape {got}, but hidden={hidden} and a batch of "
+                f"{feats.shape[1]} features and {targets.shape[1]} rewards need {want}"
+            )
     if lam < 0:
         raise EstimationError("regularisation weight must be >= 0")
 
@@ -320,7 +351,7 @@ def mlp_fit(
         v_hat = second / (1 - beta2 ** (it + 1))
         flat = flat - step_size * m_hat / (np.sqrt(v_hat) + eps)
 
-    final_loss = _mlp_loss_grad(flat, feats, targets, lam, ws)
+    final_loss, _ = _mlp_loss(flat, feats, targets, lam, ws)
     if math.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
         best = flat

@@ -3,17 +3,71 @@
 These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
-meaningful. The exceptions are the untrimmed mirror-descent reference and the
-per-array MLP fit, which keep the library's own arithmetic so that the library
-must match them bit for bit.
+meaningful. The exceptions are the untrimmed mirror-descent reference, the
+per-array MLP fit and the list-built observation log, which keep the library's
+own arithmetic so that the library must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from mopx.core import NumericalError
+from mopx.core import EstimationError, NumericalError
 from mopx.estimators import MlpParams, mlp_init, select_independent_basis
+
+
+# ----------------------------------------------------- list-built row log
+
+
+class ListBatch:
+    """Observation log that keeps one Python list per column and rebuilds the
+    arrays on every read. Duck-types ``ObservationBatch`` for the estimators."""
+
+    def __init__(self):
+        self._arms, self._features, self._rewards, self._rounds = [], [], [], []
+
+    def __len__(self):
+        return len(self._arms)
+
+    def append(self, arm, feature, reward, round_index):
+        self._arms.append(int(arm))
+        self._features.append(np.asarray(feature, dtype=float))
+        self._rewards.append(np.asarray(reward, dtype=float))
+        self._rounds.append(int(round_index))
+
+    @property
+    def arms(self):
+        return np.array(self._arms, dtype=int)
+
+    @property
+    def features(self):
+        return np.array(self._features, dtype=float)
+
+    @property
+    def rewards(self):
+        return np.array(self._rewards, dtype=float)
+
+    def round_slice(self, round_index):
+        out = ListBatch()
+        for a, f, rw, r in zip(self._arms, self._features, self._rewards, self._rounds):
+            if r == round_index:
+                out.append(a, f, rw, r)
+        return out
+
+
+def oracle_sample_mean(batch, active) -> dict:
+    """Per-arm means from arrays rebuilt from a ``ListBatch``, one row mask per arm."""
+    if len(batch) == 0:
+        raise EstimationError("cannot estimate from an empty batch")
+    arms = batch.arms
+    rewards = batch.rewards
+    out = {}
+    for arm in active:
+        mask = arms == arm
+        if not mask.any():
+            raise EstimationError(f"active arm {arm} has no observations")
+        out[arm] = rewards[mask].mean(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------- dominance

@@ -127,3 +127,46 @@ def test_observation_batch_round_slicing():
     sliced = batch.round_slice(2)
     assert len(sliced) == 1 and sliced.arms.tolist() == [0]
     assert batch.rewards.shape == (3, 2)
+
+
+def test_observation_batch_arrays_cannot_write_into_the_log():
+    batch = ObservationBatch()
+    batch.extend([0, 1], [[1.0], [0.5]], [[0.1, 0.2], [0.3, 0.4]], 1)
+    before = [batch.arms.copy(), batch.features.copy(), batch.rewards.copy()]
+    views = [batch.arms, batch.features, batch.rewards]
+    for view in views:
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7
+    for totals in batch.arm_totals():  # copies: writing into them leaves the log's totals
+        totals[0] = 7
+    for _ in range(40):  # outgrow the first capacity: earlier views keep their rows
+        batch.append(1, [2.0], [0.5, 0.6], 2)
+    for got, want in zip(views, before):
+        assert np.array_equal(got, want)
+    assert [a.tolist() for a in (batch.arms[:2], batch.features[:2], batch.rewards[:2])] == [
+        a.tolist() for a in before
+    ]
+    sums, counts = batch.arm_totals()
+    assert counts.tolist()[:2] == [1, 41] and sums[0].tolist() == [0.1, 0.2]
+
+
+_SHAPES = "a write needs n arms, n x d features and n x m rewards, got shapes "
+
+
+@pytest.mark.parametrize(
+    "arms, features, rewards, message",
+    [
+        ([0], [1.0], [[0.1, 0.2]], _SHAPES + "(1,), (1,) and (1, 2)"),
+        ([0, 1], [[1.0]], [[0.1, 0.2]], _SHAPES + "(2,), (1, 1) and (1, 2)"),
+        ([0], [[1.0, 2.0]], [[0.1, 0.2]], "rows of width d=2, m=2 do not match the log's d=1, m=2"),
+        ([0], [[1.0]], [[0.1, 0.2, 0.3]], "rows of width d=1, m=3 do not match the log's d=1, m=2"),
+        ([-2], [[1.0]], [[0.1, 0.2]], "arm -2 is negative"),
+    ],
+)
+def test_observation_batch_rejects_malformed_writes(arms, features, rewards, message):
+    batch = ObservationBatch()
+    batch.append(0, [1.0], [0.1, 0.2], 1)
+    with pytest.raises(DomainError) as err:
+        batch.extend(arms, features, rewards, 2)
+    assert str(err.value) == message
+    assert len(batch) == 1 and batch.arm_totals()[1].tolist()[:1] == [1]

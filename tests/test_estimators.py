@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import mopx.algorithms as algorithms
 import mopx.estimators as estimators
-from oracles import finite_difference_mlp_grad, reference_mlp_fit, reference_restricted_inverse
+from oracles import (
+    ListBatch,
+    finite_difference_mlp_grad,
+    oracle_sample_mean,
+    reference_mlp_fit,
+    reference_restricted_inverse,
+)
 from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
 from mopx.environments import LinearEnvironment, random_linear_instance
@@ -56,6 +62,101 @@ def test_sample_mean_cumulative_across_rounds():
     batch = _batch([(0, [1.0], [0.0, 0.0])])
     batch.append(0, [1.0], [1.0, 1.0], 2)
     assert np.allclose(estimate_sample_mean(batch, [0])[0], [0.5, 0.5])
+
+
+def test_sample_mean_error_texts():
+    with pytest.raises(EstimationError) as err:
+        estimate_sample_mean(ObservationBatch(), [0])
+    assert str(err.value) == "cannot estimate from an empty batch"
+    batch = _batch([(0, [1.0], [0.2, 0.6]), (2, [1.0], [0.1, 0.3])])
+    for active, missing in (([0, 1, 2], 1), ([0, 5], 5), ([-1, 0], -1)):
+        with pytest.raises(EstimationError) as err:
+            estimate_sample_mean(batch, active)
+        assert str(err.value) == f"active arm {missing} has no observations"
+
+
+def _rewards(rng, n, m, kind):
+    if kind == "grid":  # quarter steps, with zeros of either sign
+        rewards = np.round(rng.uniform(-0.6, 0.6, size=(n, m)) * 4) / 4
+        return np.where(rewards == 0, np.where(rng.random((n, m)) < 0.5, -0.0, 0.0), rewards)
+    if kind == "negative-zero":
+        return np.full((n, m), -0.0)
+    if kind == "scaled":  # rows from 1e-8 to 1e8
+        return rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    return np.round(rng.uniform(0.0, 1.0, size=(n, m)), 3)
+
+
+def _paired_logs(seed, round_sizes, k, m, kind):
+    """The same random rows, written into an ObservationBatch a round at a time
+    (odd rounds) or a row at a time (even rounds), and into the list-built log
+    a row at a time."""
+    rng = np.random.default_rng(seed)
+    batch, reference = ObservationBatch(), ListBatch()
+    for r, n in enumerate(round_sizes, start=1):
+        arms = rng.integers(0, k, size=n)
+        feats = rng.normal(size=(n, 2))
+        rewards = _rewards(rng, n, m, kind)
+        if r % 2:
+            batch.extend(arms, feats, rewards, r)
+        for arm, feat, reward in zip(arms, feats, rewards):
+            if not r % 2:
+                batch.append(arm, feat, reward, r)
+            reference.append(arm, feat, reward, r)
+    return rng, batch, reference
+
+
+def _estimate_outcome(estimate, batch, active):
+    try:
+        return {arm: value.tobytes() for arm, value in estimate(batch, active).items()}
+    except EstimationError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    round_sizes=st.lists(st.sampled_from([0, 1, 3, 8, 40, 300]), min_size=1, max_size=4),
+    k=st.integers(1, 6),
+    m=st.integers(1, 3),
+    kind=st.sampled_from(["grid", "negative-zero", "scaled", "decimal"]),
+    unpulled=st.integers(0, 2),
+)
+@example(seed=0, round_sizes=[0], k=1, m=2, kind="grid", unpulled=0)
+@example(seed=1, round_sizes=[40, 300], k=2, m=2, kind="negative-zero", unpulled=0)
+@example(seed=2, round_sizes=[300, 0, 40], k=3, m=1, kind="scaled", unpulled=1)
+def test_sample_mean_matches_list_built_oracle_bit_for_bit(
+    seed, round_sizes, k, m, kind, unpulled
+):
+    rng, batch, reference = _paired_logs(seed, round_sizes, k, m, kind)
+    arms = [int(a) for a in rng.permutation(k + unpulled)]
+    active = arms[: int(rng.integers(0, len(arms) + 1))]
+    expected = _estimate_outcome(oracle_sample_mean, reference, active)
+    assert _estimate_outcome(estimate_sample_mean, batch, active) == expected
+
+
+def test_observation_log_matches_list_built_log_and_fits_its_round_slices():
+    for seed in range(40):
+        rng, batch, reference = _paired_logs(seed, [7, 0, 13, 40], 5, 2, "decimal")
+        r = int(rng.integers(1, 5))  # a few more rows of an earlier round, one by one
+        for _ in range(3):
+            row = (int(rng.integers(0, 5)), rng.normal(size=2), rng.normal(size=2), r)
+            batch.append(*row)
+            reference.append(*row)
+        slices = [(batch.round_slice(i), reference.round_slice(i)) for i in range(6)]
+        for got, want in [(batch, reference), *slices]:
+            assert len(got) == len(want)
+            if len(want):
+                for name in ("arms", "features", "rewards"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            fits = []
+            for log in (got, want):
+                try:
+                    fit = fit_linear(log)
+                    fits.append([v.tobytes() for v in (fit.theta_hat, fit.gram, fit.gram_pinv)])
+                except (EstimationError, NumericalError) as err:
+                    fits.append(str(err))
+            assert fits[0] == fits[1]
 
 
 # ---------------------------------------------------------- pseudo inverse
@@ -298,6 +399,50 @@ def test_mlp_fit_warm_start_continues_from_given_params():
     assert np.array_equal(second.w1, fourth.w1)
     with pytest.raises(ConfigurationError, match="rng"):
         mlp_fit(batch, 0.0, hidden=4, iters=1)
+
+
+@pytest.mark.parametrize(
+    "init, hidden, m, message",
+    [
+        (
+            _zero_params(dim=2, hidden=4), 30, 2,
+            "init w1 has shape (4, 2), but hidden=30 and a batch of 2 features and 2 rewards "
+            "need (30, 2)",
+        ),
+        (
+            _zero_params(dim=3, hidden=4), 4, 2,
+            "init w1 has shape (4, 3), but hidden=4 and a batch of 2 features and 2 rewards "
+            "need (4, 2)",
+        ),
+        (
+            _zero_params(dim=2, hidden=4), 4, 3,
+            "init w2 has shape (2, 4), but hidden=4 and a batch of 2 features and 3 rewards "
+            "need (3, 4)",
+        ),
+        (
+            MlpParams(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(2)), 4, 2,
+            "init b1 has shape (3,), but hidden=4 and a batch of 2 features and 2 rewards "
+            "need (4,)",
+        ),
+    ],
+)
+def test_mlp_fit_rejects_init_of_another_shape(init, hidden, m, message):
+    batch = _batch([(0, [1.0, 0.0], [0.5] * m)] * 3)
+    with pytest.raises(ConfigurationError) as err:
+        mlp_fit(batch, 0.0, init=init, hidden=hidden, iters=3)
+    assert str(err.value) == message
+
+
+def test_mlp_fit_takes_one_gradient_per_iteration(monkeypatch):
+    calls = []
+    kernel = estimators._mlp_loss_grad
+    monkeypatch.setattr(estimators, "_mlp_loss_grad", lambda *a: calls.append(1) or kernel(*a))
+    batch = _random_batch(5, 12, 3, 2)
+    kwargs = {"hidden": 6, "iters": 9}
+    got, trace = mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), return_trace=True, **kwargs)
+    want, want_trace = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), **kwargs)
+    assert len(calls) == 9  # the loss after the last step needs no gradient
+    assert _mlp_bytes(got) == _mlp_bytes(want) and repr(trace) == repr(want_trace)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
