@@ -65,11 +65,17 @@ class PullCounts:
 
 @dataclass(frozen=True)
 class DesignWeights:
-    """Simplex weights over the active arms with the achieved worst-case leverage."""
+    """Simplex weights over the active arms with the achieved worst-case leverage.
+
+    ``basis`` holds the feature-basis row indices the solver selected, so that
+    ``round_design`` need not scan the same rows again; hand-built designs
+    leave it ``None``.
+    """
 
     weights: dict[int, float]
     objective_value: float
     trace: tuple[float, ...] = field(default=(), repr=False)
+    basis: tuple[int, ...] | None = field(default=None, repr=False)
 
     def as_array(self, active: list[int]) -> np.ndarray:
         return np.array([self.weights[a] for a in active], dtype=float)
@@ -140,7 +146,7 @@ def solve_g_optimal(
     else:
         _DESIGNS.move_to_end(key)
     # a fresh weight map per call, so a caller's edits never reach the cache
-    return DesignWeights(dict(design.weights), design.objective_value, design.trace)
+    return DesignWeights(dict(design.weights), design.objective_value, design.trace, design.basis)
 
 
 def _mirror_descent(
@@ -170,20 +176,22 @@ def _mirror_descent(
         trace.append(best_obj)
         if best_obj <= target:
             break
+        # the subgradient of lev[star] in w is -sq, so w moves along exp(step * sq)
         cross = feats @ (pinv @ feats[star])
-        subgrad = -(cross**2)
-        scale = float(abs(subgrad).max())
+        sq = cross * cross
+        scale = float(sq.max())
         if scale <= 0.0:
             break
         # 1/sqrt(t) decay; a constant step oscillates without reaching the target
         step = 0.5 / (scale * math.sqrt(it + 1.0))
-        w = w * np.exp(-step * subgrad)
+        w = w * np.exp(step * sq)
         w = w / w.sum()
 
     weights = DesignWeights(
         weights={arm: float(best_w[i]) for i, arm in enumerate(arms)},
         objective_value=best_obj,
         trace=tuple(trace),
+        basis=tuple(basis),
     )
     if best_obj > target:
         raise DesignConvergenceError(
@@ -206,16 +214,18 @@ def round_design(
     Largest-remainder apportionment of ``n * w_i`` (fractional ties to the
     lowest index), followed by a coverage pass that gives every arm of the
     greedily selected feature basis at least one pull, decrementing the
-    largest count to compensate. ``kappa`` is validated against (0, 1/3] and
-    otherwise unused.
+    largest count to compensate. The basis is the one ``weights`` carries from
+    the solver, or a fresh scan of ``features`` when it carries none. ``kappa``
+    is validated against (0, 1/3] and otherwise unused.
     """
     if not (0.0 < kappa <= 1.0 / 3.0):
         raise ConfigurationError(f"kappa must be in (0, 1/3], got {kappa}")
     if n < 1:
         raise DomainError(f"need at least one pull, got n={n}")
     arms = sorted(active)
-    feats = np.asarray(features, dtype=float)
-    basis = select_independent_basis(feats)
+    basis = weights.basis
+    if basis is None:
+        basis = select_independent_basis(np.asarray(features, dtype=float))
     if n < len(basis):
         raise ConfigurationError(
             f"round budget n={n} cannot cover the {len(basis)}-arm feature basis"

@@ -20,6 +20,8 @@ from .core import ConfigurationError, EstimationError, NumericalError, Observati
 
 BASIS_RESIDUAL_TOL = 1e-9
 MAX_CONDITION = 1e12
+# ||A||_F ||A^-1||_F at or below this skips the SVD condition check (see pseudo_inverse)
+CERTIFIED_CONDITION = 1e8
 
 MeanEstimates = dict[int, np.ndarray]
 
@@ -34,10 +36,10 @@ def select_independent_basis(features: np.ndarray, tol: float = BASIS_RESIDUAL_T
     basis: list[int] = []
     ortho: list[np.ndarray] = []
     for i, row in enumerate(feats):
-        residual = row.astype(float).copy()
+        residual = row.copy()
         for q in ortho:
             residual -= (q @ residual) * q
-        norm = float(np.linalg.norm(residual))
+        norm = math.sqrt(float(residual @ residual))  # what np.linalg.norm computes
         if norm > tol:
             basis.append(i)
             ortho.append(residual / norm)
@@ -54,6 +56,22 @@ def pseudo_inverse(
 
     ``basis`` may carry precomputed basis row indices (from
     ``select_independent_basis`` on the same feature rows) to skip the scan.
+
+    The restricted Gram ``A`` is rejected when its 2-norm condition number,
+    read from its singular values, exceeds ``MAX_CONDITION``. That SVD runs
+    only on doubt: the inverse ``X`` is computed first, and since
+    ``kappa_2(A) <= ||A||_F ||A^-1||_F``, ``||A||_F ||X||_F <=
+    CERTIFIED_CONDITION`` certifies ``A``. Each column of ``X`` solves a
+    system close to ``A``, so ``||A X - I|| <= c n u ||A|| ||X||``, about
+    ``1e-8 c n`` for a certified matrix (``u`` the unit roundoff): ``||A^-1||``
+    exceeds ``||X||`` by at most that relative amount, and the computed
+    singular values are off by a relative ``c u kappa``. A certified matrix
+    thus reads a condition of about 1e8 at most, four decades below
+    ``MAX_CONDITION``, and the SVD check would pass it with the same inverse.
+    An ``inv`` that raises, a NaN or inf product, or a product over the bound
+    falls through to the SVD check, the only source of the error text; a
+    failed ``inv`` is called again after that check passes, so errors come in
+    the same order as with the SVD first.
     """
     feats = np.asarray(active_features, dtype=float)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -66,16 +84,26 @@ def pseudo_inverse(
     inner = phi.T @ np.asarray(gram, dtype=float) @ phi
     if not np.isfinite(inner).all():
         raise NumericalError("restricted Gram matrix holds NaN or inf entries")
-    # np.linalg.cond(inner) without its per-call overhead: 2-norm condition
-    # from the singular values of the finite matrix, with x/0 and 0/0 read as inf
-    s = np.linalg.svd(inner, compute_uv=False)
-    smallest = float(s[-1])
-    cond = float(s[0]) / smallest if smallest > 0.0 else math.inf
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise NumericalError(
-            f"restricted Gram matrix is numerically singular (condition {cond:.3g})"
-        )
-    return phi @ np.linalg.inv(inner) @ phi.T
+    try:
+        inv = np.linalg.inv(inner)
+    except np.linalg.LinAlgError:
+        inv = None
+    # NaN (an overflowed or underflowed norm) compares false and falls through
+    if inv is None or not (
+        float(np.vdot(inner, inner)) * float(np.vdot(inv, inv)) <= CERTIFIED_CONDITION**2
+    ):
+        # np.linalg.cond(inner) without its per-call overhead: 2-norm condition
+        # from the singular values of the finite matrix, with x/0 and 0/0 read as inf
+        s = np.linalg.svd(inner, compute_uv=False)
+        smallest = float(s[-1])
+        cond = float(s[0]) / smallest if smallest > 0.0 else math.inf
+        if not np.isfinite(cond) or cond > MAX_CONDITION:
+            raise NumericalError(
+                f"restricted Gram matrix is numerically singular (condition {cond:.3g})"
+            )
+        if inv is None:
+            inv = np.linalg.inv(inner)  # raises the LinAlgError again
+    return phi @ inv @ phi.T
 
 
 def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEstimates:

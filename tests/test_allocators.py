@@ -8,6 +8,7 @@ from oracles import frank_wolfe_design, reference_mirror_descent
 from mopx.allocators import (
     DESIGN_CACHE_SIZE,
     DesignConvergenceError,
+    DesignWeights,
     allocate_uniform,
     round_design,
     solve_g_optimal,
@@ -279,3 +280,57 @@ def test_design_cache_key_includes_layout_and_epsilon_type():
     solve_g_optimal(feats, np.float32(0.1))
     solve_g_optimal(feats, 0.1, max_iters=4000)
     assert len(allocators._DESIGNS) == 4
+
+
+# ----------------------------------------------------------- carried basis
+
+
+def _round(n, design, arms, feats):
+    try:
+        return round_design(n, design, 1 / 3, arms, feats).counts
+    except ConfigurationError as err:
+        return f"ConfigurationError: {err}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "grid", "rank_deficient"]),
+    epsilon=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_designs_carry_the_basis_and_round_as_without_it(seed, kind, epsilon):
+    feats = _design_features(seed, kind)
+    basis = tuple(select_independent_basis(feats))
+    allocators._DESIGNS.clear()
+    try:
+        fresh = solve_g_optimal(feats, epsilon)
+    except DesignConvergenceError as err:
+        assert err.weights.basis == basis
+        return
+    except (NumericalError, DomainError):
+        return
+    cached = solve_g_optimal(feats, epsilon)
+    assert fresh.basis == cached.basis == basis
+    bare = DesignWeights(dict(fresh.weights), fresh.objective_value)
+    assert bare.basis is None
+    arms = list(range(len(feats)))
+    rng = np.random.default_rng(seed)
+    budgets = {1, len(basis), len(feats), *rng.integers(1, 6 * len(feats) + 2, size=4).tolist()}
+    for n in sorted(budgets):
+        assert _round(n, cached, arms, feats) == _round(n, bare, arms, feats)
+
+
+def test_g_optimal_round_scans_its_features_once(monkeypatch):
+    scans = []
+    scan = allocators.select_independent_basis
+    monkeypatch.setattr(allocators, "select_independent_basis", lambda f: scans.append(f) or scan(f))
+    feats = np.random.default_rng(12).normal(size=(10, 4))
+    arms = list(range(10))
+    allocators._DESIGNS.clear()
+    design = solve_g_optimal(feats, 0.1)
+    round_design(40, design, 1 / 3, arms, feats)
+    assert len(scans) == 1  # the solve's scan; round_design reuses it
+    round_design(40, solve_g_optimal(feats, 0.1), 1 / 3, arms, feats)  # memo hit
+    assert len(scans) == 1
+    round_design(40, DesignWeights(dict(design.weights), design.objective_value), 1 / 3, arms, feats)
+    assert len(scans) == 2  # a hand-built design is scanned

@@ -118,6 +118,27 @@ def test_g_optimal_sweep_output_does_not_depend_on_jobs_or_design_cache(tmp_path
     assert cached_solves < len(solves) - cached_solves  # the cached run did reuse designs
 
 
+def test_near_singular_g_optimal_cells_fail_explicitly(tmp_path, capsys):
+    """Round 4's design solve meets a restricted Gram of condition 8.86e12 on
+    three seeds; those cells fail with that text, and seed 2 is scored."""
+    out = tmp_path / "singular"
+    config = str(FIXTURES / "linear_gopt_singular_config.json")
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    error = (
+        "NumericalError: round 4: restricted Gram matrix is numerically singular "
+        "(condition 8.86e+12)"
+    )
+    cell = {"algorithm": "gensec-gopt", "K": 64, "b": 20}
+    failures = json.loads((out / "failures.json").read_text())
+    assert failures == [{**cell, "seed": seed, "error": error} for seed in (0, 1, 3)]
+    assert (out / "records.csv").read_text() == (
+        "run_id,seed,algorithm,K,b,metric,value\n"
+        "gensec-gopt-K64-b20-s2,2,gensec-gopt,64,20,misidentified,0.0\n"
+        "gensec-gopt-K64-b20-s2,2,gensec-gopt,64,20,soft_reward,4.70549751215188\n"
+        "gensec-gopt-K64-b20-s2,2,gensec-gopt,64,20,soft_reward_norm,1.0\n"
+    )
+
+
 def test_mlp_sweep_output_does_not_depend_on_jobs(tmp_path, capsys):
     config = str(FIXTURES / "mlp_config.json")
     outputs = []

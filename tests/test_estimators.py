@@ -223,6 +223,90 @@ def test_pseudo_inverse_matches_np_linalg_cond_form_bit_for_bit():
         assert pseudo_inverse(gram, feats).tobytes() == expected.tobytes()
 
 
+def _rotated_gram(seed: int, d: int, log_cond: float, log_scale: float) -> np.ndarray:
+    """Q diag(s) Q^T with s spread geometrically over ``10**log_cond``."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    s = np.geomspace(1.0, 10.0**-log_cond, d) * 10.0**log_scale
+    return (q * s) @ q.T
+
+
+def _inverse_or_error(fn, *args) -> bytes | str:
+    try:
+        return fn(*args).tobytes()
+    except (NumericalError, np.linalg.LinAlgError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    kind=st.sampled_from(["rotated", "rotated_features", "singular", "rank_deficient"]),
+    # dense around the certificate (1e8) and the rejection bound (1e12)
+    log_cond=st.one_of(
+        st.floats(0.0, 16.0), st.floats(7.5, 8.5), st.floats(11.5, 12.5), st.just(8.0), st.just(12.0)
+    ),
+    log_scale=st.floats(-150.0, 150.0),
+)
+@example(seed=0, d=1, kind="rotated", log_cond=0.0, log_scale=0.0)
+@example(seed=0, d=1, kind="singular", log_cond=0.0, log_scale=0.0)
+@example(seed=1, d=8, kind="rotated", log_cond=16.0, log_scale=-150.0)
+@example(seed=2, d=8, kind="rotated", log_cond=12.0, log_scale=150.0)
+def test_certified_pseudo_inverse_matches_svd_checked_reference(seed, d, kind, log_cond, log_scale):
+    rng = np.random.default_rng(seed)
+    feats = np.eye(d)
+    if kind == "rotated":
+        gram = _rotated_gram(seed, d, log_cond, log_scale)
+    elif kind == "rotated_features":  # restricted through a random full-rank basis
+        gram = _rotated_gram(seed, d, log_cond, log_scale)
+        feats = rng.normal(size=(d + int(rng.integers(0, 3)), d))
+    elif kind == "singular":  # a repeated row and column, or all zeros at d = 1
+        gram = _rotated_gram(seed, d, log_cond, log_scale)
+        if d == 1:
+            gram[0, 0] = 0.0
+        else:
+            i, j = rng.choice(d, size=2, replace=False)
+            gram[:, j] = gram[:, i]
+            gram[j, :] = gram[i, :]
+    else:  # weighted Gram of rank-deficient feature rows, restricted to their span
+        rank = int(rng.integers(1, d + 1))
+        k = int(rng.integers(rank, 3 * d + 2))
+        feats = rng.normal(size=(k, rank)) @ rng.normal(size=(rank, d)) * 10.0 ** (log_scale / 4)
+        weights = rng.dirichlet(np.ones(k)) ** (1.0 + log_cond)
+        gram = feats.T @ (weights[:, None] * feats)
+    basis = select_independent_basis(feats)
+    if not basis:
+        return
+    phi = feats[basis].T
+    if not np.isfinite(phi.T @ gram @ phi).all():
+        return  # pinned separately: the NaN-or-inf text comes before any condition check
+    expected = _inverse_or_error(reference_restricted_inverse, gram, feats, basis)
+    assert _inverse_or_error(pseudo_inverse, gram, feats) == expected
+
+
+@pytest.mark.parametrize(
+    "gram, svd_calls",
+    [
+        (np.eye(3), 0),
+        (np.diag([2.0, 3.0]), 0),
+        (_rotated_gram(5, 6, 4.0, -30.0), 0),
+        (np.diag([1.0, 2e-9]), 1),  # condition 5e8: accepted, after the SVD
+        (_rotated_gram(6, 4, 10.0, 0.0), 1),
+        (np.diag([1.0, 1e-13]), 1),  # rejected by the SVD check
+        (np.diag([1.0, 0.0]), 1),  # exactly singular: inv raises, the SVD names it
+        (np.zeros((2, 2)), 1),
+    ],
+)
+def test_pseudo_inverse_runs_the_svd_only_when_the_certificate_fails(monkeypatch, gram, svd_calls):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    feats = np.eye(gram.shape[0])
+    got = _inverse_or_error(pseudo_inverse, gram, feats)
+    assert len(calls) == svd_calls
+    assert got == _inverse_or_error(reference_restricted_inverse, gram, feats, list(range(len(gram))))
+
+
 def test_fit_linear_matches_np_linalg_cond_form_bit_for_bit(monkeypatch):
     batches = []
     for rng, k, feats in _conditioned_instances(29, 60):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mopx import allocators
 from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import Instance
 from mopx.environments import (
@@ -35,6 +36,9 @@ DIGESTS = {
     ("uniform", "constrained"): "77d2a6b54489e55692b84a761e521fad36e972dd220728b7bb869a3a133baa28",
     ("uniform", "pareto"): "3f8421f3cc3ebd0307fab90109d811f7626b908e4ee82c11d425d7e8d75e8296",
 }
+
+# 4 instances x 4 seeds of the linear G-optimal path at K = 64, d = 6
+G_OPTIMAL_DIGEST = "91b6123bd9a80a0efd7432ce9c7eeda52e7be367dd84667172f740068050f5fa"
 
 
 def _environments():
@@ -96,3 +100,31 @@ def _digest(algorithm: str, mode: str | None) -> str:
 def test_every_setting_combination_matches_its_recorded_digest():
     got = {key: _digest(*key) for key in DIGESTS}
     assert got == DIGESTS
+
+
+def test_linear_g_optimal_runs_match_their_recorded_digest():
+    """gensec + halving + G-optimal + linear fit on intercept-plus-Gaussian
+    features, as in the linear-gopt benchmark workload: every round's design,
+    pull counts and fit feed the JSON hashed here."""
+    allocators._DESIGNS.clear()
+    sha = hashlib.sha256()
+    for instance_seed in range(4):
+        rng = np.random.default_rng([8, instance_seed])
+        features = np.hstack([np.ones((64, 1)), rng.normal(size=(64, 5)) / np.sqrt(5.0)])
+        theta = rng.normal(size=(6, 2))
+        theta[0] = 3.0
+        instance = Instance(means=features @ theta, sigma=0.5, features=features, theta=theta)
+        tau = float(np.median(instance.means[:, 1]))
+        for seed in range(4):
+            config = RunConfig(
+                algorithm="gensec",
+                scheduler="sequential_halving",
+                allocator="g-optimal",
+                estimator="linear",
+                tau=tau,
+                per_arm_budget=20,
+                seed=seed,
+            )
+            outcome = _outcome(config, LinearEnvironment(instance))
+            sha.update(f"{instance_seed}|{seed}|{outcome}\n".encode())
+    assert sha.hexdigest() == G_OPTIMAL_DIGEST
