@@ -72,7 +72,6 @@ class RunConfig:
     seed: int = 0
     eliminator: str = "ege"  # "ege" or "truncate"
     g_optimal_epsilon: float = 0.1
-    g_optimal_kappa: float = 1.0 / 3.0
     mlp_hidden: int = 30
     mlp_lambda: float = 1e-4
     mlp_iters: int = 2000
@@ -253,9 +252,7 @@ class _RoundRunner:
         design = solve_g_optimal(
             active_feats, self.config.g_optimal_epsilon, active=sorted(active)
         )
-        counts = round_design(
-            n_pulls, design, self.config.g_optimal_kappa, sorted(active), active_feats
-        )
+        counts = round_design(n_pulls, design, 1.0 / 3.0, sorted(active), active_feats)
         return counts, counts.blocked_sequence()
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigurationError, DomainError, NumericalError
-from .estimators import pseudo_inverse, select_independent_basis
+from .estimators import _restricted_inverse, pseudo_inverse, select_independent_basis
 
 MAX_DESIGN_ITERS = 5000
 DESIGN_CACHE_SIZE = 32  # designs kept per process
@@ -160,13 +160,19 @@ def _mirror_descent(
 
     k = feats.shape[0]
     feats_t = feats.T
+    phi = feats[basis].T  # d x d_act, as pseudo_inverse builds it
     w = np.full(k, 1.0 / k)
     best_w = w
     best_obj = np.inf
     trace: list[float] = []
     for it in range(max_iters):
         gram = feats_t @ (w[:, None] * feats)
-        pinv = pseudo_inverse(gram, feats, basis=basis)
+        # the first iteration validates through pseudo_inverse; the rest reuse
+        # its basis matrix and skip the checks that cannot change within a solve
+        if it:
+            pinv = _restricted_inverse(gram, phi)
+        else:
+            pinv = pseudo_inverse(gram, feats, basis=basis)
         lev = np.einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
         star = int(lev.argmax())
         obj = float(lev[star])
@@ -215,17 +221,27 @@ def round_design(
     lowest index), followed by a coverage pass that gives every arm of the
     greedily selected feature basis at least one pull, decrementing the
     largest count to compensate. The basis is the one ``weights`` carries from
-    the solver, or a fresh scan of ``features`` when it carries none. ``kappa``
-    is validated against (0, 1/3] and otherwise unused.
+    the solver, or a fresh scan of ``features`` when it carries none; one row
+    of ``features`` and one weight per active arm are required. ``kappa`` is
+    validated against (0, 1/3] and otherwise ignored.
     """
     if not (0.0 < kappa <= 1.0 / 3.0):
         raise ConfigurationError(f"kappa must be in (0, 1/3], got {kappa}")
     if n < 1:
         raise DomainError(f"need at least one pull, got n={n}")
     arms = sorted(active)
+    if not len(features) == len(arms) == len(weights.weights):
+        raise DomainError(
+            f"round_design needs one feature row and one design weight per active arm, got "
+            f"{len(features)} rows, {len(arms)} active arms and {len(weights.weights)} weights"
+        )
     basis = weights.basis
     if basis is None:
         basis = select_independent_basis(np.asarray(features, dtype=float))
+    elif not all(0 <= b < len(arms) for b in basis):
+        raise DomainError(
+            f"design basis {list(basis)} indexes rows outside the {len(arms)} active arms"
+        )
     if n < len(basis):
         raise ConfigurationError(
             f"round budget n={n} cannot cover the {len(basis)}-arm feature basis"

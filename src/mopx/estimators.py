@@ -69,9 +69,10 @@ def pseudo_inverse(
     thus reads a condition of about 1e8 at most, four decades below
     ``MAX_CONDITION``, and the SVD check would pass it with the same inverse.
     An ``inv`` that raises, a NaN or inf product, or a product over the bound
-    falls through to the SVD check, the only source of the error text; a
-    failed ``inv`` is called again after that check passes, so errors come in
-    the same order as with the SVD first.
+    falls through to the NaN/inf check of ``A`` and then the SVD check, the
+    only sources of the error texts (an ``A`` with a NaN or inf entry is never
+    certified); a failed ``inv`` is called again after those checks pass, so
+    errors come in the same order as with the checks first.
     """
     feats = np.asarray(active_features, dtype=float)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -80,18 +81,24 @@ def pseudo_inverse(
         basis = select_independent_basis(feats)
     if not basis:
         raise NumericalError("all active features are numerically zero")
-    phi = feats[basis].T  # d x k
-    inner = phi.T @ np.asarray(gram, dtype=float) @ phi
-    if not np.isfinite(inner).all():
-        raise NumericalError("restricted Gram matrix holds NaN or inf entries")
+    return _restricted_inverse(np.asarray(gram, dtype=float), feats[basis].T)
+
+
+def _restricted_inverse(gram: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``pseudo_inverse`` past its checks and its basis: ``phi`` is the d x k
+    float matrix of basis rows, ``gram`` a float array."""
+    inner = phi.T @ gram @ phi
     try:
         inv = np.linalg.inv(inner)
     except np.linalg.LinAlgError:
         inv = None
-    # NaN (an overflowed or underflowed norm) compares false and falls through
+    # NaN (an overflowed or underflowed norm) compares false and falls through;
+    # so does any NaN or inf in inner, whose norm is then inf or NaN
     if inv is None or not (
         float(np.vdot(inner, inner)) * float(np.vdot(inv, inv)) <= CERTIFIED_CONDITION**2
     ):
+        if not np.isfinite(inner).all():
+            raise NumericalError("restricted Gram matrix holds NaN or inf entries")
         # np.linalg.cond(inner) without its per-call overhead: 2-norm condition
         # from the singular values of the finite matrix, with x/0 and 0/0 read as inf
         s = np.linalg.svd(inner, compute_uv=False)
@@ -149,13 +156,8 @@ def fit_linear(round_batch: ObservationBatch) -> LinearFit:
     outcomes = round_batch.rewards
     gram = design.T @ design
 
-    arms = round_batch.arms
-    arm_feature: dict[int, np.ndarray] = {}
-    for arm, feat in zip(arms, design):
-        arm_feature.setdefault(int(arm), feat)
-    unique_feats = np.array([arm_feature[a] for a in sorted(arm_feature)], dtype=float)
-
-    pinv = pseudo_inverse(gram, unique_feats)
+    _, first_rows = np.unique(round_batch.arms, return_index=True)  # each arm's first row
+    pinv = pseudo_inverse(gram, design[first_rows])
     theta = pinv @ design.T @ outcomes
     return LinearFit(theta_hat=theta, gram=gram, gram_pinv=pinv)
 
@@ -199,11 +201,14 @@ def mlp_init(dim: int, n_objectives: int, hidden: int, rng: np.random.Generator)
 
 
 class _MlpWorkspace:
-    """Buffers of one loss-and-gradient evaluation on n rows, shaped after
-    ``params``; a fit allocates them once and reuses them on every iteration.
+    """Parameters and buffers of one loss-and-gradient evaluation on n rows,
+    shaped after ``params``; a fit allocates them once and reuses them on
+    every iteration.
 
-    Parameter-sized buffers are flat vectors in the layout of ``MlpParams``
-    (w1, b1, w2, b2); ``views`` reshapes one into the four blocks.
+    ``flat`` is a new float64 vector holding ``params`` in the layout of
+    ``MlpParams`` (w1, b1, w2, b2), updated in place by a fit, so its block
+    views ``params`` and their transposes are built once. Parameter-sized
+    buffers share that layout; ``views`` reshapes one into the four blocks.
     """
 
     def __init__(self, n: int, params: MlpParams):
@@ -212,12 +217,18 @@ class _MlpWorkspace:
         self.shapes = ((hidden, dim), (hidden,), (n_objectives, hidden), (n_objectives,))
         ends = list(accumulate(math.prod(shape) for shape in self.shapes))
         self.blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        self.flat = np.concatenate([params.w1, params.b1, params.w2, params.b2], axis=None, dtype=float)
+        self.params = self.views(self.flat)
+        self.w1_t = self.params.w1.T
+        self.w2_t = self.params.w2.T
         self.pre = np.empty((n, hidden))
         self.act = np.empty((n, hidden))
         self.mask = np.empty((n, hidden))
         self.d_hidden = np.empty((n, hidden))
+        self.d_hidden_t = self.d_hidden.T
         self.err = np.empty((n, n_objectives))
         self.d_out = np.empty((n, n_objectives))
+        self.d_out_t = self.d_out.T
         self.grad = np.empty(ends[-1])
         self.grads = self.views(self.grad)
         self.squares = np.empty(ends[-1])
@@ -229,63 +240,54 @@ class _MlpWorkspace:
         return MlpParams(*(flat[s].reshape(shape) for s, shape in zip(self.blocks, self.shapes)))
 
 
-def _flatten(params: MlpParams) -> np.ndarray:
-    """A new float64 vector holding ``params`` in the layout of ``MlpParams``."""
-    return np.concatenate([params.w1, params.b1, params.w2, params.b2], axis=None, dtype=float)
-
-
-def _mlp_loss(
-    flat: np.ndarray, feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace
-) -> tuple[float, MlpParams]:
-    """Loss at the flat parameters and their block views; leaves the forward
-    pass in ``ws``.
+def _mlp_loss(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace) -> float:
+    """Loss at ``ws.flat``; leaves the forward pass in ``ws``.
 
     Sums keep the block and row shapes of the per-array form (pairwise
     summation would round a regrouped sum differently), so every bit equals
     the per-array computation.
     """
     n = feats.shape[0]
-    params = ws.views(flat)
+    params = ws.params
     pre, act, err, d_out = ws.pre, ws.act, ws.err, ws.d_out
-    np.matmul(feats, params.w1.T, out=pre)
+    np.matmul(feats, ws.w1_t, out=pre)
     np.add(pre, params.b1, out=pre)
     np.maximum(pre, 0.0, out=act)
-    np.matmul(act, params.w2.T, out=err)
+    np.matmul(act, ws.w2_t, out=err)
     np.add(err, params.b2, out=err)
     np.subtract(err, targets, out=err)
 
-    np.square(flat, out=ws.squares)
+    np.square(ws.flat, out=ws.squares)
     w1_sq, b1_sq, w2_sq, b2_sq = ws.square_blocks
-    norm = float(np.sum(w1_sq) + np.sum(b1_sq) + np.sum(w2_sq) + np.sum(b2_sq))
+    add = np.add.reduce
+    norm = float(add(w1_sq) + add(b1_sq) + add(w2_sq) + add(b2_sq))
     np.square(err, out=d_out)
-    return float(np.sum(d_out) / n + lam * norm), params
+    return float(add(d_out, axis=None) / n + lam * norm)
 
 
-def _mlp_loss_grad(
-    flat: np.ndarray, feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace
-) -> float:
-    """Loss at the flat parameters; the gradient is written into ``ws.grad``.
+def _mlp_loss_grad(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace) -> float:
+    """Loss at ``ws.flat``; the gradient is written into ``ws.grad``.
 
     The ReLU mask is multiplied in as 1.0/0.0, so every bit equals the
     per-array computation.
     """
     n = feats.shape[0]
     grads, reg = ws.grads, ws.regs
-    loss, params = _mlp_loss(flat, feats, targets, lam, ws)
+    loss = _mlp_loss(feats, targets, lam, ws)
     pre, act, err, d_out, d_hidden = ws.pre, ws.act, ws.err, ws.d_out, ws.d_hidden
     np.multiply(err, 2.0, out=d_out)
     np.divide(d_out, n, out=d_out)
-    np.multiply(flat, 2.0 * lam, out=ws.reg)
-    np.matmul(d_out.T, act, out=grads.w2)
+    np.multiply(ws.flat, 2.0 * lam, out=ws.reg)
+    np.matmul(ws.d_out_t, act, out=grads.w2)
     np.add(grads.w2, reg.w2, out=grads.w2)
-    np.sum(d_out, axis=0, out=grads.b2)
+    np.add.reduce(d_out, axis=0, out=grads.b2)
     np.add(grads.b2, reg.b2, out=grads.b2)
-    np.matmul(d_out, params.w2, out=d_hidden)
+    np.matmul(d_out, ws.params.w2, out=d_hidden)
     np.greater(pre, 0.0, out=ws.mask)
     np.multiply(d_hidden, ws.mask, out=d_hidden)
-    np.matmul(d_hidden.T, feats, out=grads.w1)
+    np.matmul(ws.d_hidden_t, feats, out=grads.w1)
     np.add(grads.w1, reg.w1, out=grads.w1)
-    np.sum(d_hidden, axis=0, out=grads.b1)
+    np.add.reduce(d_hidden, axis=0, out=grads.b1)
     np.add(grads.b1, reg.b1, out=grads.b1)
     return loss
 
@@ -303,7 +305,7 @@ def mlp_loss_grad(
     if len(batch) == 0:
         raise EstimationError("cannot evaluate the loss on an empty batch")
     ws = _MlpWorkspace(len(batch), params)
-    loss = _mlp_loss_grad(_flatten(params), batch.features, batch.rewards, lam, ws)
+    loss = _mlp_loss_grad(batch.features, batch.rewards, lam, ws)
     return loss, ws.grads
 
 
@@ -326,10 +328,12 @@ def mlp_fit(
     Deterministic for a fixed ``rng`` state and config. The lowest-loss
     iterate is retained, so the logged checkpoint losses are non-increasing.
     With ``return_trace`` the checkpoint losses are returned alongside the
-    parameters.
+    parameters. The returned parameters are views of a vector of their own,
+    allocated by this fit.
 
-    Adam runs element by element on one flat parameter vector, and every
-    iteration's loss and gradient go into one workspace allocated per fit.
+    Adam runs element by element on one flat parameter vector, updated in
+    place, and every iteration's loss and gradient go into one workspace
+    allocated per fit.
     """
     if len(batch) == 0:
         raise EstimationError("cannot fit on an empty batch")
@@ -353,33 +357,44 @@ def mlp_fit(
         raise EstimationError("regularisation weight must be >= 0")
 
     ws = _MlpWorkspace(feats.shape[0], init)
-    flat = _flatten(init)
-    grad = ws.grad
+    flat, grad = ws.flat, ws.grad
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     first = np.zeros_like(flat)
     second = np.zeros_like(flat)
+    m_hat = np.empty_like(flat)  # also holds the terms of the update on their way
+    v_hat = np.empty_like(flat)
 
     best_loss = np.inf
-    best = flat
+    best = flat.copy()  # the lowest-loss iterate; init until a loss is finite
     trace: list[float] = []
     for it in range(iters):
-        loss = _mlp_loss_grad(flat, feats, targets, lam, ws)
+        loss = _mlp_loss_grad(feats, targets, lam, ws)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite training loss at iteration {it}")
         if loss < best_loss:
             best_loss = loss
-            best = flat  # the step below rebinds flat to a new array
+            best[...] = flat
         if it % checkpoint_every == 0:
             trace.append(best_loss)
-        first *= beta1
-        first += (1 - beta1) * grad
-        second *= beta2
-        second += (1 - beta2) * grad**2
-        m_hat = first / (1 - beta1 ** (it + 1))
-        v_hat = second / (1 - beta2 ** (it + 1))
-        flat = flat - step_size * m_hat / (np.sqrt(v_hat) + eps)
+        # first = beta1 * first + (1 - beta1) * grad, and so on: the same
+        # operations on the same operands in the same order, written in place
+        np.multiply(first, beta1, out=first)
+        np.multiply(1 - beta1, grad, out=m_hat)
+        np.add(first, m_hat, out=first)
+        np.multiply(second, beta2, out=second)
+        np.square(grad, out=v_hat)  # grad**2
+        np.multiply(1 - beta2, v_hat, out=v_hat)
+        np.add(second, v_hat, out=second)
+        np.divide(first, 1 - beta1 ** (it + 1), out=m_hat)
+        np.divide(second, 1 - beta2 ** (it + 1), out=v_hat)
+        # flat - step_size * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(step_size, m_hat, out=m_hat)
+        np.sqrt(v_hat, out=v_hat)
+        np.add(v_hat, eps, out=v_hat)
+        np.divide(m_hat, v_hat, out=m_hat)
+        np.subtract(flat, m_hat, out=flat)
 
-    final_loss, _ = _mlp_loss(flat, feats, targets, lam, ws)
+    final_loss = _mlp_loss(feats, targets, lam, ws)
     if math.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
         best = flat

@@ -146,7 +146,6 @@ _VARIANT_FIELDS = {
     "mode": ("mode", str),
     "eliminator": ("eliminator", str),
     "g_optimal.epsilon": ("g_optimal_epsilon", float),
-    "g_optimal.kappa": ("g_optimal_kappa", float),
     "mlp.hidden": ("mlp_hidden", int),
     "mlp.lambda": ("mlp_lambda", float),
     "mlp.iters": ("mlp_iters", int),

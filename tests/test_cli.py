@@ -222,3 +222,13 @@ def test_hv_command_rejects_ragged_rows(tmp_path, capsys):
     assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "line 3 has 1 values, line 2 has 2" in err
+
+
+def test_run_command_rejects_the_retired_g_optimal_kappa_key(tmp_path, capsys):
+    config = json.loads((FIXTURES / "linear_gopt_config.json").read_text())
+    config["environment"]["instance"] = str(FIXTURES / "linear_gopt_instance.json")
+    config["algorithms"][0]["g_optimal"] = {"epsilon": 0.1, "kappa": 1 / 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == "error: unknown algorithm g_optimal keys: ['kappa']\n"

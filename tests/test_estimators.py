@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mopx.estimators import (
     estimate_sample_mean,
     fit_linear,
     mlp_fit,
+    mlp_init,
     mlp_loss_grad,
     mlp_predict,
     pseudo_inverse,
@@ -625,6 +627,43 @@ def test_mlp_fit_non_finite_loss_text_matches_reference(rows, step_size, message
             fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10, step_size=step_size)
         errors.append(str(err.value))
     assert errors == [f"non-finite training loss at {message}"] * 2
+
+
+def test_warm_started_fit_leaves_the_first_fit_and_its_init_untouched():
+    batch = _random_batch(3, 40, 4, 2)
+    init = mlp_init(4, 2, 30, np.random.default_rng(0))
+    init_bytes = _mlp_bytes(init)
+    first = mlp_fit(batch, 1e-4, init=init, iters=30)
+    first_bytes = _mlp_bytes(first)
+    second = mlp_fit(batch, 1e-4, init=first, iters=30)
+    third = mlp_fit(batch, 1e-4, init=first, iters=0)
+    assert _mlp_bytes(first) == first_bytes and _mlp_bytes(init) == init_bytes
+    assert _mlp_bytes(second) != first_bytes and _mlp_bytes(third) == first_bytes
+
+    def shares(a, b):
+        return any(np.shares_memory(x, y) for x in vars(a).values() for y in vars(b).values())
+
+    # every fit returns views of a vector of its own
+    assert not any(shares(a, b) for a, b in combinations((init, first, second, third), 2))
+
+
+@pytest.mark.parametrize("iters", [0, 1, 60])
+@pytest.mark.parametrize("rows", [1, 2, 17, 128, 640])
+def test_in_place_adam_matches_the_reference_fit(iters, rows):
+    batch = _random_batch(rows, rows, 4, 2)
+    kwargs = {"iters": iters, "checkpoint_every": 7}
+    got, trace = mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), return_trace=True, **kwargs)
+    want, want_trace = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), **kwargs)
+    assert _mlp_bytes(got) == _mlp_bytes(want) and repr(trace) == repr(want_trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_without_iterations_returns_init_when_its_loss_is_not_finite():
+    batch = _batch([(0, [0.5, -1.0], [1e200, -1e200]), (1, [0.2, 0.3], [1e200, 1e200])])
+    init = mlp_init(2, 2, 4, np.random.default_rng(5))
+    params, trace = mlp_fit(batch, 0.0, init=init, hidden=4, iters=0, return_trace=True)
+    assert _mlp_bytes(params) == _mlp_bytes(init) and trace == [np.inf]
+    assert not any(np.shares_memory(x, y) for x in vars(params).values() for y in vars(init).values())
 
 
 def test_round_scoped_mlp_run_matches_reference_fit(monkeypatch):

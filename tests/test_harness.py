@@ -175,6 +175,10 @@ def test_config_validation():
             {"algorithms": [{"algorithm": "gensec", "g_optimal": {"epsilon": 0.1, "kapa": 0.3}}]},
             "kapa",
         ),
+        (
+            {"algorithms": [{"algorithm": "gensec", "g_optimal": {"epsilon": 0.1, "kappa": 0.3}}]},
+            "kappa",
+        ),
     ],
 )
 def test_unknown_config_keys_are_rejected_by_name(overrides, key):
@@ -189,7 +193,7 @@ def test_known_nested_keys_load():
                 "algorithm": "genpsi",
                 "estimator": "mlp",
                 "mlp": {"hidden": 8, "lambda": 0.0, "iters": 5, "step_size": 0.1, "data_scope": "round"},
-                "g_optimal": {"epsilon": 0.2, "kappa": 0.3},
+                "g_optimal": {"epsilon": 0.2},
             }
         ]
     )
