@@ -108,6 +108,16 @@ class RunConfig:
             raise ConfigurationError(f"unknown eliminator {self.eliminator!r}")
         if self.mlp_data_scope not in ("cumulative", "round"):
             raise ConfigurationError(f"unknown mlp data scope {self.mlp_data_scope!r}")
+        if not 0 < self.g_optimal_epsilon < 1:
+            raise ConfigurationError(f"g_optimal epsilon must be in (0, 1), got {self.g_optimal_epsilon!r}")
+        if self.mlp_hidden < 1:
+            raise ConfigurationError(f"mlp hidden must be >= 1, got {self.mlp_hidden!r}")
+        if self.mlp_iters < 1:
+            raise ConfigurationError(f"mlp iters must be >= 1, got {self.mlp_iters!r}")
+        if not self.mlp_step_size > 0:
+            raise ConfigurationError(f"mlp step_size must be > 0, got {self.mlp_step_size!r}")
+        if not self.mlp_lambda >= 0:
+            raise ConfigurationError(f"mlp lambda must be >= 0, got {self.mlp_lambda!r}")
         if self.algorithm == UNIFORM and (
             self.allocator != "uniform" or self.estimator != "mean" or self.eliminator != "ege"
         ):

@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     except MopxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing or unreadable file
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -109,7 +109,7 @@ class LinearEnvironment(GaussianEnvironment):
 class ReplayEnvironment:
     """Samples recorded pulls; iid mode draws uniformly with replacement."""
 
-    def __init__(self, table: ReplayTable, mode: str = "iid", features: np.ndarray | None = None):
+    def __init__(self, table: ReplayTable, mode: str = "iid"):
         if mode not in ("iid", "sequential"):
             raise ConfigurationError(f"unknown replay mode {mode!r}")
         self.table = table
@@ -117,11 +117,6 @@ class ReplayEnvironment:
         self.n_arms = table.n_arms
         self.n_objectives = table.n_objectives
         self._cursors = [0] * table.n_arms
-        if features is not None:
-            features = np.asarray(features, dtype=float)
-            if features.shape[0] != table.n_arms:
-                raise ConfigurationError("replay features must have one row per arm")
-        self.features = features
 
     def pull(self, arm: int, rng: np.random.Generator) -> np.ndarray:
         if not 0 <= arm < self.n_arms:
@@ -177,19 +172,30 @@ def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None
 
 def load_instance_json(path: str | Path) -> Instance:
     """Read an instance from JSON: {K, m, sigma, means, features?, theta?}."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as err:
+        raise ConfigurationError(f"instance file {path} is not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"instance file {path} must hold a JSON object, got {data!r}")
     return instance_from_dict(data)
 
 
 def instance_from_dict(data: dict) -> Instance:
-    means = np.asarray(data["means"], dtype=float)
-    if "K" in data and means.shape[0] != int(data["K"]):
-        raise ConfigurationError(f"declared K={data['K']} but means has {means.shape[0]} rows")
-    if "m" in data and means.shape[1] != int(data["m"]):
-        raise ConfigurationError(f"declared m={data['m']} but means has {means.shape[1]} columns")
-    features = np.asarray(data["features"], dtype=float) if "features" in data else None
-    theta = np.asarray(data["theta"], dtype=float) if "theta" in data else None
-    return Instance(means=means, sigma=float(data.get("sigma", 0.0)), features=features, theta=theta)
+    if "means" not in data:
+        raise ConfigurationError("instance needs 'means'")
+    try:
+        means = np.asarray(data["means"], dtype=float)
+        if "K" in data and means.ndim >= 1 and means.shape[0] != int(data["K"]):
+            raise ConfigurationError(f"declared K={data['K']} but means has {means.shape[0]} rows")
+        if "m" in data and means.ndim >= 2 and means.shape[1] != int(data["m"]):
+            raise ConfigurationError(f"declared m={data['m']} but means has {means.shape[1]} columns")
+        features = np.asarray(data["features"], dtype=float) if "features" in data else None
+        theta = np.asarray(data["theta"], dtype=float) if "theta" in data else None
+        sigma = float(data.get("sigma", 0.0))
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"instance is malformed: {err}") from None
+    return Instance(means=means, sigma=sigma, features=features, theta=theta)
 
 
 def random_instance(

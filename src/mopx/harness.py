@@ -76,6 +76,10 @@ class EnvironmentSource:
     def n_arms(self) -> int:
         return self.instance.n_arms if self.instance is not None else self.table.n_arms
 
+    @property
+    def n_objectives(self) -> int:
+        return self.instance.n_objectives if self.instance is not None else self.table.n_objectives
+
     def _sub_instance(self, n_arms: int) -> Instance:
         inst = self.instance
         if n_arms == inst.n_arms:
@@ -99,35 +103,21 @@ class EnvironmentSource:
 
 
 def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> EnvironmentSource:
+    data = _walk(_CONFIG["environment"], data, "environment")  # for a section given on its own
     base = base_dir or Path.cwd()
-    kind = data.get("kind")
-    if kind in ("gaussian", "linear"):
-        raw = data.get("instance")
-        if raw is None:
-            raise ConfigurationError("gaussian/linear environments need an 'instance'")
-        if isinstance(raw, str):
-            instance = load_instance_json(base / raw)
-        else:
-            instance = instance_from_dict(_object("environment.instance", raw))
-        return EnvironmentSource(kind=kind, instance=instance)
-    if kind == "replay":
-        path = data.get("path")
-        if path is None:
+    if data["kind"] == "replay":
+        if data.get("path") is None:
             raise ConfigurationError("replay environments need a 'path'")
-        brevity = data.get("brevity")
-        if brevity is not None:
-            if not isinstance(brevity, dict) or set(brevity) != {"tau_low", "tau_high"}:
-                raise ConfigurationError(
-                    f"environment brevity needs exactly 'tau_low' and 'tau_high', got {brevity!r}"
-                )
-            brevity = tuple(
-                _typed(f"brevity.{key}", brevity[key], float) for key in ("tau_low", "tau_high")
-            )
-        table = load_replay_csv(base / path, brevity=brevity)
+        brevity = data.get("brevity")  # walked in shape order: (tau_low, tau_high)
+        table = load_replay_csv(base / data["path"], brevity=brevity and tuple(brevity.values()))
         mode = data.get("mode", "iid")
         ReplayEnvironment(table, mode=mode)  # the environment's own mode check, once at load
-        return EnvironmentSource(kind=kind, table=table, replay_mode=mode)
-    raise ConfigurationError(f"unknown environment kind {kind!r}")
+        return EnvironmentSource(kind="replay", table=table, replay_mode=mode)
+    raw = data.get("instance")
+    if raw is None:
+        raise ConfigurationError("gaussian/linear environments need an 'instance'")
+    instance = load_instance_json(base / raw) if isinstance(raw, str) else instance_from_dict(raw)
+    return EnvironmentSource(kind=data["kind"], instance=instance)
 
 
 _DEFAULT_ALGORITHMS = (
@@ -135,77 +125,89 @@ _DEFAULT_ALGORITHMS = (
     {"label": "uniform", "algorithm": UNIFORM, "mode": "pareto"},
 )
 
-# Algorithm-entry key ("section.key" inside a nested section) -> (RunConfig
-# field, type). Only the keys a variant sets are passed on, so every default
-# lives in RunConfig.
-_VARIANT_FIELDS = {
-    "algorithm": ("algorithm", str),
-    "scheduler": ("scheduler", str),
-    "allocator": ("allocator", str),
-    "estimator": ("estimator", str),
-    "mode": ("mode", str),
-    "eliminator": ("eliminator", str),
-    "g_optimal.epsilon": ("g_optimal_epsilon", float),
-    "mlp.hidden": ("mlp_hidden", int),
-    "mlp.lambda": ("mlp_lambda", float),
-    "mlp.iters": ("mlp_iters", int),
-    "mlp.step_size": ("mlp_step_size", float),
-    "mlp.data_scope": ("mlp_data_scope", str),
-    "enforce_design_budget": ("enforce_design_budget", bool),
-    "redistribute_leftover": ("redistribute_leftover", bool),
+
+class _Section(dict):
+    """A JSON object with only these keys; an exact section needs all of them."""
+
+    def __init__(self, name: str, keys: dict, exact: bool = False):
+        super().__init__(keys)
+        self.name, self.exact = name, exact
+
+
+# The shape of a config, checked by _walk. Top-level keys are ExperimentConfig
+# fields; an algorithm entry's ``mlp.iters`` is the RunConfig field ``mlp_iters``.
+_BREVITY = _Section("environment brevity", {"tau_low": float, "tau_high": float}, exact=True)
+_INSTANCE = {"kind": str, "instance": (None, str, dict)}
+_REPLAY = {"kind": str, "path": (None, str), "mode": object, "brevity": (None, _BREVITY)}
+_ENVIRONMENTS = {
+    "gaussian": _Section("environment", _INSTANCE),
+    "linear": _Section("environment", _INSTANCE),
+    "replay": _Section("environment", _REPLAY),
 }
+_ALGORITHM = _Section(
+    "algorithm config",
+    {
+        **dict.fromkeys(("label", "algorithm", "scheduler", "allocator", "estimator", "mode", "eliminator"), str),
+        **dict.fromkeys(("enforce_design_budget", "redistribute_leftover"), bool),
+        "g_optimal": _Section("algorithm g_optimal", {"epsilon": float}),
+        "mlp": _Section(
+            "algorithm mlp", {"hidden": int, "lambda": float, "iters": int, "step_size": float, "data_scope": str}
+        ),
+    },
+)
+_CONFIG = _Section(
+    "experiment config",
+    {
+        "environment": _ENVIRONMENTS,
+        "algorithms": [_ALGORITHM],
+        "k_values": [int],
+        "per_arm_budgets": [int],
+        "seeds": [int],
+        "tau": (None, float),
+        "hv_reference": (None, [float]),
+        "out_dir": (None, str),
+    },
+)
 
-_VARIANT_KEYS = {"label"} | {key.partition(".")[0] for key in _VARIANT_FIELDS}
-
-_NESTED_KEYS = {
-    section: {key.partition(".")[2] for key in _VARIANT_FIELDS if key.startswith(f"{section}.")}
-    for section in {key.partition(".")[0] for key in _VARIANT_FIELDS if "." in key}
-}
-
-_CONFIG_KEYS = {
-    "environment",
-    "algorithms",
-    "k_values",
-    "per_arm_budgets",
-    "seeds",
-    "tau",
-    "hv_reference",
-    "out_dir",
-}
-
-_ENVIRONMENT_KEYS = {"kind", "instance", "path", "mode", "brevity"}
-
-
-def _reject_unknown(section: str, data: dict, known: set[str]) -> None:
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown {section} keys: {sorted(unknown)}")
-
-
-_JSON_TYPES = {str: "string", bool: "boolean", int: "integer", float: "number"}
+_JSON_TYPES = {str: "string", bool: "boolean", int: "integer", float: "number", dict: "object"}
 
 
-def _typed(key: str, value, kind: type):
-    """``value`` as ``kind``, if it has the matching JSON type. Nothing is
-    coerced: bool("false") would be True and int(1.7) would be 1."""
-    expected = (int, float) if kind is float else kind
-    if not isinstance(value, expected) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigurationError(
-            f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}"
-        )
-    return kind(value)
-
-
-def _object(key: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _typed_list(key: str, values, kind: type) -> tuple:
-    if not isinstance(values, list):
-        raise ConfigurationError(f"config key {key!r} must be a JSON list, got {values!r}")
-    return tuple(_typed(f"{key}[{i}]", value, kind) for i, value in enumerate(values))
+def _walk(shape, value, path: str = ""):
+    """``value`` checked against ``shape`` and returned as a typed copy, with
+    nothing coerced. A list is a JSON list of its one shape, a type a scalar
+    (``dict``: any object, ``object``: any value), a plain dict one section per
+    "kind", and a tuple None (null, read as absent) and types a value may
+    simply be, then the shape anything else must have."""
+    if isinstance(shape, tuple):
+        *plain, shape = shape
+        if any(value is None if kind is None else isinstance(value, kind) for kind in plain):
+            return value
+    if getattr(shape, "exact", False) and not (isinstance(value, dict) and value.keys() == shape.keys()):
+        raise ConfigurationError(f"{shape.name} needs exactly {' and '.join(map(repr, shape))}, got {value!r}")
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            key = f"config key {path!r}" if path else shape.name
+            raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+        if type(shape) is dict:
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in shape:
+                # keys that no kind takes are reported before the kind itself
+                _walk(_Section(path, dict.fromkeys(set().union(*shape.values()), object)), value, path)
+                raise ConfigurationError(f"unknown {path} kind {kind!r}")
+            shape = shape[kind]
+        unknown = value.keys() - shape.keys()
+        if unknown:
+            raise ConfigurationError(f"unknown {shape.name} keys: {sorted(unknown)}")
+        return {key: _walk(shape[key], value[key], f"{path}.{key}".lstrip(".")) for key in shape if key in value}
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"config key {path!r} must be a JSON list, got {value!r}")
+        return tuple(_walk(shape[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    expected = (int, float) if shape is float else shape
+    if not isinstance(value, expected) or isinstance(value, bool) and shape in (int, float):
+        key = path if shape is dict else path.partition(".")[2] or path  # scalars: the key below its section
+        raise ConfigurationError(f"config key {key!r} must be a JSON {_JSON_TYPES[shape]}, got {value!r}")
+    return float(value) if shape is float else value
 
 
 @dataclass(frozen=True)
@@ -220,22 +222,20 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("seed list must be non-empty")
+        for name in ("algorithm", "k_value", "per_arm_budget", "seed"):
+            if not getattr(self, f"{name}s"):
+                raise ConfigurationError(f"{name} list must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.hv_reference is not None and len(self.hv_reference) != self.environment.n_objectives:
+            raise ConfigurationError(f"hv_reference needs one entry per objective, got {len(self.hv_reference)}")
         for k in self.k_values:
             if not 2 <= k <= self.environment.n_arms:
                 raise ConfigurationError(
                     f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
                 )
-        for i, variant in enumerate(self.algorithms):
-            _reject_unknown("algorithm config", variant, _VARIANT_KEYS)
-            for section, known in _NESTED_KEYS.items():
-                entries = _object(f"algorithms[{i}].{section}", variant.get(section, {}))
-                _reject_unknown(f"algorithm {section}", entries, known)
-            if "label" in variant:
-                _typed("label", variant["label"], str)
-            # every setting error raises here, at load; cells fail only on
-            # what depends on K and the budget together
+        # every RunConfig setting error raises here, at load
+        for variant in self.algorithms:
             for budget in self.per_arm_budgets:
                 _run_config(variant, self.tau, budget, self.seeds[0])
         # labels name summary rows and run ids, so two variants must not share one
@@ -245,40 +245,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
-        return [
-            (variant, k, b, seed)
-            for variant, k, b, seed in product(
-                self.algorithms, self.k_values, self.per_arm_budgets, self.seeds
-            )
-        ]
+        return list(product(self.algorithms, self.k_values, self.per_arm_budgets, self.seeds))
 
 
 def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"experiment config must be a JSON object, got {data!r}")
-    if "environment" not in data:
+    if isinstance(data, dict) and "environment" not in data:
         raise ConfigurationError("experiment config needs an 'environment' section")
-    _reject_unknown("experiment config", data, _CONFIG_KEYS)
-    _reject_unknown("environment", _object("environment", data["environment"]), _ENVIRONMENT_KEYS)
-    source = environment_source_from_dict(data["environment"], base_dir)
-    variants = data.get("algorithms", list(_DEFAULT_ALGORITHMS))
-    if not isinstance(variants, list):
-        raise ConfigurationError(f"config key 'algorithms' must be a JSON list, got {variants!r}")
-    algorithms = tuple(
-        dict(_object(f"algorithms[{i}]", variant)) for i, variant in enumerate(variants)
-    )
-    tau = data.get("tau")
-    reference = data.get("hv_reference")
-    return ExperimentConfig(
-        environment=source,
-        algorithms=algorithms,
-        k_values=_typed_list("k_values", data.get("k_values", [source.n_arms]), int),
-        per_arm_budgets=_typed_list("per_arm_budgets", data.get("per_arm_budgets", [5]), int),
-        seeds=_typed_list("seeds", data.get("seeds", list(range(20))), int),
-        tau=None if tau is None else _typed("tau", tau, float),
-        hv_reference=None if reference is None else _typed_list("hv_reference", reference, float),
-        out_dir=data.get("out_dir"),
-    )
+    config = _walk(_CONFIG, data)
+    source = environment_source_from_dict(config["environment"], base_dir)
+    defaults = {"algorithms": _DEFAULT_ALGORITHMS, "per_arm_budgets": (5,), "seeds": tuple(range(20))}
+    return ExperimentConfig(**{**defaults, "k_values": (source.n_arms,), **config, "environment": source})
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -295,12 +271,10 @@ def _label(variant: dict) -> str:
 
 
 def _run_config(variant: dict, tau: float | None, per_arm_budget: int, seed: int) -> RunConfig:
-    fields = {}
-    for key, (name, kind) in _VARIANT_FIELDS.items():
-        section, _, sub = key.rpartition(".")
-        entries = variant.get(section, {}) if section else variant
-        if sub in entries:
-            fields[name] = _typed(key, entries[sub], kind)
+    fields = {key: value for key, value in variant.items() if key != "label" and not isinstance(value, dict)}
+    for section, entries in variant.items():
+        if isinstance(entries, dict):
+            fields.update((f"{section}_{key}", value) for key, value in entries.items())
     return RunConfig(tau=tau, per_arm_budget=per_arm_budget, seed=seed, **fields)
 
 

@@ -232,3 +232,44 @@ def test_run_command_rejects_the_retired_g_optimal_kappa_key(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
     assert capsys.readouterr().err == "error: unknown algorithm g_optimal keys: ['kappa']\n"
+
+
+_INSTANCE = {"means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]], "sigma": 0.1}
+
+
+@pytest.mark.parametrize(
+    "environment, out_dir, message",
+    [
+        ({"kind": "replay", "path": 5}, None, "config key 'path' must be a JSON string, got 5"),
+        ({"kind": "gaussian", "instance": {"sigma": 0.1}}, None, "instance needs 'means'"),
+        (
+            {"kind": "gaussian", "instance": dict(_INSTANCE, sigma="abc")},
+            None,
+            "instance is malformed: could not convert string to float: 'abc'",
+        ),
+        (
+            {"kind": "gaussian", "instance": "bad.json"},
+            None,
+            "instance file $TMP/bad.json is not valid JSON: Expecting value: line 1 column 1 (char 0)",
+        ),
+        ({"kind": "gaussian", "instance": _INSTANCE}, 5, "config key 'out_dir' must be a JSON string, got 5"),
+        ({"kind": "replay", "path": ""}, None, "[Errno 21] Is a directory: '$TMP'"),
+    ],
+)
+def test_run_command_former_crashes_exit_two_with_an_error_line(tmp_path, capsys, environment, out_dir, message):
+    (tmp_path / "bad.json").write_text("not json")
+    config = {"environment": environment, "algorithms": [{"algorithm": "genpsi"}], "seeds": [0]}
+    if out_dir is not None:
+        config["out_dir"] = out_dir
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('$TMP', str(tmp_path))}\n"
+
+
+def test_gaps_command_rejects_an_instance_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"means": [[0.1, 0.2],]}')
+    assert main(["gaps", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: instance file {path} is not valid JSON: Expecting value: line 1 column 23 (char 22)\n"

@@ -57,6 +57,7 @@ ROWS = [
     ((), "config", "experiment config must be a JSON object, got 'config'"),
     (("environment",), DROP, "experiment config needs an 'environment' section"),
     (("bogus",), 1, "unknown experiment config keys: ['bogus']"),
+    ((), {"enviroment": {"kind": "gaussian", "instance": INSTANCE}}, "experiment config needs an 'environment' section"),
     (("seed",), [1], "unknown experiment config keys: ['seed']"),
     # null is absent at the top level and in the environment
     (("tau",), None, "constrained mode needs a threshold tau"),
@@ -98,6 +99,7 @@ ROWS = [
     (("per_arm_budgets",), [0], "per-arm budget must be >= 1"),
     # the environment
     (("environment", "mdoe"), "iid", "unknown environment keys: ['mdoe']"),
+    (("environment",), {"knid": "gaussian", "instance": INSTANCE}, "unknown environment keys: ['knid']"),
     (("environment", "kind"), "refusal", "unknown environment kind 'refusal'"),
     (("environment", "kind"), DROP, "unknown environment kind None"),
     (("environment", "kind"), None, "unknown environment kind None"),
@@ -198,6 +200,46 @@ ROWS = [
         [{"label": "a", "algorithm": "gensec"}, {"label": "a", "algorithm": "genpsi"}],
         "algorithm labels must be distinct, repeated: ['a']",
     ),
+    # errors at load that were once a traceback, a failure of every cell, or a
+    # key read for no kind that takes it
+    (("environment",), _replay(path=5), "config key 'path' must be a JSON string, got 5"),
+    (("environment",), _replay(path=["replay.csv"]), "config key 'path' must be a JSON string, got ['replay.csv']"),
+    (("environment", "instance", "means"), DROP, "instance needs 'means'"),
+    (("environment", "instance"), {}, "instance needs 'means'"),
+    (("environment", "instance", "sigma"), "abc", "instance is malformed: could not convert string to float: 'abc'"),
+    (("environment", "instance", "K"), "x", "instance is malformed: invalid literal for int() with base 10: 'x'"),
+    (
+        ("environment", "instance", "means"),
+        [0.8, 0.6, 0.9, 0.4],
+        "means must be K x m with K >= 1, m >= 2, got (4,)",
+    ),
+    (
+        ("environment", "instance"),
+        "bad.json",
+        "instance file $TMP/bad.json is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    (("environment", "instance"), "list.json", "instance file $TMP/list.json must hold a JSON object, got [1, 2]"),
+    (("out_dir",), 5, "config key 'out_dir' must be a JSON string, got 5"),
+    (("algorithms",), [], "algorithm list must be non-empty"),
+    (("k_values",), [], "k_value list must be non-empty"),
+    (("per_arm_budgets",), [], "per_arm_budget list must be non-empty"),
+    (("seeds",), [-1], "seeds must be non-negative, got -1"),
+    (("seeds",), [0, 3, -2], "seeds must be non-negative, got -2"),
+    (("hv_reference",), [0.0], "hv_reference needs one entry per objective, got 1"),
+    (("hv_reference",), [0.0, 0.0, 0.0], "hv_reference needs one entry per objective, got 3"),
+    (("environment", "path"), "replay.csv", "unknown environment keys: ['path']"),
+    (("environment", "mode"), "iid", "unknown environment keys: ['mode']"),
+    (("environment", "brevity"), {"tau_low": 10, "tau_high": 100}, "unknown environment keys: ['brevity']"),
+    (("environment",), _replay(instance=INSTANCE), "unknown environment keys: ['instance']"),
+    (*_alg("g_optimal.epsilon", 0), "g_optimal epsilon must be in (0, 1), got 0.0"),
+    (*_alg("g_optimal.epsilon", 1), "g_optimal epsilon must be in (0, 1), got 1.0"),
+    (*_alg("mlp.hidden", 0), "mlp hidden must be >= 1, got 0"),
+    (*_alg("mlp.iters", 0), "mlp iters must be >= 1, got 0"),
+    (*_alg("mlp.iters", -3), "mlp iters must be >= 1, got -3"),
+    (*_alg("mlp.step_size", 0), "mlp step_size must be > 0, got 0.0"),
+    (*_alg("mlp.step_size", -1.0), "mlp step_size must be > 0, got -1.0"),
+    (*_alg("mlp.lambda", -1), "mlp lambda must be >= 0, got -1.0"),
 ]
 
 
@@ -224,10 +266,12 @@ def _faulty(path, value):
 def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, value, message):
     (tmp_path / "replay.csv").write_text(REPLAY_CSV)
     (tmp_path / "instance.json").write_text(json.dumps(INSTANCE))
+    (tmp_path / "bad.json").write_text("{means: []}")
+    (tmp_path / "list.json").write_text("[1, 2]")
     data = _faulty(path, value)
     if message is None:
         experiment_config_from_dict(data, base_dir=tmp_path)
         return
     with pytest.raises(MopxError) as err:
         experiment_config_from_dict(data, base_dir=tmp_path)
-    assert str(err.value) == message
+    assert str(err.value) == message.replace("$TMP", str(tmp_path))
