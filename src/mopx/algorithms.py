@@ -184,7 +184,8 @@ def eliminate_pareto(
     order = sorted(active, key=lambda a: (-gaps[a], a))
     removed = order[: len(active) - keep]
     accepted = [a for a in removed if a in front]
-    next_active = sorted(a for a in active if a not in set(removed))
+    gone = set(removed)
+    next_active = sorted(a for a in active if a not in gone)
     return next_active, accepted
 
 
@@ -266,10 +267,11 @@ class _RoundRunner:
         return counts, counts.blocked_sequence()
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
-        gen = self.stream.child(_ENV_DRAWS, round_index).generator()
-        rewards = [self.env.pull(arm, gen) for arm in sequence]
         if sequence:
-            self.batch.extend(sequence, self.features[sequence], rewards, round_index)
+            gen = self.stream.child(_ENV_DRAWS, round_index).generator()
+            arms = np.array(sequence, dtype=int)
+            rewards = self.env.pull(arms, gen)
+            self.batch.extend(arms, self.features[arms], rewards, round_index)
         self.pulls_used += len(sequence)
         if self.pulls_used > budget:
             raise ConfigurationError(
@@ -378,8 +380,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
         arms = sorted(estimates)
         mat = np.array([estimates[a] for a in arms], dtype=float)
         front = {arms[i] for i in pareto_front(mat)}
-        gap_report = pareto_gap_report(mat)
-        gaps = {arms[i]: gap_report.entries[i].gap for i in range(len(arms))}
+        gaps = dict(zip(arms, pareto_gap_report(mat).gap_column.tolist()))
         active, newly_accepted = eliminate_pareto(active, keep, gaps, front)
         if config.eliminator == "ege":
             accepted.extend(newly_accepted)
@@ -387,7 +388,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
             newly_accepted = []
         return active, {
             "front": sorted(front),
-            "gaps": {str(a): _gap_for_log(gaps[a]) for a in sorted(gaps)},
+            "gaps": {str(a): _gap_for_log(g) for a, g in gaps.items()},  # arm order
             "accepted": sorted(newly_accepted),
         }
 

@@ -149,11 +149,11 @@ class ObservationBatch:
     write fixes the feature and reward widths. The array properties are
     read-only views of the rows written so far; later writes never change them.
 
-    Every write also adds its rows into per-arm reward sums and pull counts
-    (``arm_totals``): each sum starts at +0.0 and adds its rows in pull order,
-    the order in which numpy's ``mean(axis=0)`` adds the rows of a C-ordered
-    array with two or more columns, so ``sums[a] / counts[a]`` equals
-    ``rewards[arms == a].mean(axis=0)`` bit for bit.
+    ``arm_totals`` keeps per-arm reward sums and pull counts, adding the rows
+    written since its last call: each sum starts at +0.0 and adds its rows in
+    pull order, the order in which numpy's ``mean(axis=0)`` adds the rows of a
+    C-ordered array with two or more columns, so ``sums[a] / counts[a]``
+    equals ``rewards[arms == a].mean(axis=0)`` bit for bit.
     """
 
     def __init__(self) -> None:
@@ -165,13 +165,31 @@ class ObservationBatch:
         self._row_shapes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._sums = np.zeros((0, 0))
         self._counts = np.zeros(0, dtype=int)
+        self._totalled = 0  # rows already added into _sums and _counts
 
     def __len__(self) -> int:
         return self._size
 
     def append(self, arm: int, feature: np.ndarray, reward: np.ndarray, round_index: int) -> None:
-        """Write one row; ``extend`` writes a whole round in one call."""
-        self.extend([arm], [feature], [reward], round_index)
+        """Write one row; ``extend`` writes a whole round in one call. Only an
+        int arm >= 0 with array rows of the log's widths, in a log with room
+        left, is written here; any other row goes through ``extend``."""
+        start = self._size
+        if (
+            start < len(self._arms)
+            and type(arm) is int
+            and arm >= 0
+            and type(feature) is np.ndarray
+            and type(reward) is np.ndarray
+            and (feature.shape, reward.shape) == self._row_shapes
+        ):
+            self._arms[start] = arm
+            self._features[start] = feature
+            self._rewards[start] = reward
+            self._rounds[start] = round_index
+            self._size = start + 1
+        else:
+            self.extend([arm], [feature], [reward], round_index)
 
     def extend(self, arms, features, rewards, round_index: int) -> None:
         """Write the rows of one round: ``arms`` (n), ``features`` (n x d) and
@@ -208,12 +226,6 @@ class ObservationBatch:
         self._rewards[start:end] = rewards
         self._rounds[start:end] = round_index
         self._size = end
-        missing = int(arms.max()) + 1 - len(self._counts)
-        if missing > 0:
-            self._sums = np.pad(self._sums, ((0, missing), (0, 0)))
-            self._counts = np.pad(self._counts, (0, missing))
-        np.add.at(self._sums, arms, rewards)
-        self._counts += np.bincount(arms, minlength=len(self._counts))
 
     def _grow(self, needed: int) -> None:
         capacity = max(needed, 2 * len(self._arms), 16)
@@ -251,6 +263,16 @@ class ObservationBatch:
         """Copies of the per-arm reward sums (K x m) and pull counts (K) over
         every row written so far. K is one past the largest arm written; arms
         never pulled have zero counts."""
+        start, end = self._totalled, self._size
+        if end > start:
+            arms = self._arms[start:end]
+            missing = int(arms.max()) + 1 - len(self._counts)
+            if missing > 0:
+                self._sums = np.concatenate([self._sums, np.zeros((missing, self._sums.shape[1]))])
+                self._counts = np.concatenate([self._counts, np.zeros(missing, dtype=int)])
+            np.add.at(self._sums, arms, self._rewards[start:end])
+            self._counts += np.bincount(arms, minlength=len(self._counts))
+            self._totalled = end
         return self._sums.copy(), self._counts.copy()
 
     def round_slice(self, round_index: int) -> "ObservationBatch":
@@ -265,11 +287,15 @@ class ObservationBatch:
 
 @runtime_checkable
 class Environment(Protocol):
-    """Reward source: one stochastic reward vector per pull of an arm."""
+    """Reward source: one stochastic reward vector per pull of an arm.
+
+    ``pull`` takes one arm and returns its (m,) reward, or a 1-D integer array
+    of n arms, pulled in that order, and returns their n x m rewards.
+    """
 
     n_arms: int
     n_objectives: int
 
-    def pull(self, arm: int, rng: np.random.Generator) -> np.ndarray: ...
+    def pull(self, arm: int | np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
 
     def true_means(self) -> np.ndarray: ...

@@ -5,7 +5,8 @@ already-scored pull records, and a pull returns one of them - sampled with
 replacement by default (matching the i.i.d. reward assumption), or cycled in
 recorded order in the strict-sequential mode used for exact regressions. The
 sequential mode keeps a per-arm cursor and is the one stateful environment;
-use a fresh instance per run.
+use a fresh instance per run. An array pull (see ``core.Environment``) gives
+the same bits as single pulls of its arms, in order, from the same generator.
 """
 
 from __future__ import annotations
@@ -80,14 +81,10 @@ class GaussianEnvironment:
         self.n_arms = instance.n_arms
         self.n_objectives = instance.n_objectives
 
-    def _check_arm(self, arm: int) -> None:
-        if not 0 <= arm < self.n_arms:
-            raise DomainError(f"arm {arm} out of range [0, {self.n_arms})")
-
-    def pull(self, arm: int, rng: np.random.Generator) -> np.ndarray:
-        self._check_arm(arm)
-        noise = rng.normal(0.0, 1.0, size=self.n_objectives) * self.instance.sigma
-        return self.instance.means[arm] + noise
+    def pull(self, arm: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        arms = _checked_arms(arm, self.n_arms)
+        noise = rng.normal(0.0, 1.0, size=arms.shape + (self.n_objectives,)) * self.instance.sigma
+        return self.instance.means[arms] + noise
 
     def true_means(self) -> np.ndarray:
         return self.instance.means
@@ -116,21 +113,39 @@ class ReplayEnvironment:
         self.mode = mode
         self.n_arms = table.n_arms
         self.n_objectives = table.n_objectives
+        # every arm's records in one array: arm a owns rows starts[a] .. starts[a] + lengths[a]
+        self._flat = np.concatenate(table.records)
+        self._lengths = np.array([len(rows) for rows in table.records])
+        self._starts = np.cumsum(self._lengths) - self._lengths
         self._cursors = [0] * table.n_arms
 
-    def pull(self, arm: int, rng: np.random.Generator) -> np.ndarray:
-        if not 0 <= arm < self.n_arms:
-            raise DomainError(f"arm {arm} out of range [0, {self.n_arms})")
-        rows = self.table.records[arm]
+    def pull(self, arm: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        arms = _checked_arms(arm, self.n_arms)
+        lengths = self._lengths[arms]
         if self.mode == "iid":
-            idx = int(rng.integers(rows.shape[0]))
+            # one bounded draw per pull; an arm with one record draws nothing
+            offsets = rng.integers(lengths)
         else:
-            idx = self._cursors[arm] % rows.shape[0]
-            self._cursors[arm] += 1
-        return rows[idx].copy()
+            offsets = np.empty_like(lengths)
+            for i, a in enumerate(arms.flat):  # cursors advance in pull order
+                offsets.flat[i] = self._cursors[a] % lengths.flat[i]
+                self._cursors[a] += 1
+        return self._flat.take(self._starts[arms] + offsets, axis=0)
 
     def true_means(self) -> np.ndarray:
         return self.table.means()
+
+
+def _checked_arms(arm, n_arms: int) -> np.ndarray:
+    """``arm`` as an int array (0-d for a single arm), all inside [0, n_arms)."""
+    arms = np.asarray(arm)
+    if arms.dtype.kind not in "iu":
+        raise DomainError(f"arms must be integers, got {arm!r}")
+    outside = (arms < 0) | (arms >= n_arms)
+    if outside.any():
+        first = arm if arms.ndim == 0 else arms[outside][0]
+        raise DomainError(f"arm {first} out of range [0, {n_arms})")
+    return arms
 
 
 def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None) -> ReplayTable:
@@ -156,10 +171,22 @@ def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None
         for row in reader:
             if not row:
                 continue
-            arm = int(row[0])
-            values = [float(v) for v in row[first_obj:]]
+            if len(row) != len(header):
+                raise ConfigurationError(
+                    f"replay file {path} line {reader.line_num} has {len(row)} values, "
+                    f"the header has {len(header)}"
+                )
+            try:
+                arm = int(row[0])
+                values = [float(v) for v in row[first_obj:]]
+                length = float(row[1]) if brevity is not None else None
+            except ValueError:
+                raise ConfigurationError(
+                    f"replay file {path} line {reader.line_num} is not a row of numbers: "
+                    f"{','.join(row)!r}"
+                ) from None
             if brevity is not None:
-                values[1] = brevity_score(float(row[1]), *brevity)
+                values[1] = brevity_score(length, *brevity)
             per_arm.setdefault(arm, []).append(values)
     if not per_arm:
         raise ConfigurationError(f"replay file {path} holds no records")

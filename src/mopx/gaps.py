@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -41,20 +41,56 @@ class GapEntry:
         }
 
 
-@dataclass(frozen=True)
+# Component names each classification reports, in serialisation order.
+_COMPONENTS = {
+    "dominated": ("domination_margin",),
+    "pareto": ("delta_plus", "delta_minus"),
+    **dict.fromkeys(
+        ("optimal", "feasible", "infeasible"),
+        ("violation", "suboptimality", "difficulty", "margin_cap"),
+    ),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class GapReport:
-    """Per-arm gap entries for one instance, plus the derived hardness if defined."""
+    """Per-arm gaps of one instance, stored as columns indexed by arm.
+
+    ``gap_column[x]`` is arm x's gap, ``classifications[x]`` its class, and
+    ``component_columns[name][x]`` the components its class reports (other
+    arms hold NaN there). ``entries`` builds one ``GapEntry`` per arm on first
+    access.
+    """
 
     mode: str  # "pareto" or "constrained"
-    entries: tuple[GapEntry, ...]
+    gap_column: np.ndarray
+    classifications: tuple[str, ...]
+    component_columns: dict[str, np.ndarray]
     tau: float | None = None
     optimal_arm: int | None = None
 
+    def __post_init__(self) -> None:
+        for column in (self.gap_column, *self.component_columns.values()):
+            column.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> tuple[GapEntry, ...]:
+        columns = {name: col.tolist() for name, col in self.component_columns.items()}
+        return tuple(
+            GapEntry(
+                arm=x,
+                gap=g,
+                classification=cls,
+                components={name: columns[name][x] for name in _COMPONENTS[cls]},
+            )
+            for x, (g, cls) in enumerate(zip(self.gap_column.tolist(), self.classifications))
+        )
+
     def gap(self, arm: int) -> float:
-        return self.entries[arm].gap
+        return float(self.gap_column[arm])
 
     def gaps(self) -> dict[int, float]:
-        return {e.arm: e.gap for e in self.entries}
+        return dict(enumerate(self.gap_column.tolist()))
 
     def to_dict(self) -> dict:
         out: dict = {"mode": self.mode, "entries": [e.to_dict() for e in self.entries]}
@@ -92,7 +128,7 @@ def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """values[x, cols[x]] for every row x."""
-    return np.take_along_axis(values, cols[:, None], axis=1)[:, 0]
+    return values[np.arange(len(cols)), cols]
 
 
 def pareto_front(means: np.ndarray) -> list[int]:
@@ -122,39 +158,29 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     front, dominated = np.flatnonzero(on_front), np.flatnonzero(~on_front)
     small, large = _pair_terms(mat)
 
-    margins = small[np.ix_(dominated, front)]
+    margins = small[dominated[:, None], front]
     dominated_gap = _pick(margins, margins.argmax(axis=1))
 
-    pair = large[np.ix_(front, front)]
+    pair = large[front[:, None], front]
     pair = np.where(pair.T < pair, pair.T, pair)  # min(large[x, y], large[y, x])
     np.fill_diagonal(pair, UNBOUNDED)  # so a singleton front gets delta_plus = inf
     delta_plus = _pick(pair, pair.argmin(axis=1))
     if len(dominated):
-        route = large[np.ix_(dominated, front)].T  # route[x, y] = large[y, x]
+        route = large[dominated[:, None], front].T  # route[x, y] = large[y, x]
         route = np.where(0.0 > route, 0.0, route) + dominated_gap[None, :]
         delta_minus = _pick(route, route.argmin(axis=1))
     else:
         delta_minus = np.full(len(front), UNBOUNDED)
-    gap = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
 
-    entries: list[GapEntry | None] = [None] * k
-    for x, g in zip(dominated.tolist(), dominated_gap.tolist()):
-        entries[x] = GapEntry(
-            arm=x,
-            gap=g,
-            classification="dominated",
-            components={"domination_margin": g},
-        )
-    for x, g, plus, minus in zip(
-        front.tolist(), gap.tolist(), delta_plus.tolist(), delta_minus.tolist()
-    ):
-        entries[x] = GapEntry(
-            arm=x,
-            gap=g,
-            classification="pareto",
-            components={"delta_plus": plus, "delta_minus": minus},
-        )
-    return GapReport(mode="pareto", entries=tuple(entries))
+    gap = np.empty(k)
+    gap[dominated] = dominated_gap
+    gap[front] = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
+    columns = {name: np.full(k, np.nan) for name in ("domination_margin", "delta_plus", "delta_minus")}
+    columns["domination_margin"][dominated] = dominated_gap
+    columns["delta_plus"][front] = delta_plus
+    columns["delta_minus"][front] = delta_minus
+    classifications = tuple(np.where(on_front, "pareto", "dominated").tolist())
+    return GapReport("pareto", gap, classifications, columns)
 
 
 def pareto_gap(means: np.ndarray, arm: int) -> GapEntry:
@@ -194,32 +220,21 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
         raise DomainError("constrained gaps are defined for m = 2 objectives")
     star = best_feasible_arm(mat, tau)
     cap = float(mat[star, 1] - tau)
-    entries = []
-    for x in range(mat.shape[0]):
-        viol = float(max(tau - mat[x, 1], 0.0))
-        subopt = float(mat[star, 0] - mat[x, 0])
-        delta = max(viol, subopt)
-        gap = float(min(delta, cap))
-        if x == star:
-            classification = "optimal"
-        elif mat[x, 1] >= tau:
-            classification = "feasible"
-        else:
-            classification = "infeasible"
-        entries.append(
-            GapEntry(
-                arm=x,
-                gap=gap,
-                classification=classification,
-                components={
-                    "violation": viol,
-                    "suboptimality": subopt,
-                    "difficulty": delta,
-                    "margin_cap": cap,
-                },
-            )
-        )
-    return GapReport(mode="constrained", entries=tuple(entries), tau=tau, optimal_arm=star)
+    # Python's max/min keep their first operand on ties, and so do these wheres
+    raw = tau - mat[:, 1]
+    viol = np.where(0.0 > raw, 0.0, raw)
+    subopt = mat[star, 0] - mat[:, 0]
+    delta = np.where(subopt > viol, subopt, viol)
+    gap = np.where(cap < delta, cap, delta)
+    classes = np.where(mat[:, 1] >= tau, "feasible", "infeasible")
+    classes[star] = "optimal"
+    columns = {
+        "violation": viol,
+        "suboptimality": subopt,
+        "difficulty": delta,
+        "margin_cap": np.full(mat.shape[0], cap),
+    }
+    return GapReport("constrained", gap, tuple(classes.tolist()), columns, tau=tau, optimal_arm=star)
 
 
 def constrained_gap(means: np.ndarray, tau: float, arm: int) -> GapEntry:
@@ -237,12 +252,10 @@ def hardness(means: np.ndarray, tau: float) -> float:
         raise DomainError("hardness needs K >= 2 arms")
     report = constrained_gap_report(mat, tau)
     worst = 0.0
-    for entry in report.entries:
-        if entry.arm == report.optimal_arm:
+    for arm, gap in report.gaps().items():
+        if arm == report.optimal_arm:
             continue
-        if entry.gap == 0.0:
-            raise InstanceError(
-                f"arm {entry.arm} has zero constrained gap; hardness is undefined"
-            )
-        worst = max(worst, 1.0 / entry.gap**2)
+        if gap == 0.0:
+            raise InstanceError(f"arm {arm} has zero constrained gap; hardness is undefined")
+        worst = max(worst, 1.0 / gap**2)
     return worst

@@ -117,6 +117,8 @@ def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> En
     if raw is None:
         raise ConfigurationError("gaussian/linear environments need an 'instance'")
     instance = load_instance_json(base / raw) if isinstance(raw, str) else instance_from_dict(raw)
+    if data["kind"] == "linear":
+        LinearEnvironment(instance)  # the environment's own features/theta check, once at load
     return EnvironmentSource(kind=data["kind"], instance=instance)
 
 

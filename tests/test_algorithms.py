@@ -30,7 +30,8 @@ SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [0.4, 0.4]])
 
 
 class CountingEnv:
-    """Wrapper that counts pulls, for budget-safety checks."""
+    """Wrapper that counts pulled rows (one per arm, whether ``pull`` gets one
+    arm or an array of them), for budget-safety checks."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -40,7 +41,7 @@ class CountingEnv:
         self.count = 0
 
     def pull(self, arm, rng):
-        self.count += 1
+        self.count += np.size(arm)
         return self.inner.pull(arm, rng)
 
     def true_means(self):

@@ -45,6 +45,15 @@ def test_gaps_command_constrained_and_pareto(tmp_path, capsys):
     assert [e["classification"] for e in pareto["entries"]] == ["pareto", "pareto", "pareto"]
 
 
+@pytest.mark.parametrize(
+    "tau, expected", [(None, "linear_gopt_gaps.json"), ("0.2", "linear_gopt_gaps_tau.json")]
+)
+def test_gaps_command_prints_the_recorded_report(capsys, tau, expected):
+    argv = ["gaps", "--instance", str(FIXTURES / "linear_gopt_instance.json")]
+    assert main(argv + (["--tau", tau] if tau else [])) == 0
+    assert capsys.readouterr().out == (FIXTURES / expected).read_text()
+
+
 def test_gaps_command_serialises_inf_as_string(tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"means": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -254,10 +263,17 @@ _INSTANCE = {"means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]], "sigma": 0.1}
         ),
         ({"kind": "gaussian", "instance": _INSTANCE}, 5, "config key 'out_dir' must be a JSON string, got 5"),
         ({"kind": "replay", "path": ""}, None, "[Errno 21] Is a directory: '$TMP'"),
+        (
+            {"kind": "replay", "path": "bad.csv"},
+            None,
+            "replay file $TMP/bad.csv line 3 is not a row of numbers: '1,0.1,abc'",
+        ),
+        ({"kind": "linear", "instance": _INSTANCE}, None, "a linear environment needs features and theta"),
     ],
 )
 def test_run_command_former_crashes_exit_two_with_an_error_line(tmp_path, capsys, environment, out_dir, message):
     (tmp_path / "bad.json").write_text("not json")
+    (tmp_path / "bad.csv").write_text("arm_id,obj_1,obj_2\n0,0.2,0.3\n1,0.1,abc\n")
     config = {"environment": environment, "algorithms": [{"algorithm": "genpsi"}], "seeds": [0]}
     if out_dir is not None:
         config["out_dir"] = out_dir

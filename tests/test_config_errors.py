@@ -240,6 +240,17 @@ ROWS = [
     (*_alg("mlp.step_size", 0), "mlp step_size must be > 0, got 0.0"),
     (*_alg("mlp.step_size", -1.0), "mlp step_size must be > 0, got -1.0"),
     (*_alg("mlp.lambda", -1), "mlp lambda must be >= 0, got -1.0"),
+    (
+        ("environment",),
+        _replay(path="cells.csv"),
+        "replay file $TMP/cells.csv line 3 is not a row of numbers: '1,50,0.8,abc'",
+    ),
+    (
+        ("environment",),
+        _replay(path="short.csv"),
+        "replay file $TMP/short.csv line 2 has 3 values, the header has 4",
+    ),
+    (("environment", "kind"), "linear", "a linear environment needs features and theta"),
 ]
 
 
@@ -268,6 +279,8 @@ def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, val
     (tmp_path / "instance.json").write_text(json.dumps(INSTANCE))
     (tmp_path / "bad.json").write_text("{means: []}")
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "cells.csv").write_text(REPLAY_CSV.replace("1,50,0.8,0.0", "1,50,0.8,abc"))
+    (tmp_path / "short.csv").write_text(REPLAY_CSV.replace("0,20,0.6,0.0", "0,20,0.6"))
     data = _faulty(path, value)
     if message is None:
         experiment_config_from_dict(data, base_dir=tmp_path)

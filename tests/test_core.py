@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopx.core import (
     DomainError,
@@ -170,3 +172,33 @@ def test_observation_batch_rejects_malformed_writes(arms, features, rewards, mes
         batch.extend(arms, features, rewards, 2)
     assert str(err.value) == message
     assert len(batch) == 1 and batch.arm_totals()[1].tolist()[:1] == [1]
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+        st.lists(st.floats(-1e3, 1e3) | st.just(-0.0), min_size=2, max_size=2),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS)
+def test_appended_rows_equal_the_same_rows_extended(rows):
+    """Per-row appends, with the totals read at random points in between, give
+    the same bits as one extend of the same rows."""
+    appended, extended = ObservationBatch(), ObservationBatch()
+    for arm, feature, reward, read_totals in rows:
+        appended.append(arm, np.array(feature), np.array(reward), 1)
+        if read_totals:
+            appended.arm_totals()
+    extended.extend([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], 1)
+    pairs = list(zip(appended.arm_totals(), extended.arm_totals()))
+    pairs += [(appended.arms, extended.arms), (appended.features, extended.features)]
+    pairs += [(appended.rewards, extended.rewards), (appended.round_slice(1).arms, extended.arms)]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()

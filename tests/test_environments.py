@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopx.core import ConfigurationError, DomainError, Instance, RngStream
 from mopx.environments import (
@@ -15,6 +19,8 @@ from mopx.environments import (
     random_linear_instance,
 )
 from mopx.harness import EnvironmentSource, environment_source_from_dict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_linear_environment_zero_noise_matches_structure():
@@ -190,3 +196,102 @@ def test_random_linear_instance_structure():
     inst = random_linear_instance(rng, 8, 3)
     assert inst.features.shape == (8, 3)
     assert np.allclose(inst.means, inst.features @ inst.theta)
+
+
+# ------------------------------------------------------ batched pulls
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_batched_pull(make_env, arms: np.ndarray, seed: int) -> None:
+    """One array pull equals len(arms) single pulls row for row, bit for bit,
+    and leaves the generator where they leave it."""
+    batched_gen, single_gen = RngStream(seed, (3,)).generator(), RngStream(seed, (3,)).generator()
+    batched = make_env().pull(arms, batched_gen)
+    env = make_env()
+    single = np.array([env.pull(int(a), single_gen) for a in arms]).reshape(len(arms), -1)
+    assert _same_bits(batched, single)
+    assert batched_gen.integers(2**63) == single_gen.integers(2**63)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(2, 4), st.integers(1, 7))
+def test_batched_gaussian_pull_equals_single_pulls(seed, n, m, k):
+    rng = np.random.default_rng(seed)
+    instance = Instance(means=rng.uniform(-1, 1, size=(k, m)), sigma=float(rng.uniform(0, 2)))
+    arms = rng.integers(k, size=n)
+    _check_batched_pull(lambda: GaussianEnvironment(instance), arms, seed)
+
+
+def _replay_table(rng, row_counts) -> ReplayTable:
+    return ReplayTable([rng.uniform(size=(n, 2)) for n in row_counts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    st.integers(1, 200),
+    st.sampled_from(["iid", "sequential"]),
+)
+def test_batched_replay_pull_equals_single_pulls(seed, row_counts, n, mode):
+    rng = np.random.default_rng(seed)
+    table = _replay_table(rng, row_counts)
+    arms = rng.integers(len(row_counts), size=n)
+    _check_batched_pull(lambda: ReplayEnvironment(table, mode=mode), arms, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("mode", ["iid", "sequential"])
+def test_batched_replay_pull_on_workload_and_fixture_row_counts(seed, mode):
+    rng = np.random.default_rng(seed)
+    workload = _replay_table(rng, rng.integers(40, 61, size=48))  # the benchmark's replay sizes
+    fixture = load_replay_csv(FIXTURES / "replay_small.csv")
+    for table in (workload, fixture):
+        arms = np.repeat(np.arange(table.n_arms), 20)  # a uniform round's pull order
+        _check_batched_pull(lambda: ReplayEnvironment(table, mode=mode), arms, seed)
+        _check_batched_pull(lambda: ReplayEnvironment(table, mode=mode), rng.permutation(arms), seed)
+
+
+def test_single_record_arms_draw_nothing():
+    env = ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])]))
+    used, fresh = RngStream(8).generator(), RngStream(8).generator()
+    rows = env.pull(np.array([1, 0, 1, 1]), used)
+    assert rows.tolist() == [[0.3, 0.4], [0.1, 0.2], [0.3, 0.4], [0.3, 0.4]]
+    assert env.pull(0, used).tolist() == [0.1, 0.2]
+    assert np.array_equal(used.normal(size=4), fresh.normal(size=4))
+
+
+def test_sequential_cursors_advance_in_pull_order():
+    table = ReplayTable([np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), np.array([[5.0, 5.0], [6.0, 6.0]])])
+    env = ReplayEnvironment(table, mode="sequential")
+    gen = RngStream(0).generator()
+    assert env.pull(np.array([0, 1, 0, 0, 1, 0, 1]), gen)[:, 0].tolist() == [0, 5, 1, 2, 6, 0, 5]
+    assert env.pull(1, gen).tolist() == [6.0, 6.0]
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda: GaussianEnvironment(Instance(means=[[0.3, 0.7], [0.1, 0.2]], sigma=1.0)),
+    lambda: ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])])),
+])
+def test_pull_names_the_first_out_of_range_arm(make_env):
+    env = make_env()
+    for arm, first in ((2, 2), (-1, -1), (np.array([0, 1, 5, -3]), 5), (np.array([-3, 7]), -3)):
+        with pytest.raises(DomainError) as err:
+            env.pull(arm, RngStream(0).generator())
+        assert str(err.value) == f"arm {first} out of range [0, 2)"
+
+
+@pytest.mark.parametrize("arm", [1.0, True, np.array([0.0, 1.0]), np.array([True])])
+def test_pull_rejects_arms_that_are_not_integers(arm):
+    env = GaussianEnvironment(Instance(means=[[0.3, 0.7], [0.1, 0.2]], sigma=1.0))
+    with pytest.raises(DomainError) as err:
+        env.pull(arm, RngStream(0).generator())
+    assert str(err.value) == f"arms must be integers, got {arm!r}"
+
+
+def test_empty_pull_returns_no_rows():
+    env = GaussianEnvironment(Instance(means=[[0.3, 0.7]], sigma=1.0))
+    assert env.pull(np.array([], dtype=int), RngStream(0).generator()).shape == (0, 2)

@@ -14,6 +14,8 @@ from oracles import (
 )
 from mopx.core import DomainError, InstanceError
 from mopx.gaps import (
+    GapEntry,
+    _pair_terms,
     best_feasible_arm,
     constrained_gap,
     constrained_gap_report,
@@ -280,3 +282,91 @@ def test_hardness_degenerate_zero_gap():
     # a second arm tied with the optimum has zero gap
     with pytest.raises(InstanceError):
         hardness([[0.8, 0.6], [0.8, 0.6]], 0.5)
+
+
+# ------------------------------------------- column form vs per-arm entries
+
+
+def _reference_pareto_entries(means):
+    """GapEntry per arm from per-arm Python loops over the kernel's pair terms
+    (numpy's elementwise min/max fix the sign of their zeros, and the pinned
+    reports above check those); Python's min/max keep the first of tied
+    operands, as the report promises."""
+    small, large = (t.tolist() for t in _pair_terms(np.asarray(means, dtype=float)))
+    k = len(small)
+    front = pareto_front(means)
+    dominated = [y for y in range(k) if y not in front]
+    margin = {y: max(small[y][z] for z in front) for y in dominated}
+    entries = []
+    for x in range(k):
+        if x in margin:
+            entries.append(GapEntry(x, margin[x], "dominated", {"domination_margin": margin[x]}))
+            continue
+        plus = min((min(large[x][y], large[y][x]) for y in front if y != x), default=math.inf)
+        minus = min((max(large[y][x], 0.0) + margin[y] for y in dominated), default=math.inf)
+        entries.append(GapEntry(x, min(plus, minus), "pareto", {"delta_plus": plus, "delta_minus": minus}))
+    return entries
+
+
+def _reference_constrained_entries(means, tau):
+    mat = np.asarray(means, dtype=float)
+    star = best_feasible_arm(mat, tau)
+    cap = float(mat[star, 1] - tau)
+    entries = []
+    for x in range(mat.shape[0]):
+        viol = float(max(tau - mat[x, 1], 0.0))
+        subopt = float(mat[star, 0] - mat[x, 0])
+        delta = max(viol, subopt)
+        cls = "optimal" if x == star else "feasible" if mat[x, 1] >= tau else "infeasible"
+        components = {"violation": viol, "suboptimality": subopt, "difficulty": delta, "margin_cap": cap}
+        entries.append(GapEntry(x, float(min(delta, cap)), cls, components))
+    return entries
+
+
+def _bits(value):
+    return math.copysign(1.0, value), value
+
+
+def _check_report(report, reference):
+    assert len(report.entries) == len(reference)
+    for got, want in zip(report.entries, reference):
+        assert (got.arm, got.classification, list(got.components)) == (
+            want.arm,
+            want.classification,
+            list(want.components),
+        )
+        assert _bits(got.gap) == _bits(want.gap)
+        assert [_bits(v) for v in got.components.values()] == [_bits(v) for v in want.components.values()]
+        assert all(type(v) is float for v in (got.gap, *got.components.values()))
+    want_json = [e.to_dict() for e in reference]
+    assert json.dumps(report.to_dict()["entries"]) == json.dumps(want_json)
+    assert [_bits(report.gap(x)) for x in range(len(reference))] == [_bits(e.gap) for e in reference]
+    assert [(a, _bits(g)) for a, g in report.gaps().items()] == [(e.arm, _bits(e.gap)) for e in reference]
+    assert report.gap_column.tolist() == [e.gap for e in reference]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_means())
+def test_column_report_matches_per_arm_entries_on_ties(means):
+    _check_report(pareto_gap_report(means), _reference_pareto_entries(means))
+    if means.shape[1] == 2 and np.any(means[:, 1] >= 0.0):
+        _check_report(constrained_gap_report(means, 0.0), _reference_constrained_entries(means, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_column_report_matches_per_arm_entries_on_random_instances(seed):
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(size=(int(rng.integers(1, 49)), int(rng.integers(2, 5))))
+    _check_report(pareto_gap_report(means), _reference_pareto_entries(means))
+    tau = float(rng.uniform(0.0, 1.0))
+    if means.shape[1] == 2 and np.any(means[:, 1] >= tau):
+        _check_report(constrained_gap_report(means, tau), _reference_constrained_entries(means, tau))
+
+
+@pytest.mark.parametrize("means", [means for means, _ in _PINNED_REPORTS])
+def test_column_report_keeps_negative_zero_gaps(means):
+    report = pareto_gap_report(means)
+    _check_report(report, _reference_pareto_entries(means))
+    assert any(math.copysign(1.0, g) < 0 for g in report.gap_column.tolist() if g == 0)
+    with pytest.raises(ValueError, match="read-only"):
+        report.gap_column[0] = 1.0
