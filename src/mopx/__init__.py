@@ -47,7 +47,6 @@ from .environments import (
     load_instance_json,
     load_replay_csv,
     random_constrained_instance,
-    random_instance,
     random_linear_instance,
 )
 from .estimators import (
@@ -67,11 +66,9 @@ from .gaps import (
     GapEntry,
     GapReport,
     best_feasible_arm,
-    constrained_gap,
     constrained_gap_report,
     hardness,
     pareto_front,
-    pareto_gap,
     pareto_gap_report,
 )
 from .harness import (

@@ -43,7 +43,7 @@ from .estimators import (
     mlp_predict,
     predict_linear,
 )
-from .gaps import pareto_front, pareto_gap_report
+from .gaps import _json_num, pareto_front, pareto_gap_report
 from .schedulers import SCHEDULER_NAMES, Schedule, make_schedule
 
 GENSEC = "gensec"
@@ -388,7 +388,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
             newly_accepted = []
         return active, {
             "front": sorted(front),
-            "gaps": {str(a): _gap_for_log(g) for a, g in gaps.items()},  # arm order
+            "gaps": {str(a): _json_num(g) for a, g in gaps.items()},  # arm order
             "accepted": sorted(newly_accepted),
         }
 
@@ -401,23 +401,13 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     )
 
 
-def _gap_for_log(value: float) -> float | str:
-    return "inf" if math.isinf(value) else float(value)
-
-
-def run_uniform_baseline(config: RunConfig, env: Environment) -> RunResult:
-    """Pull every arm equally often, then read the answer off the sample means:
-    the round loop with the elimination rule of ``config.mode``, run as one
-    round that keeps one arm."""
+def run_algorithm(config: RunConfig, env: Environment) -> RunResult:
+    """Run the round loop with the elimination rule of ``config.mode``:
+    ``RunConfig`` fixes it for gensec (constrained) and genpsi (pareto), and
+    the uniform baseline runs either rule as one round that keeps one arm."""
     if config.mode == CONSTRAINED:
         return run_gensec(config, env)
     return run_genpsi(config, env)
 
 
-def run_algorithm(config: RunConfig, env: Environment) -> RunResult:
-    """Dispatch on ``config.algorithm``."""
-    if config.algorithm == GENSEC:
-        return run_gensec(config, env)
-    if config.algorithm == GENPSI:
-        return run_genpsi(config, env)
-    return run_uniform_baseline(config, env)
+run_uniform_baseline = run_algorithm  # pull every arm equally often, read the answer off the means

@@ -87,7 +87,6 @@ class DesignConvergenceError(NumericalError):
     def __init__(self, message: str, weights: DesignWeights):
         super().__init__(message)
         self.weights = weights
-        self.objective = weights.objective_value
 
 
 def allocate_uniform(n: int, active: list[int]) -> PullCounts:

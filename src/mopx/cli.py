@@ -3,7 +3,7 @@
 Subcommands: ``run`` (experiment sweep), ``schedule`` (round plan as JSON),
 ``gaps`` (gap report for an instance), ``hv`` (hypervolume of a point file),
 ``features`` (PCA feature extraction). Exit codes: 0 success, 1 partial cell
-failures in a sweep, 2 configuration error.
+failures in a sweep, 2 configuration error or malformed argument.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def _load_points(path: str) -> np.ndarray:
 
 def _cmd_hv(args) -> int:
     points = _load_points(args.points)
-    reference = [float(v) for v in args.ref.split(",")]
-    print(repr(hypervolume(points, reference)))
+    print(repr(hypervolume(points, args.ref)))
     return 0
 
 
@@ -94,13 +93,30 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _numbers(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
+def _workers(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mopx", description="Multi-objective pure-exploration bandit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment sweep from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_workers, default=1)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 
@@ -117,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hv = sub.add_parser("hv", help="hypervolume of a CSV point file")
     p_hv.add_argument("--points", required=True)
-    p_hv.add_argument("--ref", default="0,0")
+    p_hv.add_argument("--ref", type=_numbers, default="0,0")
     p_hv.set_defaults(func=_cmd_hv)
 
     p_feat = sub.add_parser("features", help="PCA-reduce an embedding table")

@@ -8,7 +8,7 @@ by arm index is the global tie-break order used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -43,16 +43,6 @@ class MetricError(MopxError):
 
 class UnsupportedDimensionError(MetricError):
     """The objective dimension is outside the supported range."""
-
-
-def as_reward_vector(values: Iterable[float]) -> np.ndarray:
-    """Validate and return a reward vector as a float array (finite, m >= 2)."""
-    vec = np.asarray(values, dtype=float)
-    if vec.ndim != 1 or vec.size < 2:
-        raise DomainError(f"reward vector must be 1-D with m >= 2 entries, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("reward vector must be finite (no NaN/inf)")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -133,12 +123,6 @@ class Instance:
     @property
     def n_objectives(self) -> int:
         return self.means.shape[1]
-
-    def feature_matrix(self) -> np.ndarray:
-        """Declared features, or the K x K one-hot map when none were given."""
-        if self.features is not None:
-            return self.features
-        return np.eye(self.n_arms)
 
 
 class ObservationBatch:

@@ -148,53 +148,69 @@ def _checked_arms(arm, n_arms: int) -> np.ndarray:
     return arms
 
 
+def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[list[str], list[list[list[float]]]]:
+    """The header and rows of a CSV file whose first column is ``arm_id``.
+
+    Every row needs the header's width and every cell a number; the cells
+    after ``arm_id`` are read as floats. Returns the stripped header and, for
+    each arm 0..K-1 (K one past the largest arm_id), its rows in file order.
+    Errors name the ``kind`` of file, its path and the line. With
+    ``repeats=False`` an arm may have only one row.
+    """
+    path = Path(path)
+    per_arm: dict[int, list[list[float]]] = {}
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+
+        def fault(text: str) -> ConfigurationError:
+            return ConfigurationError(f"{kind} file {path} line {reader.line_num} {text}")
+
+        header = next(reader, None)
+        if header is None:
+            raise ConfigurationError(f"{kind} file {path} is empty")
+        header = [h.strip() for h in header]
+        if header[:1] != ["arm_id"]:
+            raise ConfigurationError(f"{kind} file {path} must start with an arm_id column")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise fault(f"has {len(row)} values, the header has {len(header)}")
+            try:
+                arm = int(row[0])
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                raise fault(f"is not a row of numbers: {','.join(row)!r}") from None
+            if arm < 0:
+                raise fault(f"has a negative arm_id {arm}")
+            if not repeats and arm in per_arm:
+                raise fault(f"repeats arm_id {arm}")
+            per_arm.setdefault(arm, []).append(values)
+    if not per_arm:
+        raise ConfigurationError(f"{kind} file {path} holds no records")
+    missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
+    if missing:
+        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}")
+    return header, [per_arm[a] for a in range(len(per_arm))]
+
+
 def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None) -> ReplayTable:
     """Read a replay table from CSV: header arm_id[,len_tokens],obj_1,...,obj_m.
 
     With ``brevity=(tau_low, tau_high)`` the second objective is recomputed
     from the recorded token length column.
     """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigurationError(f"replay file {path} is empty")
-        header = [h.strip() for h in header]
-        if header[0] != "arm_id":
-            raise ConfigurationError(f"replay file {path} must start with an arm_id column")
-        has_tokens = len(header) > 1 and header[1] == "len_tokens"
-        first_obj = 2 if has_tokens else 1
-        if brevity is not None and not has_tokens:
-            raise ConfigurationError("brevity recomputation needs a len_tokens column")
-        per_arm: dict[int, list[list[float]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigurationError(
-                    f"replay file {path} line {reader.line_num} has {len(row)} values, "
-                    f"the header has {len(header)}"
-                )
-            try:
-                arm = int(row[0])
-                values = [float(v) for v in row[first_obj:]]
-                length = float(row[1]) if brevity is not None else None
-            except ValueError:
-                raise ConfigurationError(
-                    f"replay file {path} line {reader.line_num} is not a row of numbers: "
-                    f"{','.join(row)!r}"
-                ) from None
-            if brevity is not None:
-                values[1] = brevity_score(length, *brevity)
-            per_arm.setdefault(arm, []).append(values)
-    if not per_arm:
-        raise ConfigurationError(f"replay file {path} holds no records")
-    n_arms = max(per_arm) + 1
-    missing = [a for a in range(n_arms) if a not in per_arm]
-    if missing:
-        raise ConfigurationError(f"replay file {path} is missing records for arms {missing}")
-    return ReplayTable([np.array(per_arm[a], dtype=float) for a in range(n_arms)])
+    header, per_arm = _read_arm_csv(path, "replay")
+    has_tokens = header[1:2] == ["len_tokens"]
+    if brevity is not None and not has_tokens:
+        raise ConfigurationError("brevity recomputation needs a len_tokens column")
+    records = []
+    for rows in per_arm:
+        table = np.array(rows, dtype=float)  # [len_tokens,] obj_1, ..., obj_m
+        if brevity is not None and table.shape[1] > 2:  # narrower tables fail ReplayTable's m >= 2
+            table[:, 2] = [brevity_score(length, *brevity) for length in table[:, 0].tolist()]
+        records.append(np.ascontiguousarray(table[:, 1:] if has_tokens else table))
+    return ReplayTable(records)
 
 
 def load_instance_json(path: str | Path) -> Instance:
@@ -223,19 +239,6 @@ def instance_from_dict(data: dict) -> Instance:
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"instance is malformed: {err}") from None
     return Instance(means=means, sigma=sigma, features=features, theta=theta)
-
-
-def random_instance(
-    rng: np.random.Generator,
-    n_arms: int,
-    n_objectives: int = 2,
-    sigma: float = 0.5,
-    low: float = 0.0,
-    high: float = 1.0,
-) -> Instance:
-    """Instance with means drawn uniformly from [low, high]^m."""
-    means = rng.uniform(low, high, size=(n_arms, n_objectives))
-    return Instance(means=means, sigma=sigma)
 
 
 def random_constrained_instance(

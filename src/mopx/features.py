@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigurationError, NumericalError
+from .environments import _read_arm_csv
 
 _JACOBI_MAX_SWEEPS = 100
 _SIGN_EPS = 1e-12
@@ -93,34 +94,11 @@ def pca_reduce(embeddings: np.ndarray, dim: int):
     return centred @ basis, basis, mean
 
 
-def explained_variances(embeddings: np.ndarray) -> np.ndarray:
-    """All covariance eigenvalues in descending order."""
-    table = np.asarray(embeddings, dtype=float)
-    centred = table - table.mean(axis=0)
-    values, _ = jacobi_eigh(centred.T @ centred / table.shape[0])
-    return np.sort(values)[::-1]
-
-
 def load_embeddings_csv(path: str | Path) -> np.ndarray:
-    """Read an embedding table from CSV with header arm_id,e_1,...,e_p."""
-    path = Path(path)
-    rows: dict[int, list[float]] = {}
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "arm_id":
-            raise ConfigurationError(f"embedding file {path} must start with an arm_id column")
-        for row in reader:
-            if not row:
-                continue
-            rows[int(row[0])] = [float(v) for v in row[1:]]
-    if not rows:
-        raise ConfigurationError(f"embedding file {path} holds no rows")
-    n_arms = max(rows) + 1
-    missing = [a for a in range(n_arms) if a not in rows]
-    if missing:
-        raise ConfigurationError(f"embedding file {path} is missing arms {missing}")
-    return np.array([rows[a] for a in range(n_arms)], dtype=float)
+    """Read an embedding table from CSV with header arm_id,e_1,...,e_p and one
+    row per arm, checked like a replay file (``environments._read_arm_csv``)."""
+    _, per_arm = _read_arm_csv(path, "embedding", repeats=False)
+    return np.array([rows[0] for rows in per_arm], dtype=float)
 
 
 def write_features_csv(path: str | Path, features: np.ndarray) -> None:

@@ -183,26 +183,10 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     return GapReport("pareto", gap, classifications, columns)
 
 
-def pareto_gap(means: np.ndarray, arm: int) -> GapEntry:
-    """Pareto gap entry of a single arm (see ``pareto_gap_report``)."""
-    mat = _check_means(means)
-    if mat.shape[0] < 2:
-        raise DomainError("pareto gaps need K >= 2 arms")
-    if not 0 <= arm < mat.shape[0]:
-        raise DomainError(f"arm {arm} out of range [0, {mat.shape[0]})")
-    return pareto_gap_report(mat).entries[arm]
-
-
-def feasible_arms(means: np.ndarray, tau: float) -> list[int]:
-    """Arms whose constraint objective meets the threshold (mu_2 >= tau)."""
-    mat = _check_means(means)
-    return [x for x in range(mat.shape[0]) if mat[x, 1] >= tau]
-
-
 def best_feasible_arm(means: np.ndarray, tau: float) -> int:
     """Feasibility-constrained maximiser of the primary objective, lowest index on ties."""
     mat = _check_means(means)
-    feas = feasible_arms(mat, tau)
+    feas = [x for x in range(mat.shape[0]) if mat[x, 1] >= tau]
     if not feas:
         raise InstanceError(f"no feasible arm at threshold tau={tau}")
     return max(feas, key=lambda x: (mat[x, 0], -x))
@@ -235,14 +219,6 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
         "margin_cap": np.full(mat.shape[0], cap),
     }
     return GapReport("constrained", gap, tuple(classes.tolist()), columns, tau=tau, optimal_arm=star)
-
-
-def constrained_gap(means: np.ndarray, tau: float, arm: int) -> GapEntry:
-    """Constrained gap entry of a single arm (see ``constrained_gap_report``)."""
-    mat = _check_means(means)
-    if not 0 <= arm < mat.shape[0]:
-        raise DomainError(f"arm {arm} out of range [0, {mat.shape[0]})")
-    return constrained_gap_report(mat, tau).entries[arm]
 
 
 def hardness(means: np.ndarray, tau: float) -> float:

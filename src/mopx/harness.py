@@ -432,55 +432,17 @@ def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:
     return rows
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_records_csv(path: str | Path, records: list[MetricRecord]) -> None:
-    with Path(path).open("w", newline="") as handle:
+def _write_csv(path: Path, header: str, rows: list) -> None:
+    """One line per dataclass row, its fields in declaration order under the
+    comma-separated ``header``; floats are written as ``repr(float(v))``, the
+    shortest text that reads back to the same float, and None as an empty cell."""
+    with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["run_id", "seed", "algorithm", "K", "b", "metric", "value"])
-        for rec in sorted(records, key=MetricRecord.sort_key):
-            writer.writerow(
-                [rec.run_id, rec.seed, rec.algorithm, rec.n_arms, rec.per_arm_budget, rec.metric, _fmt(rec.value)]
-            )
-
-
-def write_summary_csv(path: str | Path, rows: list[SummaryRow]) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["algorithm", "K", "b", "metric", "mean", "ci_half_width", "n_seeds"])
+        writer.writerow(header.split(","))
         for row in rows:
             writer.writerow(
-                [
-                    row.algorithm,
-                    row.n_arms,
-                    row.per_arm_budget,
-                    row.metric,
-                    _fmt(row.mean),
-                    "" if row.ci_half_width is None else _fmt(row.ci_half_width),
-                    row.n_seeds,
-                ]
+                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in vars(row).values()]
             )
-
-
-def read_summary_csv(path: str | Path) -> list[SummaryRow]:
-    rows = []
-    with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        for entry in reader:
-            rows.append(
-                SummaryRow(
-                    algorithm=entry["algorithm"],
-                    n_arms=int(entry["K"]),
-                    per_arm_budget=int(entry["b"]),
-                    metric=entry["metric"],
-                    mean=float(entry["mean"]),
-                    ci_half_width=float(entry["ci_half_width"]) if entry["ci_half_width"] else None,
-                    n_seeds=int(entry["n_seeds"]),
-                )
-            )
-    return rows
 
 
 def render_table(rows: list[SummaryRow]) -> str:
@@ -519,9 +481,9 @@ def write_outputs(out_dir: str | Path, outcome: ExperimentOutcome) -> dict[str, 
         "summary": out / "summary.csv",
         "table": out / "table.txt",
     }
-    write_records_csv(paths["records"], outcome.records)
+    _write_csv(paths["records"], "run_id,seed,algorithm,K,b,metric,value", outcome.records)
     rows = aggregate(outcome.records)
-    write_summary_csv(paths["summary"], rows)
+    _write_csv(paths["summary"], "algorithm,K,b,metric,mean,ci_half_width,n_seeds", rows)
     paths["table"].write_text(render_table(rows))
     if outcome.failures:
         paths["failures"] = out / "failures.json"

@@ -120,7 +120,7 @@ def test_g_optimal_non_convergence_carries_best_design():
     with pytest.raises(DesignConvergenceError) as err:
         solve_g_optimal(feats, 0.01, max_iters=1)
     assert err.value.weights is not None
-    assert err.value.objective >= 3.0
+    assert err.value.weights.objective_value >= 3.0
 
 
 def test_round_design_exact_floors():

@@ -81,6 +81,41 @@ def test_features_command(tmp_path, capsys):
     assert values == pytest.approx([1.0, -1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.0,0.0\n1,abc,0.0\n", "line 3 is not a row of numbers: '1,abc,0.0'"),
+        ("0,1.0,0.0\n1,0.0\n", "line 3 has 2 values, the header has 3"),
+        ("0,1.0,0.0\n-1,0.0,1.0\n1,0.5,0.5\n", "line 3 has a negative arm_id -1"),
+        ("0,1.0,0.0\n1,0.0,1.0\n1,0.5,0.5\n", "line 4 repeats arm_id 1"),
+        ("0,1.0,0.0\n2,0.0,1.0\n", "is missing records for arms [1]"),
+    ],
+)
+def test_features_command_rejects_malformed_embeddings(tmp_path, capsys, rows, message):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("arm_id,e_1,e_2\n" + rows)
+    out = tmp_path / "feat.csv"
+    assert main(["features", "--embeddings", str(emb), "--dim", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: embedding file {emb} {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("hv --points points.csv --ref 0,abc", "mopx hv: error: argument --ref: must be comma-separated numbers, got '0,abc'"),
+        ("run --config config.json --jobs 0", "mopx run: error: argument --jobs: must be >= 1, got 0"),
+        ("run --config config.json --jobs -2", "mopx run: error: argument --jobs: must be >= 1, got -2"),
+        ("run --config config.json --jobs two", "mopx run: error: argument --jobs: invalid int value: 'two'"),
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit:
+        main(argv.split())
+    assert exit.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
 def test_run_command_writes_outputs_and_exits_zero(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(

@@ -250,6 +250,19 @@ ROWS = [
         _replay(path="short.csv"),
         "replay file $TMP/short.csv line 2 has 3 values, the header has 4",
     ),
+    (
+        ("environment",),
+        _replay(path="negative.csv"),
+        "replay file $TMP/negative.csv line 6 has a negative arm_id -1",
+    ),
+    (
+        ("environment",),
+        _replay(path="tokens.csv", brevity=None),
+        "replay file $TMP/tokens.csv line 2 is not a row of numbers: '0,many,0.6,0.0'",
+    ),
+    (("environment",), _replay(path="gap.csv"), "replay file $TMP/gap.csv is missing records for arms [2]"),
+    (("environment",), _replay(path="blank.csv"), "replay file $TMP/blank.csv must start with an arm_id column"),
+    (("environment",), _replay(path="narrow.csv"), "replay records need m >= 2 objectives"),
     (("environment", "kind"), "linear", "a linear environment needs features and theta"),
 ]
 
@@ -281,6 +294,11 @@ def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, val
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cells.csv").write_text(REPLAY_CSV.replace("1,50,0.8,0.0", "1,50,0.8,abc"))
     (tmp_path / "short.csv").write_text(REPLAY_CSV.replace("0,20,0.6,0.0", "0,20,0.6"))
+    (tmp_path / "negative.csv").write_text(REPLAY_CSV + "-1,30,0.5,0.0\n")
+    (tmp_path / "tokens.csv").write_text(REPLAY_CSV.replace("0,20,0.6,0.0", "0,many,0.6,0.0"))
+    (tmp_path / "blank.csv").write_text("\n" + REPLAY_CSV)
+    (tmp_path / "narrow.csv").write_text("arm_id,len_tokens,obj_1\n0,20,0.6\n1,50,0.8\n")
+    (tmp_path / "gap.csv").write_text(REPLAY_CSV.replace("2,80,0.7,0.0\n", ""))
     data = _faulty(path, value)
     if message is None:
         experiment_config_from_dict(data, base_dir=tmp_path)

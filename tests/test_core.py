@@ -13,7 +13,6 @@ from mopx.core import (
     InstanceError,
     ObservationBatch,
     RngStream,
-    as_reward_vector,
 )
 from mopx.environments import GaussianEnvironment
 
@@ -86,15 +85,6 @@ def test_rng_stream_rejects_negative_components():
         RngStream(1, (-2,))
 
 
-def test_reward_vector_validation():
-    vec = as_reward_vector([0.1, 0.2, 0.3])
-    assert vec.shape == (3,)
-    with pytest.raises(DomainError):
-        as_reward_vector([0.1])
-    with pytest.raises(DomainError):
-        as_reward_vector([0.1, float("nan")])
-
-
 def test_reward_mean_is_permutation_invariant():
     rows = np.array([[0.2, 0.6], [0.4, 0.8], [0.0, 1.0]])
     perm = rows[[2, 0, 1]]
@@ -112,11 +102,6 @@ def test_instance_linear_consistency_checked():
         Instance(means=[[0.1, 0.2]], sigma=-1.0)
     with pytest.raises(InstanceError):
         Instance(means=[[0.1]])
-
-
-def test_feature_matrix_falls_back_to_one_hot():
-    inst = Instance(means=[[0.1, 0.2], [0.3, 0.4]])
-    assert np.array_equal(inst.feature_matrix(), np.eye(2))
 
 
 def test_observation_batch_round_slicing():

@@ -12,16 +12,14 @@ from oracles import (
     oracle_hardness,
     oracle_pareto_gap,
 )
-from mopx.core import DomainError, InstanceError
+from mopx.core import InstanceError
 from mopx.gaps import (
     GapEntry,
     _pair_terms,
     best_feasible_arm,
-    constrained_gap,
     constrained_gap_report,
     hardness,
     pareto_front,
-    pareto_gap,
     pareto_gap_report,
 )
 
@@ -61,9 +59,7 @@ def test_pareto_gaps_of_square_instance():
 
 
 def test_pareto_gap_single_arm_queries():
-    assert pareto_gap(SQUARE, 3).classification == "dominated"
-    with pytest.raises(DomainError):
-        pareto_gap(SQUARE, 9)
+    assert pareto_gap_report(SQUARE).entries[3].classification == "dominated"
 
 
 def test_all_front_instance_has_unbounded_delta_minus():
@@ -202,7 +198,7 @@ def test_constrained_worked_example():
     assert b.components["difficulty"] == pytest.approx(0.2)
     assert b.gap == pytest.approx(0.1)  # capped by the optimal arm's margin
     assert report.entries[0].gap == 0.0
-    assert constrained_gap(CONSTRAINED, 0.5, 2).gap == pytest.approx(0.1)
+    assert constrained_gap_report(CONSTRAINED, 0.5).entries[2].gap == pytest.approx(0.1)
 
 
 def test_constrained_gap_capped_by_optimal_margin():

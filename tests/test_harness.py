@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -11,10 +12,8 @@ from mopx.harness import (
     MetricRecord,
     aggregate,
     experiment_config_from_dict,
-    read_summary_csv,
     run_experiment,
     write_outputs,
-    write_summary_csv,
 )
 
 INSTANCE = {
@@ -140,16 +139,18 @@ def test_aggregate_is_permutation_invariant():
 def test_summary_round_trips_at_six_significant_digits(tmp_path):
     outcome = run_experiment(_config(per_arm_budgets=[3], seeds=[1, 2, 3]))
     rows = aggregate(outcome.records)
-    path = tmp_path / "summary.csv"
-    write_summary_csv(path, rows)
-    loaded = read_summary_csv(path)
+    with write_outputs(tmp_path, outcome)["summary"].open(newline="") as handle:
+        loaded = list(csv.DictReader(handle))
     assert len(loaded) == len(rows)
     for a, b in zip(rows, loaded):
-        assert f"{a.mean:.6g}" == f"{b.mean:.6g}"
+        assert (b["algorithm"], int(b["K"]), int(b["b"]), b["metric"], int(b["n_seeds"])) == (
+            a.algorithm, a.n_arms, a.per_arm_budget, a.metric, a.n_seeds
+        )
+        assert f"{a.mean:.6g}" == f"{float(b['mean']):.6g}"
         if a.ci_half_width is None:
-            assert b.ci_half_width is None
+            assert b["ci_half_width"] == ""
         else:
-            assert f"{a.ci_half_width:.6g}" == f"{b.ci_half_width:.6g}"
+            assert f"{a.ci_half_width:.6g}" == f"{float(b['ci_half_width']):.6g}"
 
 
 def test_config_validation():
