@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -131,16 +132,60 @@ class RunConfig:
         return self.per_arm_budget * n_arms
 
 
+class RoundRecord(NamedTuple):
+    """What one round decided, kept as the loop had it; ``_round_log`` formats it.
+
+    Pareto rounds fill ``front``, ``gaps`` and ``accepted``; constrained
+    rounds fill ``ranking`` and ``estimates``. A named tuple, not a
+    dataclass: one is built per round, and it costs less to define and build.
+    """
+
+    round: int
+    active: list[int]
+    pull_counts: dict[int, int]
+    front: set[int] | None = None
+    gaps: dict[int, float] | None = None
+    accepted: list[int] | None = None
+    ranking: list[int] | None = None
+    estimates: MeanEstimates | None = None
+
+
+def _round_log(record: RoundRecord) -> dict:
+    """One round's string-keyed log entry, as ``RunResult.rounds`` holds it."""
+    log = {
+        "round": record.round,
+        "active": sorted(record.active),
+        "pull_counts": {str(a): n for a, n in sorted(record.pull_counts.items())},
+    }
+    if record.ranking is None:
+        log["front"] = sorted(record.front)
+        log["gaps"] = {str(a): _json_num(g) for a, g in record.gaps.items()}  # arm order
+        log["accepted"] = sorted(record.accepted)
+    else:
+        log["ranking"] = record.ranking
+        log["estimates"] = {str(a): [float(v) for v in record.estimates[a]] for a in record.ranking}
+    return log
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Output of one run: the selection plus per-round diagnostics."""
+    """Output of one run: the selection plus per-round diagnostics.
+
+    ``records`` keeps each round raw; the string-keyed round log is built only
+    when ``rounds`` or ``to_dict()`` is read, so a sweep that reads neither
+    formats nothing. Equality ignores the records, which hold numpy rows.
+    """
 
     algorithm: str
     selected_arm: int | None
     selected_set: tuple[int, ...] | None
     pulls_used: int
     budget: int
-    rounds: tuple[dict, ...] = field(default=(), repr=False)
+    records: tuple[RoundRecord, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def rounds(self) -> tuple[dict, ...]:
+        return tuple(_round_log(record) for record in self.records)
 
     def to_dict(self) -> dict:
         return {
@@ -317,11 +362,11 @@ class _RoundRunner:
     ) -> RunResult:
         """The elimination loop. Each round allocates over the active arms,
         pulls, and estimates every arm in ``scope(active)``; ``eliminate``
-        returns the next active set plus its round-log entries, and ``answer``
-        maps the final active set to (selected_arm, selected_set)."""
+        returns the next active set plus its mode's ``RoundRecord`` fields,
+        and ``answer`` maps the final active set to (selected_arm, selected_set)."""
         schedule = self.schedule()
         active = list(range(self.env.n_arms))
-        rounds: list[dict] = []
+        records: list[RoundRecord] = []
         for r in range(1, schedule.n_rounds + 1):
             try:
                 counts, sequence = self.allocate(schedule.pulls_per_round[r - 1], active)
@@ -329,15 +374,8 @@ class _RoundRunner:
                 estimates = self.estimate(r, scope(active))
             except MopxError as err:
                 raise type(err)(f"round {r}: {err}") from err
-            active, entries = eliminate(active, schedule.keep_counts[r - 1], estimates)
-            rounds.append(
-                {
-                    "round": r,
-                    "active": sorted(active),
-                    "pull_counts": {str(a): counts.counts[a] for a in sorted(counts.counts)},
-                    **entries,
-                }
-            )
+            active, fields = eliminate(active, schedule.keep_counts[r - 1], estimates)
+            records.append(RoundRecord(r, active, counts.counts, **fields))
         selected_arm, selected_set = answer(active)
         return RunResult(
             algorithm=self.config.algorithm,
@@ -345,7 +383,7 @@ class _RoundRunner:
             selected_set=selected_set,
             pulls_used=self.pulls_used,
             budget=schedule.budget,
-            rounds=tuple(rounds),
+            records=tuple(records),
         )
 
 
@@ -358,10 +396,7 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
 
     def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
         ranking = rank_constrained(estimates, config.tau)
-        return sorted(ranking[:keep]), {
-            "ranking": ranking,
-            "estimates": {str(a): [float(v) for v in estimates[a]] for a in ranking},
-        }
+        return sorted(ranking[:keep]), {"ranking": ranking, "estimates": estimates}
 
     return _RoundRunner(config, env).run(
         lambda active: active, eliminate, lambda active: (active[0], None)
@@ -386,11 +421,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
             accepted.extend(newly_accepted)
         else:
             newly_accepted = []
-        return active, {
-            "front": sorted(front),
-            "gaps": {str(a): _json_num(g) for a, g in gaps.items()},  # arm order
-            "accepted": sorted(newly_accepted),
-        }
+        return active, {"front": front, "gaps": gaps, "accepted": newly_accepted}
 
     def answer(active: list[int]) -> tuple[None, tuple[int, ...]]:
         survivors = [a for a in active if a in front]

@@ -52,14 +52,18 @@ class PullCounts:
         return seq
 
     def round_robin_sequence(self) -> list[int]:
-        """Pull order cycling through arms in ascending index until counts run out."""
-        remaining = {arm: self.counts[arm] for arm in sorted(self.counts)}
+        """Pull order cycling through arms in ascending index until counts run out.
+
+        Pass p visits the arms with more than p pulls; passes between two
+        distinct counts visit the same arms, so they are laid out together.
+        """
+        arms = sorted(self.counts)
         seq: list[int] = []
-        while any(c > 0 for c in remaining.values()):
-            for arm in sorted(remaining):
-                if remaining[arm] > 0:
-                    seq.append(arm)
-                    remaining[arm] -= 1
+        done = 0
+        for level in sorted(set(self.counts.values())):
+            seq.extend(arms * (level - done))  # passes done .. level - 1
+            arms = [a for a in arms if self.counts[a] > level]
+            done = level
         return seq
 
 

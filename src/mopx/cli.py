@@ -76,6 +76,8 @@ def _load_points(path: str) -> np.ndarray:
                 f"{path} line {number} has {len(row)} values, line {first} has {len(rows[0])}"
             )
         rows.append(row)
+    if not rows:
+        raise ConfigurationError(f"{path} holds no points")
     return np.array(rows, dtype=float)
 
 

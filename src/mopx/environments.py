@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,9 @@ class ReplayTable:
         return np.array([mat.mean(axis=0) for mat in self.records])
 
     def subset(self, n_arms: int) -> "ReplayTable":
+        """The first ``n_arms`` arms; all of them is the table itself."""
+        if n_arms == self.n_arms:
+            return self
         if not 1 <= n_arms <= self.n_arms:
             raise ConfigurationError(f"cannot take {n_arms} arms from a {self.n_arms}-arm table")
         return ReplayTable(self.records[:n_arms])
@@ -152,10 +156,10 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
     """The header and rows of a CSV file whose first column is ``arm_id``.
 
     Every row needs the header's width and every cell a number; the cells
-    after ``arm_id`` are read as floats. Returns the stripped header and, for
-    each arm 0..K-1 (K one past the largest arm_id), its rows in file order.
-    Errors name the ``kind`` of file, its path and the line. With
-    ``repeats=False`` an arm may have only one row.
+    after ``arm_id`` are read as finite floats. Returns the stripped header
+    and, for each arm 0..K-1 (K one past the largest arm_id), its rows in
+    file order. Errors name the ``kind`` of file, its path and the line.
+    With ``repeats=False`` an arm may have only one row.
     """
     path = Path(path)
     per_arm: dict[int, list[list[float]]] = {}
@@ -181,6 +185,8 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
                 values = [float(v) for v in row[1:]]
             except ValueError:
                 raise fault(f"is not a row of numbers: {','.join(row)!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise fault(f"holds a value that is not finite: {','.join(row)!r}")
             if arm < 0:
                 raise fault(f"has a negative arm_id {arm}")
             if not repeats and arm in per_arm:

@@ -3,11 +3,12 @@
 All functions take a K x m matrix of mean vectors; applying them to estimated
 means yields the empirical quantities used by the elimination loops. The
 Pareto front and gaps come from one dense all-pairs pass (``_pair_terms``,
-O(K^2 m) numpy work) instead of a loop over arm pairs. Argmax and argmin ties
-always break toward the lowest arm index, as Python's ``min``/``max`` would,
-so even the sign of a zero gap is reproducible. Unbounded gap components are
-``math.inf`` - which compares above every finite gap - and are serialised as
-the string ``"inf"``.
+O(K^2 m) numpy work) instead of a loop over arm pairs. The pass is kept for
+the last matrix it saw, so the front and the gap report of one matrix share
+it. Argmax and argmin ties always break toward the lowest arm index, as
+Python's ``min``/``max`` would, so even the sign of a zero gap is
+reproducible. Unbounded gap components are ``math.inf`` - which compares
+above every finite gap - and are serialised as the string ``"inf"``.
 """
 
 from __future__ import annotations
@@ -114,16 +115,36 @@ def _check_means(means: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs closeness terms: small[x, y] = min_i (mu_i(y) - mu_i(x)),
-    large[x, y] = max_i (mu_i(x) - mu_i(y)).
+# _pair_terms' memo: the last matrix's (shape, bytes) and its read-only
+# (small, large, front). One entry is enough: a Pareto round asks for the
+# front and then the gap report of the same estimate matrix.
+_TERMS: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-pairs closeness terms small[x, y] = min_i (mu_i(y) - mu_i(x)) and
+    large[x, y] = max_i (mu_i(x) - mu_i(y)), plus the ascending indices of
+    the non-dominated rows, all read-only.
 
     One K x K outer difference per objective. ``large`` negates the same
     differences instead of subtracting the other way round: the two forms
     differ in the sign of zero, and reported gaps keep the negated form's.
+    A call on the matrix of the previous call (same shape and bytes, so a
+    zero of the other sign misses) returns the same arrays.
     """
-    diffs = [col[None, :] - col[:, None] for col in mat.T]  # diff[x, y] = mu_i(y) - mu_i(x)
-    return reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
+    key = (mat.shape, mat.tobytes())
+    terms = _TERMS.get(key)
+    if terms is None:
+        diffs = [col[None, :] - col[:, None] for col in mat.T]  # diff[x, y] = mu_i(y) - mu_i(x)
+        small, large = reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
+        # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
+        front = np.flatnonzero(~((small >= 0) & (large.T > 0)).any(axis=1))
+        terms = (small, large, front)
+        for array in terms:
+            array.flags.writeable = False
+        _TERMS.clear()
+        _TERMS[key] = terms
+    return terms
 
 
 def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -133,10 +154,7 @@ def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def pareto_front(means: np.ndarray) -> list[int]:
     """Indices of the non-dominated arms; equal vectors never dominate each other."""
-    small, large = _pair_terms(_check_means(means))
-    # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
-    dominated = ((small >= 0) & (large.T > 0)).any(axis=1)
-    return np.flatnonzero(~dominated).tolist()
+    return _pair_terms(_check_means(means))[2].tolist()
 
 
 def pareto_gap_report(means: np.ndarray) -> GapReport:
@@ -156,7 +174,7 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     on_front = np.zeros(k, dtype=bool)
     on_front[pareto_front(mat)] = True
     front, dominated = np.flatnonzero(on_front), np.flatnonzero(~on_front)
-    small, large = _pair_terms(mat)
+    small, large, _ = _pair_terms(mat)  # computed by the pareto_front call above
 
     margins = small[dominated[:, None], front]
     dominated_gap = _pick(margins, margins.argmax(axis=1))

@@ -42,6 +42,24 @@ def test_round_robin_sequence_order():
     assert counts.round_robin_sequence() == [0, 1, 2, 0, 1, 2, 0]
 
 
+def _round_robin_by_passes(counts):
+    """One pass per pull level, each over the arms with pulls left, in ascending index."""
+    remaining = dict(counts)
+    seq = []
+    while any(c > 0 for c in remaining.values()):
+        for arm in sorted(remaining):
+            if remaining[arm] > 0:
+                seq.append(arm)
+                remaining[arm] -= 1
+    return seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 60), st.integers(0, 9), max_size=12))
+def test_round_robin_sequence_matches_pass_by_pass_order(counts):
+    assert allocators.PullCounts(counts).round_robin_sequence() == _round_robin_by_passes(counts)
+
+
 def test_blocked_sequence_matches_count_interval_rule():
     counts = allocate_uniform(6, [3, 1, 5])
     seq = counts.blocked_sequence()

@@ -89,6 +89,9 @@ def test_features_command(tmp_path, capsys):
         ("0,1.0,0.0\n-1,0.0,1.0\n1,0.5,0.5\n", "line 3 has a negative arm_id -1"),
         ("0,1.0,0.0\n1,0.0,1.0\n1,0.5,0.5\n", "line 4 repeats arm_id 1"),
         ("0,1.0,0.0\n2,0.0,1.0\n", "is missing records for arms [1]"),
+        ("0,1.0,nan\n1,0.0,1.0\n", "line 2 holds a value that is not finite: '0,1.0,nan'"),
+        ("0,1.0,0.0\n1,-inf,1.0\n", "line 3 holds a value that is not finite: '1,-inf,1.0'"),
+        ("0,1.0,0.0\n1,1e400,1.0\n", "line 3 holds a value that is not finite: '1,1e400,1.0'"),
     ],
 )
 def test_features_command_rejects_malformed_embeddings(tmp_path, capsys, rows, message):
@@ -248,6 +251,16 @@ def test_hv_command_rejects_non_numeric_rows_after_the_first(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
     path.write_text("0.8,0.2\nobj_1,obj_2\n")
     assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
+
+
+@pytest.mark.parametrize("text", ["", "obj_1,obj_2\n", "obj_1,obj_2\n\n  \n"])
+def test_hv_command_rejects_a_file_without_points(tmp_path, capsys, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    assert main(["hv", "--points", str(path), "--ref", "0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} holds no points\n"
 
 
 def test_run_command_non_object_algorithm_entry_is_configuration_error(tmp_path, capsys):

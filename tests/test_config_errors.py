@@ -261,6 +261,16 @@ ROWS = [
         "replay file $TMP/tokens.csv line 2 is not a row of numbers: '0,many,0.6,0.0'",
     ),
     (("environment",), _replay(path="gap.csv"), "replay file $TMP/gap.csv is missing records for arms [2]"),
+    (
+        ("environment",),
+        _replay(path="nan.csv"),
+        "replay file $TMP/nan.csv line 3 holds a value that is not finite: '1,50,0.8,nan'",
+    ),
+    (
+        ("environment",),
+        _replay(path="inf.csv", brevity=None),
+        "replay file $TMP/inf.csv line 2 holds a value that is not finite: '0,inf,0.6,0.0'",
+    ),
     (("environment",), _replay(path="blank.csv"), "replay file $TMP/blank.csv must start with an arm_id column"),
     (("environment",), _replay(path="narrow.csv"), "replay records need m >= 2 objectives"),
     (("environment", "kind"), "linear", "a linear environment needs features and theta"),
@@ -299,6 +309,8 @@ def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, val
     (tmp_path / "blank.csv").write_text("\n" + REPLAY_CSV)
     (tmp_path / "narrow.csv").write_text("arm_id,len_tokens,obj_1\n0,20,0.6\n1,50,0.8\n")
     (tmp_path / "gap.csv").write_text(REPLAY_CSV.replace("2,80,0.7,0.0\n", ""))
+    (tmp_path / "nan.csv").write_text(REPLAY_CSV.replace("1,50,0.8,0.0", "1,50,0.8,nan"))
+    (tmp_path / "inf.csv").write_text(REPLAY_CSV.replace("0,20,0.6,0.0", "0,inf,0.6,0.0"))
     data = _faulty(path, value)
     if message is None:
         experiment_config_from_dict(data, base_dir=tmp_path)

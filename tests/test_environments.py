@@ -107,6 +107,16 @@ def test_environment_source_dispatch_and_replay_validation():
         env.pull(5, RngStream(0).generator())
 
 
+def test_replay_subset_of_every_arm_is_the_table_itself():
+    table = ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4], [0.5, 0.6]])])
+    assert table.subset(2) is table
+    first = table.subset(1)
+    assert first.n_arms == 1 and first.records[0] is table.records[0]
+    for n_arms in (0, 3):
+        with pytest.raises(ConfigurationError, match=f"cannot take {n_arms} arms from a 2-arm table"):
+            table.subset(n_arms)
+
+
 # ----------------------------------------------------------------- brevity
 
 

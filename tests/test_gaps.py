@@ -12,6 +12,7 @@ from oracles import (
     oracle_hardness,
     oracle_pareto_gap,
 )
+from mopx import gaps
 from mopx.core import InstanceError
 from mopx.gaps import (
     GapEntry,
@@ -288,7 +289,7 @@ def _reference_pareto_entries(means):
     (numpy's elementwise min/max fix the sign of their zeros, and the pinned
     reports above check those); Python's min/max keep the first of tied
     operands, as the report promises."""
-    small, large = (t.tolist() for t in _pair_terms(np.asarray(means, dtype=float)))
+    small, large = (t.tolist() for t in _pair_terms(np.asarray(means, dtype=float))[:2])
     k = len(small)
     front = pareto_front(means)
     dominated = [y for y in range(k) if y not in front]
@@ -366,3 +367,88 @@ def test_column_report_keeps_negative_zero_gaps(means):
     assert any(math.copysign(1.0, g) < 0 for g in report.gap_column.tolist() if g == 0)
     with pytest.raises(ValueError, match="read-only"):
         report.gap_column[0] = 1.0
+
+
+# ------------------------------------------------ one-entry pair-term memo
+
+# Zeros of both signs are the cells a memo keyed on values rather than bytes
+# would confuse; ties and duplicate rows come from the coarse grid.
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 0.5, -0.5])
+_CELLS = (_GRID, _SIGNED_ZEROS, st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _memo_matrix(draw):
+    k = draw(st.integers(1, 10))
+    m = draw(st.sampled_from([2, 3]))
+    cells = draw(st.sampled_from(_CELLS))
+    return np.array(draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=k, max_size=k)))
+
+
+def _memo_free(call, means):
+    gaps._TERMS.clear()
+    return call(means)
+
+
+def _check_memo_call(step, means):
+    k = means.shape[0]
+    if step == "front":
+        front = pareto_front(means)
+        assert front == oracle_front(means)
+        assert front == _memo_free(pareto_front, means)
+        return
+    report = pareto_gap_report(means)
+    assert report.gaps() == {x: oracle_pareto_gap(means, x) for x in range(k)}
+    assert [x for x, c in enumerate(report.classifications) if c == "pareto"] == oracle_front(means)
+    fresh = _memo_free(pareto_gap_report, means)
+    assert report.gap_column.tobytes() == fresh.gap_column.tobytes()
+    assert report.classifications == fresh.classifications
+    assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_memoised_front_and_report_match_oracles_and_memo_free_calls(data):
+    """Fronts and reports, interleaved over two matrices (the second at times
+    the first with one zero's sign flipped) that are also changed in place
+    between calls, equal the brute-force oracles and a call on a cleared memo."""
+    first = data.draw(_memo_matrix())
+    second = data.draw(st.one_of(_memo_matrix(), st.just(None)))
+    if second is None:
+        second = first.copy()
+        zeros = np.argwhere(second == 0.0)
+        if len(zeros):
+            x, i = zeros[data.draw(st.integers(0, len(zeros) - 1))]
+            second[x, i] = -second[x, i]
+    pool = [first, second]
+    steps = st.tuples(st.sampled_from(("front", "report", "mutate")), st.integers(0, 1))
+    for step, which in data.draw(st.lists(steps, min_size=1, max_size=12)):
+        means = pool[which]
+        if step == "mutate":  # in place, so only the bytes tell the old matrix from the new
+            x = data.draw(st.integers(0, means.shape[0] - 1))
+            i = data.draw(st.integers(0, means.shape[1] - 1))
+            means[x, i] = data.draw(st.sampled_from([-means[x, i], 0.0, -0.0, 0.25]))
+        else:
+            _check_memo_call(step, means)
+
+
+def test_a_zero_of_the_other_sign_misses_the_memo():
+    plus = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, -0.5]])
+    minus = np.array([[0.5, -0.0], [-0.5, 0.0], [0.0, -0.5]])
+    assert [_bits(g) for g in pareto_gap_report(plus).gap_column.tolist()] != [
+        _bits(g) for g in pareto_gap_report(minus).gap_column.tolist()
+    ]
+    for means in (plus, minus, plus):
+        pareto_front(means)
+        _check_memo_call("report", means)
+
+
+def test_memoised_answers_cannot_be_changed_by_callers():
+    front = pareto_front(SQUARE)
+    front.append(3)
+    assert pareto_front(SQUARE) == [0, 1, 2]
+    terms = _pair_terms(SQUARE)
+    for array in terms:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert all(a is b for a, b in zip(_pair_terms(SQUARE), terms))  # served, not rebuilt

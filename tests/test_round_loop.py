@@ -8,13 +8,14 @@ every one of them unchanged.
 
 import hashlib
 import json
+import sys
 import warnings
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from mopx import allocators
+from mopx import algorithms, allocators
 from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import Instance
 from mopx.environments import (
@@ -24,6 +25,7 @@ from mopx.environments import (
     load_replay_csv,
     random_linear_instance,
 )
+from mopx.harness import load_experiment_config, run_experiment, write_outputs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,3 +130,36 @@ def test_linear_g_optimal_runs_match_their_recorded_digest():
             outcome = _outcome(config, LinearEnvironment(instance))
             sha.update(f"{instance_seed}|{seed}|{outcome}\n".encode())
     assert sha.hexdigest() == G_OPTIMAL_DIGEST
+
+
+def _refuse(record):
+    raise AssertionError(f"round {record.round} was formatted before its log was read")
+
+
+def test_a_sweep_formats_no_round_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(algorithms, "_round_log", _refuse)
+    outcome = run_experiment(load_experiment_config(FIXTURES / "regression_config.json"), jobs=1)
+    assert not outcome.failures
+    paths = write_outputs(tmp_path, outcome)
+    assert paths["summary"].read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+
+
+def test_round_logs_are_formatted_only_when_read(monkeypatch):
+    """Every run of the digests above formats nothing until its ``to_dict()``,
+    and the JSON it then gives still hashes to the recorded digests."""
+    formatter, runner = algorithms._round_log, algorithms.run_algorithm
+    running = []
+
+    def guarded(record):
+        return _refuse(record) if running else formatter(record)
+
+    def run(config, env):
+        running.append(config)
+        try:
+            return runner(config, env)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(algorithms, "_round_log", guarded)
+    monkeypatch.setattr(sys.modules[__name__], "run_algorithm", run)
+    assert {key: _digest(*key) for key in DIGESTS} == DIGESTS
