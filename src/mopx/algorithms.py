@@ -163,7 +163,7 @@ def _round_log(record: RoundRecord) -> dict:
         log["accepted"] = sorted(record.accepted)
     else:
         log["ranking"] = record.ranking
-        log["estimates"] = {str(a): [float(v) for v in record.estimates[a]] for a in record.ranking}
+        log["estimates"] = {str(a): record.estimates[a].tolist() for a in record.ranking}
     return log
 
 
@@ -202,15 +202,10 @@ def rank_constrained(estimates: MeanEstimates, tau: float) -> list[int]:
     """Strict total order: empirically feasible arms (mu2 > tau) by decreasing
     primary estimate, then infeasible arms by decreasing constraint estimate;
     all ties break toward the lower arm index."""
-    feasible = sorted(
-        (a for a, v in estimates.items() if v[1] > tau),
-        key=lambda a: (-estimates[a][0], a),
-    )
-    infeasible = sorted(
-        (a for a, v in estimates.items() if v[1] <= tau),
-        key=lambda a: (-estimates[a][1], a),
-    )
-    return feasible + infeasible
+    arms, rows = estimates.arms, estimates.matrix.tolist()
+    feasible = sorted((i for i, v in enumerate(rows) if v[1] > tau), key=lambda i: (-rows[i][0], arms[i]))
+    infeasible = sorted((i for i, v in enumerate(rows) if v[1] <= tau), key=lambda i: (-rows[i][1], arms[i]))
+    return [arms[i] for i in feasible + infeasible]
 
 
 def eliminate_pareto(
@@ -332,7 +327,7 @@ class _RoundRunner:
                 # no new pulls this round: carry the previous round's estimates
                 if self._cached is None:
                     raise EstimationError("no observations in the first round")
-                return {a: self._cached[a] for a in arms}
+                return MeanEstimates(arms, np.array([self._cached[a] for a in arms]))
         if cfg.estimator == "mean":
             estimates = estimate_sample_mean(data, arms)
         elif cfg.estimator == "linear":
@@ -412,8 +407,7 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
 
     def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
         nonlocal front
-        arms = sorted(estimates)
-        mat = np.array([estimates[a] for a in arms], dtype=float)
+        arms, mat = estimates.arms, estimates.matrix
         front = {arms[i] for i in pareto_front(mat)}
         gaps = dict(zip(arms, pareto_gap_report(mat).gap_column.tolist()))
         active, newly_accepted = eliminate_pareto(active, keep, gaps, front)

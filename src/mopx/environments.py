@@ -35,38 +35,38 @@ def brevity_score(length: float, tau_low: float, tau_high: float) -> float:
 
 
 class ReplayTable:
-    """Recorded per-arm pull observations; every arm needs at least one record."""
+    """Recorded pull observations of every arm, in one array: arm a's records,
+    in recorded order, are ``rows[starts[a]:starts[a] + lengths[a]]``, and
+    ``means[a]`` is their mean. Every arm needs at least one record."""
 
-    def __init__(self, records: list[np.ndarray]):
-        if not records:
+    def __init__(self, rows: np.ndarray, lengths: np.ndarray):
+        rows = np.asarray(rows, dtype=float)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or len(lengths) == 0:
             raise ConfigurationError("replay table has no arms")
-        cleaned = []
-        width = None
-        for arm, rows in enumerate(records):
-            mat = np.asarray(rows, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] < 1:
-                raise ConfigurationError(f"replay arm {arm} has no recorded pulls")
-            if width is None:
-                width = mat.shape[1]
-            elif mat.shape[1] != width:
-                raise ConfigurationError("replay records disagree on the objective count")
-            if not np.all(np.isfinite(mat)):
-                raise ConfigurationError(f"replay arm {arm} has non-finite records")
-            cleaned.append(mat)
-        if width < 2:
+        if (lengths < 1).any():
+            raise ConfigurationError(f"replay arm {np.flatnonzero(lengths < 1)[0]} has no recorded pulls")
+        if rows.ndim != 2 or len(rows) != lengths.sum():
+            raise ConfigurationError(f"replay table needs {lengths.sum()} rows of records, got shape {rows.shape}")
+        self.starts = np.cumsum(lengths) - lengths
+        faulty = ~np.isfinite(rows).all(axis=1)
+        if faulty.any():
+            arm = np.searchsorted(self.starts, np.flatnonzero(faulty)[0], side="right") - 1
+            raise ConfigurationError(f"replay arm {arm} has non-finite records")
+        if rows.shape[1] < 2:
             raise ConfigurationError("replay records need m >= 2 objectives")
-        self.records = cleaned
+        self.rows = rows
+        self.lengths = lengths
+        self.means = np.array([rows[start : start + n].mean(axis=0) for start, n in zip(self.starts, lengths)])
+        self.means.flags.writeable = False  # every cell of a sweep reads these
 
     @property
     def n_arms(self) -> int:
-        return len(self.records)
+        return len(self.lengths)
 
     @property
     def n_objectives(self) -> int:
-        return self.records[0].shape[1]
-
-    def means(self) -> np.ndarray:
-        return np.array([mat.mean(axis=0) for mat in self.records])
+        return self.rows.shape[1]
 
     def subset(self, n_arms: int) -> "ReplayTable":
         """The first ``n_arms`` arms; all of them is the table itself."""
@@ -74,7 +74,7 @@ class ReplayTable:
             return self
         if not 1 <= n_arms <= self.n_arms:
             raise ConfigurationError(f"cannot take {n_arms} arms from a {self.n_arms}-arm table")
-        return ReplayTable(self.records[:n_arms])
+        return ReplayTable(self.rows[: self.starts[n_arms]], self.lengths[:n_arms])
 
 
 class GaussianEnvironment:
@@ -117,15 +117,12 @@ class ReplayEnvironment:
         self.mode = mode
         self.n_arms = table.n_arms
         self.n_objectives = table.n_objectives
-        # every arm's records in one array: arm a owns rows starts[a] .. starts[a] + lengths[a]
-        self._flat = np.concatenate(table.records)
-        self._lengths = np.array([len(rows) for rows in table.records])
-        self._starts = np.cumsum(self._lengths) - self._lengths
         self._cursors = [0] * table.n_arms
 
     def pull(self, arm: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
         arms = _checked_arms(arm, self.n_arms)
-        lengths = self._lengths[arms]
+        table = self.table
+        lengths = table.lengths[arms]
         if self.mode == "iid":
             # one bounded draw per pull; an arm with one record draws nothing
             offsets = rng.integers(lengths)
@@ -134,10 +131,10 @@ class ReplayEnvironment:
             for i, a in enumerate(arms.flat):  # cursors advance in pull order
                 offsets.flat[i] = self._cursors[a] % lengths.flat[i]
                 self._cursors[a] += 1
-        return self._flat.take(self._starts[arms] + offsets, axis=0)
+        return table.rows.take(table.starts[arms] + offsets, axis=0)
 
     def true_means(self) -> np.ndarray:
-        return self.table.means()
+        return self.table.means
 
 
 def _checked_arms(arm, n_arms: int) -> np.ndarray:
@@ -152,15 +149,44 @@ def _checked_arms(arm, n_arms: int) -> np.ndarray:
     return arms
 
 
-def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[list[str], list[list[list[float]]]]:
+_PLAIN = b"0123456789.,eE+-\n"  # the characters of a body the one-pass parse reads
+
+
+def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The header and rows of a CSV file whose first column is ``arm_id``.
 
     Every row needs the header's width and every cell a number; the cells
-    after ``arm_id`` are read as finite floats. Returns the stripped header
-    and, for each arm 0..K-1 (K one past the largest arm_id), its rows in
-    file order. Errors name the ``kind`` of file, its path and the line.
-    With ``repeats=False`` an arm may have only one row.
+    after ``arm_id`` are read as finite floats. Returns the stripped header,
+    the rows' other cells, arm 0's rows first (K one past the largest arm_id;
+    file order within an arm), and each arm's row count. Errors name the
+    ``kind`` of file, its path and the line. With ``repeats=False`` an arm may
+    have only one row. A plain file (digits, signs, points, exponents, commas
+    and newlines below an unquoted header) is parsed in one call and checked
+    by column; other spellings (quotes, spaces, ``1_000``) and every file a
+    check rejects are read line by line, which also names the faulty line.
     """
+    try:
+        with Path(path).open(newline="") as handle:
+            head, _, body = handle.read().partition("\n")
+    except UnicodeDecodeError:
+        head = body = ""
+    header = [h.strip() for h in head.split(",")]
+    plain = head.isprintable() and '"' not in head and not body.encode().translate(None, _PLAIN)
+    if plain and header[0] == "arm_id" and len(header) > 1 and body.strip("\n"):
+        cells = np.dtype([("arm", np.int64), ("values", float, (len(header) - 1,))])
+        try:
+            table = np.loadtxt(body.split("\n"), dtype=cells, delimiter=",", comments=None, ndmin=1)
+            arms, rows = table["arm"], table["values"]
+            lengths = np.bincount(arms) if arms.max() < len(arms) else np.zeros(1)  # bincount rejects arms < 0
+        except ValueError:  # a cell or a row width the per-line reader reads or names
+            lengths = np.zeros(1)
+        if lengths.all() and (repeats or lengths.max() == 1) and np.isfinite(rows).all():
+            return header, rows[np.argsort(arms, kind="stable")], lengths
+    return _read_arm_lines(path, kind, repeats)
+
+
+def _read_arm_lines(path: str | Path, kind: str, repeats: bool) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``_read_arm_csv`` line by line, with ``csv.reader``, ``int()`` and ``float()``."""
     path = Path(path)
     per_arm: dict[int, list[list[float]]] = {}
     with path.open(newline="") as handle:
@@ -197,7 +223,9 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
     missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
     if missing:
         raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}")
-    return header, [per_arm[a] for a in range(len(per_arm))]
+    rows = [row for a in range(len(per_arm)) for row in per_arm[a]]
+    lengths = np.array([len(per_arm[a]) for a in range(len(per_arm))])
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header) - 1), lengths
 
 
 def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None) -> ReplayTable:
@@ -206,17 +234,13 @@ def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None
     With ``brevity=(tau_low, tau_high)`` the second objective is recomputed
     from the recorded token length column.
     """
-    header, per_arm = _read_arm_csv(path, "replay")
+    header, rows, lengths = _read_arm_csv(path, "replay")  # rows: [len_tokens,] obj_1, ..., obj_m
     has_tokens = header[1:2] == ["len_tokens"]
     if brevity is not None and not has_tokens:
         raise ConfigurationError("brevity recomputation needs a len_tokens column")
-    records = []
-    for rows in per_arm:
-        table = np.array(rows, dtype=float)  # [len_tokens,] obj_1, ..., obj_m
-        if brevity is not None and table.shape[1] > 2:  # narrower tables fail ReplayTable's m >= 2
-            table[:, 2] = [brevity_score(length, *brevity) for length in table[:, 0].tolist()]
-        records.append(np.ascontiguousarray(table[:, 1:] if has_tokens else table))
-    return ReplayTable(records)
+    if brevity is not None and rows.shape[1] > 2:  # narrower tables fail ReplayTable's m >= 2
+        rows[:, 2] = [brevity_score(length, *brevity) for length in rows[:, 0].tolist()]
+    return ReplayTable(np.ascontiguousarray(rows[:, 1:]) if has_tokens else rows, lengths)
 
 
 def load_instance_json(path: str | Path) -> Instance:

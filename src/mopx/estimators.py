@@ -23,7 +23,18 @@ MAX_CONDITION = 1e12
 # ||A||_F ||A^-1||_F at or below this skips the SVD condition check (see pseudo_inverse)
 CERTIFIED_CONDITION = 1e8
 
-MeanEstimates = dict[int, np.ndarray]
+
+@dataclass(eq=False, slots=True)
+class MeanEstimates:
+    """Estimated mean vectors of some arms, as one k x m matrix: row i is the
+    estimate of arm ``arms[i]``, and the arms ascend. ``estimates[arm]`` reads
+    one arm's row."""
+
+    arms: list[int]
+    matrix: np.ndarray
+
+    def __getitem__(self, arm: int) -> np.ndarray:
+        return self.matrix[self.arms.index(arm)]
 
 
 def select_independent_basis(features: np.ndarray, tol: float = BASIS_RESIDUAL_TOL) -> list[int]:
@@ -114,7 +125,7 @@ def _restricted_inverse(gram: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEstimates:
-    """Cumulative per-arm coordinate-wise mean of all observations.
+    """Cumulative per-arm coordinate-wise mean of all observations, active arms ascending.
 
     Reads the batch's per-arm sums and counts, so a call costs O(K) whatever
     the row count; the means equal ``rewards[arms == a].mean(axis=0)`` bit for
@@ -126,13 +137,15 @@ def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEsti
     for arm in active:
         if not 0 <= arm < len(counts) or counts[arm] == 0:
             raise EstimationError(f"active arm {arm} has no observations")
+    arms = sorted(active)
     if sums.shape[1] == 1:
         # numpy sums one column pairwise, not row by row: only the rows give its bits
-        arms, rewards = batch.arms, batch.rewards
-        return {arm: rewards[arms == arm].mean(axis=0) for arm in active}
-    idx = np.asarray(active, dtype=int)
-    means = sums[idx] / counts[idx][:, None]
-    return {arm: means[i] for i, arm in enumerate(active)}
+        pulled, rewards = batch.arms, batch.rewards
+        means = np.array([rewards[pulled == arm].mean(axis=0) for arm in arms]).reshape(-1, 1)
+    else:
+        idx = np.asarray(arms, dtype=int)
+        means = sums[idx] / counts[idx][:, None]
+    return MeanEstimates(arms, means)
 
 
 @dataclass(frozen=True)
@@ -163,11 +176,9 @@ def fit_linear(round_batch: ObservationBatch) -> LinearFit:
 
 
 def predict_linear(fit: LinearFit, features: np.ndarray, arms: list[int] | None = None) -> MeanEstimates:
-    """Predicted mean vectors ``phi(x)^T theta_hat`` for the given feature rows."""
+    """Predicted means ``phi(x)^T theta_hat`` for the feature rows of the ascending ``arms`` (default 0..k-1)."""
     feats = np.asarray(features, dtype=float)
-    preds = feats @ fit.theta_hat
-    ids = list(range(feats.shape[0])) if arms is None else list(arms)
-    return {arm: preds[i] for i, arm in enumerate(ids)}
+    return MeanEstimates(list(range(len(feats))) if arms is None else list(arms), feats @ fit.theta_hat)
 
 
 @dataclass(frozen=True)
@@ -405,8 +416,7 @@ def mlp_fit(
 
 
 def mlp_predict(params: MlpParams, features: np.ndarray, arms: list[int] | None = None) -> MeanEstimates:
-    """Network outputs for the given feature rows, keyed by arm id."""
+    """Network outputs for the feature rows of the ascending ``arms`` (default 0..k-1)."""
     feats = np.asarray(features, dtype=float)
     out = np.maximum(feats @ params.w1.T + params.b1, 0.0) @ params.w2.T + params.b2
-    ids = list(range(feats.shape[0])) if arms is None else list(arms)
-    return {arm: out[i] for i, arm in enumerate(ids)}
+    return MeanEstimates(list(range(len(feats))) if arms is None else list(arms), out)

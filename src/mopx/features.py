@@ -97,8 +97,7 @@ def pca_reduce(embeddings: np.ndarray, dim: int):
 def load_embeddings_csv(path: str | Path) -> np.ndarray:
     """Read an embedding table from CSV with header arm_id,e_1,...,e_p and one
     row per arm, checked like a replay file (``environments._read_arm_csv``)."""
-    _, per_arm = _read_arm_csv(path, "embedding", repeats=False)
-    return np.array([rows[0] for rows in per_arm], dtype=float)
+    return _read_arm_csv(path, "embedding", repeats=False)[1]
 
 
 def write_features_csv(path: str | Path, features: np.ndarray) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import Callable
 
 import numpy as np
 
@@ -59,20 +60,29 @@ class GapReport:
 
     ``gap_column[x]`` is arm x's gap, ``classifications[x]`` its class, and
     ``component_columns[name][x]`` the components its class reports (other
-    arms hold NaN there). ``entries`` builds one ``GapEntry`` per arm on first
-    access.
+    arms hold NaN there). Only ``gap_column`` is built with the report:
+    ``build_columns()`` returns the classifications and component columns, and
+    runs on their first read, as ``entries`` does.
     """
 
     mode: str  # "pareto" or "constrained"
     gap_column: np.ndarray
-    classifications: tuple[str, ...]
-    component_columns: dict[str, np.ndarray]
+    build_columns: Callable[[], tuple[tuple[str, ...], dict[str, np.ndarray]]] = field(repr=False)
     tau: float | None = None
     optimal_arm: int | None = None
 
     def __post_init__(self) -> None:
-        for column in (self.gap_column, *self.component_columns.values()):
+        self.gap_column.flags.writeable = False
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+        classifications, columns = self.build_columns()
+        for column in columns.values():
             column.flags.writeable = False
+        return classifications, columns
+
+    classifications = property(lambda self: self._columns[0])
+    component_columns = property(lambda self: self._columns[1])
 
     @cached_property
     def entries(self) -> tuple[GapEntry, ...]:
@@ -106,11 +116,12 @@ def _json_num(value: float) -> float | str:
     return "inf" if math.isinf(value) else float(value)
 
 
-def _check_means(means: np.ndarray) -> np.ndarray:
+def _check_means(means: np.ndarray, finite: bool = True) -> np.ndarray:
+    """``means`` as a K x m matrix; ``finite=False`` leaves the NaN/inf scan to ``_pair_terms``."""
     mat = np.asarray(means, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 2:
         raise DomainError(f"means must be K x m with m >= 2, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if finite and not np.all(np.isfinite(mat)):
         raise DomainError("means must be finite")
     return mat
 
@@ -130,11 +141,13 @@ def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     differences instead of subtracting the other way round: the two forms
     differ in the sign of zero, and reported gaps keep the negated form's.
     A call on the matrix of the previous call (same shape and bytes, so a
-    zero of the other sign misses) returns the same arrays.
+    zero of the other sign misses) returns the same arrays; only a miss scans
+    ``mat`` for NaN and inf, and a matrix that holds any is never kept.
     """
     key = (mat.shape, mat.tobytes())
     terms = _TERMS.get(key)
     if terms is None:
+        _check_means(mat)
         diffs = [col[None, :] - col[:, None] for col in mat.T]  # diff[x, y] = mu_i(y) - mu_i(x)
         small, large = reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
         # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
@@ -154,7 +167,7 @@ def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def pareto_front(means: np.ndarray) -> list[int]:
     """Indices of the non-dominated arms; equal vectors never dominate each other."""
-    return _pair_terms(_check_means(means))[2].tolist()
+    return _pair_terms(_check_means(means, finite=False))[2].tolist()
 
 
 def pareto_gap_report(means: np.ndarray) -> GapReport:
@@ -169,7 +182,7 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     ``max`` do (``argmin``/``argmax`` pick the lowest index), which fixes the
     sign of zero gaps on exact ties.
     """
-    mat = _check_means(means)
+    mat = _check_means(means, finite=False)
     k = mat.shape[0]
     on_front = np.zeros(k, dtype=bool)
     on_front[pareto_front(mat)] = True
@@ -193,12 +206,15 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     gap = np.empty(k)
     gap[dominated] = dominated_gap
     gap[front] = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
-    columns = {name: np.full(k, np.nan) for name in ("domination_margin", "delta_plus", "delta_minus")}
-    columns["domination_margin"][dominated] = dominated_gap
-    columns["delta_plus"][front] = delta_plus
-    columns["delta_minus"][front] = delta_minus
-    classifications = tuple(np.where(on_front, "pareto", "dominated").tolist())
-    return GapReport("pareto", gap, classifications, columns)
+
+    def columns() -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+        cols = {name: np.full(k, np.nan) for name in ("domination_margin", "delta_plus", "delta_minus")}
+        cols["domination_margin"][dominated] = dominated_gap
+        cols["delta_plus"][front] = delta_plus
+        cols["delta_minus"][front] = delta_minus
+        return tuple(np.where(on_front, "pareto", "dominated").tolist()), cols
+
+    return GapReport("pareto", gap, columns)
 
 
 def best_feasible_arm(means: np.ndarray, tau: float) -> int:
@@ -236,7 +252,7 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
         "difficulty": delta,
         "margin_cap": np.full(mat.shape[0], cap),
     }
-    return GapReport("constrained", gap, tuple(classes.tolist()), columns, tau=tau, optimal_arm=star)
+    return GapReport("constrained", gap, lambda: (tuple(classes.tolist()), columns), tau=tau, optimal_arm=star)
 
 
 def hardness(means: np.ndarray, tau: float) -> float:

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import GENPSI, UNIFORM, RunConfig, RunResult, run_algorithm
-from .core import ConfigurationError, Instance
+from .algorithms import CONSTRAINED, GENPSI, UNIFORM, RunConfig, RunResult, run_algorithm
+from .core import ConfigurationError, Instance, InstanceError
 from .environments import (
     GaussianEnvironment,
     LinearEnvironment,
@@ -32,7 +30,7 @@ from .environments import (
     load_instance_json,
     load_replay_csv,
 )
-from .gaps import best_feasible_arm, pareto_front
+from .gaps import best_feasible_arm, hardness, pareto_front
 from .metrics import hv_recovery, hypervolume, soft_constrained_reward
 
 Z_95 = 1.96
@@ -98,7 +96,7 @@ class EnvironmentSource:
 
     def true_means(self, n_arms: int) -> np.ndarray:
         if self.kind == "replay":
-            return self.table.subset(n_arms).means()
+            return self.table.subset(n_arms).means
         return self._sub_instance(n_arms).means
 
 
@@ -237,17 +235,33 @@ class ExperimentConfig:
                     f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
                 )
         # every RunConfig setting error raises here, at load
-        for variant in self.algorithms:
-            for budget in self.per_arm_budgets:
-                _run_config(variant, self.tau, budget, self.seeds[0])
+        runs = [_run_config(v, self.tau, b, self.seeds[0]) for v in self.algorithms for b in self.per_arm_budgets]
         # labels name summary rows and run ids, so two variants must not share one
         labels = [_label(variant) for variant in self.algorithms]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
+        if any(run.mode == CONSTRAINED for run in runs) and self.environment.n_objectives == 2:
+            for k in self.k_values:
+                _check_constrained_truth(self.environment.true_means(k), self.tau, k)
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return list(product(self.algorithms, self.k_values, self.per_arm_budgets, self.seeds))
+
+
+def _check_constrained_truth(means: np.ndarray, tau: float, k: int) -> None:
+    """Reject a truth whose best feasible arm (mu2 >= tau) is undefined or has
+    a zero gap: every cell would fail, or be scored against an answer that
+    the empirical ranking (mu2 > tau) cannot single out."""
+    prefix = f"constrained truth at K={k}, tau={tau}"
+    try:
+        star = best_feasible_arm(means, tau)
+        if means[star, 1] > tau:  # else a zero margin cap makes every gap zero
+            hardness(means, tau)  # raises on a zero gap
+    except InstanceError as err:
+        raise ConfigurationError(f"{prefix}: {err}") from None
+    if means[star, 1] == tau:
+        raise ConfigurationError(f"{prefix}: the optimal arm {star} has mu2 == tau, a zero margin cap")
 
 
 def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -364,6 +378,8 @@ def _run_parallel(outcome: ExperimentOutcome, cells: list, jobs: int) -> None:
     the first cell to break it is the one that crashed: it is recorded as a
     failure and the cells after it go back to a ``jobs``-wide pool.
     """
+    from concurrent.futures import ProcessPoolExecutor, process  # here: serial sweeps never load them
+
     pending, workers = cells, jobs
     while pending:
         broken = []  # (cell, error) in submission order
@@ -371,7 +387,7 @@ def _run_parallel(outcome: ExperimentOutcome, cells: list, jobs: int) -> None:
             futures = [(cell, pool.submit(_execute_cell, cell)) for cell in pending]
             for cell, future in futures:
                 err = future.exception()
-                if isinstance(err, BrokenProcessPool):
+                if isinstance(err, process.BrokenProcessPool):
                     broken.append((cell, err))
                 else:
                     _collect(outcome, cell, future.result)

@@ -4,15 +4,18 @@ These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
 meaningful. The exceptions are the untrimmed mirror-descent reference, the
-per-array MLP fit and the list-built observation log, which keep the library's
-own arithmetic so that the library must match them bit for bit.
+per-array MLP fit, the list-built observation log and the per-line CSV reader,
+which keep the library's own arithmetic so that the library must match them
+bit for bit.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from mopx.core import EstimationError, NumericalError
+from mopx.core import ConfigurationError, EstimationError, NumericalError
 from mopx.estimators import MlpParams, mlp_init, select_independent_basis
 
 
@@ -437,3 +440,54 @@ def finite_difference_mlp_grad(params, batch, lam, loss_fn, step=1e-5):
             gflat[idx] = (plus - minus) / (2 * step)
         grads[name] = grad
     return MlpParams(**grads)
+
+
+# ------------------------------------------------------ per-line CSV reader
+
+
+def reference_read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[list[str], list[list[list[float]]]]:
+    """The header and rows of a CSV file whose first column is ``arm_id``.
+
+    Every row needs the header's width and every cell a number; the cells
+    after ``arm_id`` are read as finite floats. Returns the stripped header
+    and, for each arm 0..K-1 (K one past the largest arm_id), its rows in
+    file order. Errors name the ``kind`` of file, its path and the line.
+    With ``repeats=False`` an arm may have only one row.
+    """
+    path = Path(path)
+    per_arm: dict[int, list[list[float]]] = {}
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+
+        def fault(text: str) -> ConfigurationError:
+            return ConfigurationError(f"{kind} file {path} line {reader.line_num} {text}")
+
+        header = next(reader, None)
+        if header is None:
+            raise ConfigurationError(f"{kind} file {path} is empty")
+        header = [h.strip() for h in header]
+        if header[:1] != ["arm_id"]:
+            raise ConfigurationError(f"{kind} file {path} must start with an arm_id column")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise fault(f"has {len(row)} values, the header has {len(header)}")
+            try:
+                arm = int(row[0])
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                raise fault(f"is not a row of numbers: {','.join(row)!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise fault(f"holds a value that is not finite: {','.join(row)!r}")
+            if arm < 0:
+                raise fault(f"has a negative arm_id {arm}")
+            if not repeats and arm in per_arm:
+                raise fault(f"repeats arm_id {arm}")
+            per_arm.setdefault(arm, []).append(values)
+    if not per_arm:
+        raise ConfigurationError(f"{kind} file {path} holds no records")
+    missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
+    if missing:
+        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}")
+    return header, [per_arm[a] for a in range(len(per_arm))]

@@ -22,6 +22,7 @@ from mopx.environments import (
     random_constrained_instance,
     random_linear_instance,
 )
+from mopx.estimators import MeanEstimates
 from mopx.gaps import pareto_front, pareto_gap_report
 
 # spec'd ranking example: P, R, S, Q at tau = 0.5
@@ -52,22 +53,22 @@ class CountingEnv:
 
 
 def test_rank_constrained_worked_example():
-    estimates = {i: RANK_MEANS[i] for i in range(4)}
+    estimates = MeanEstimates([0, 1, 2, 3], RANK_MEANS)
     assert rank_constrained(estimates, 0.5) == [0, 1, 2, 3]
 
 
 def test_rank_constrained_prefix_rule():
-    estimates = {i: RANK_MEANS[i] for i in range(4)}
+    estimates = MeanEstimates([0, 1, 2, 3], RANK_MEANS)
     assert sorted(rank_constrained(estimates, 0.5)[:2]) == [0, 1]
 
 
 def test_rank_constrained_all_infeasible_orders_by_constraint():
-    estimates = {0: np.array([0.9, 0.1]), 1: np.array([0.1, 0.4]), 2: np.array([0.5, 0.2])}
+    estimates = MeanEstimates([0, 1, 2], np.array([[0.9, 0.1], [0.1, 0.4], [0.5, 0.2]]))
     assert rank_constrained(estimates, 0.5) == [1, 2, 0]
 
 
 def test_rank_constrained_boundary_is_infeasible():
-    estimates = {0: np.array([0.9, 0.5]), 1: np.array([0.1, 0.6])}
+    estimates = MeanEstimates([0, 1], np.array([[0.9, 0.5], [0.1, 0.6]]))
     assert rank_constrained(estimates, 0.5) == [1, 0]  # mu2 == tau counts as infeasible
 
 

@@ -135,6 +135,7 @@ def test_run_command_golden_summary_with_two_jobs(tmp_path, capsys):
     config = FIXTURES / "regression_config.json"
     assert main(["run", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 0
     assert (out / "summary.csv").read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+    assert (out / "records.csv").read_bytes() == (FIXTURES / "golden_records.csv").read_bytes()
 
 
 def test_g_optimal_sweep_output_does_not_depend_on_jobs_or_design_cache(tmp_path, monkeypatch, capsys):

@@ -116,7 +116,12 @@ ROWS = [
     (("environment", "instance", "sigma"), -1, "sigma must be >= 0"),
     (("environment", "instance", "means"), [[0.1], [0.2], [0.3], [0.4]], "declared m=2 but means has 1 columns"),
     (("environment",), _replay(), None),
-    (("environment",), _replay(brevity=None), None),
+    # without brevity every recorded mu2 is 0.0, so no arm is feasible at tau=0.5
+    (
+        ("environment",),
+        _replay(brevity=None),
+        "constrained truth at K=4, tau=0.5: no feasible arm at threshold tau=0.5",
+    ),
     (("environment",), _replay(path=DROP), "replay environments need a 'path'"),
     (("environment",), _replay(path=None), "replay environments need a 'path'"),
     (("environment",), _replay(mode=DROP), None),
@@ -274,6 +279,26 @@ ROWS = [
     (("environment",), _replay(path="blank.csv"), "replay file $TMP/blank.csv must start with an arm_id column"),
     (("environment",), _replay(path="narrow.csv"), "replay records need m >= 2 objectives"),
     (("environment", "kind"), "linear", "a linear environment needs features and theta"),
+    # the truth of constrained variants: mu2 >= tau is feasible, and every gap is positive
+    (("tau",), 0.95, "constrained truth at K=4, tau=0.95: no feasible arm at threshold tau=0.95"),
+    ((), dict(BASE, tau=0.65, k_values=[4, 2]), "constrained truth at K=2, tau=0.65: no feasible arm at threshold tau=0.65"),
+    ((), dict(BASE, tau=0.95, algorithms=UNIFORM), None),  # Pareto variants only: not checked
+    (
+        ("environment", "instance", "means"),
+        [[0.9, 0.5], [0.5, 0.8], [0.2, 0.3], [0.1, 0.9]],
+        "constrained truth at K=4, tau=0.5: the optimal arm 0 has mu2 == tau, a zero margin cap",
+    ),
+    (
+        (),
+        dict(BASE, environment={"kind": "gaussian", "instance": {"means": [[0.9, 0.5], [0.5, 0.8]]}}, k_values=[2]),
+        "constrained truth at K=2, tau=0.5: the optimal arm 0 has mu2 == tau, a zero margin cap",
+    ),
+    (
+        ("environment", "instance", "means"),
+        [[0.8, 0.6], [0.9, 0.4], [0.8, 0.7], [0.3, 0.3]],
+        "constrained truth at K=4, tau=0.5: arm 2 has zero constrained gap; hardness is undefined",
+    ),
+    (("environment", "instance", "means"), [[0.8, 0.6], [0.9, 0.4], [0.8, 0.49], [0.3, 0.3]], None),
 ]
 
 

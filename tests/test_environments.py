@@ -1,10 +1,13 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_read_arm_csv
+from mopx import environments
 from mopx.core import ConfigurationError, DomainError, Instance, RngStream
 from mopx.environments import (
     GaussianEnvironment,
@@ -23,6 +26,11 @@ from mopx.harness import EnvironmentSource, environment_source_from_dict
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _table(*records: np.ndarray) -> ReplayTable:
+    """A replay table of one record array per arm."""
+    return ReplayTable(np.concatenate(records), [len(rows) for rows in records])
+
+
 def test_linear_environment_zero_noise_matches_structure():
     feats = np.array([[1.0, 0.0], [0.5, 0.5]])
     theta = np.array([[0.3, 0.7], [0.1, 0.9]])
@@ -36,7 +44,7 @@ def test_linear_environment_requires_structure():
 
 
 def test_replay_pulls_come_from_records_and_average_out():
-    table = ReplayTable([np.array([[0.2, 1.0], [0.4, 0.0]])])
+    table = _table(np.array([[0.2, 1.0], [0.4, 0.0]]))
     env = ReplayEnvironment(table)
     gen = RngStream(3).generator()
     draws = np.array([env.pull(0, gen) for _ in range(10_000)])
@@ -46,7 +54,7 @@ def test_replay_pulls_come_from_records_and_average_out():
 
 
 def test_replay_sequential_mode_cycles_in_order():
-    table = ReplayTable([np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])])
+    table = _table(np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
     env = ReplayEnvironment(table, mode="sequential")
     gen = RngStream(0).generator()
     first = [env.pull(0, gen)[0] for _ in range(5)]
@@ -54,7 +62,7 @@ def test_replay_sequential_mode_cycles_in_order():
 
 
 def test_replay_iid_draws_are_uncorrelated():
-    table = ReplayTable([np.array([[0.0, 0.0], [1.0, 1.0]])])
+    table = _table(np.array([[0.0, 0.0], [1.0, 1.0]]))
     env = ReplayEnvironment(table)
     gen = RngStream(8).generator()
     n = 10**5
@@ -81,7 +89,7 @@ def test_environment_mean_fidelity_every_kind():
             Instance(means=feats @ theta, sigma=0.5, features=feats, theta=theta)
         ),
         "replay": ReplayEnvironment(
-            ReplayTable([np.array([[0.1, 0.4], [0.3, 0.4]]), np.array([[0.6, 0.8]])])
+            _table(np.array([[0.1, 0.4], [0.3, 0.4]]), np.array([[0.6, 0.8]]))
         ),
     }
     for name, env in kinds.items():
@@ -99,19 +107,33 @@ def test_environment_source_dispatch_and_replay_validation():
     with pytest.raises(ConfigurationError):
         environment_source_from_dict({"kind": "refusal"})
     with pytest.raises(ConfigurationError):
-        ReplayTable([np.zeros((0, 2))])
+        ReplayTable(np.zeros((0, 2)), [0])
     with pytest.raises(ConfigurationError):
-        ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]])]), mode="bogus")
-    env = ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]])]))
+        ReplayEnvironment(_table(np.array([[0.1, 0.2]])), mode="bogus")
+    env = ReplayEnvironment(_table(np.array([[0.1, 0.2]])))
     with pytest.raises(DomainError):
         env.pull(5, RngStream(0).generator())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 130), min_size=1, max_size=8), st.integers(2, 4))
+def test_replay_means_equal_each_arms_own_array_mean(seed, row_counts, m):
+    """Means read off the one array equal ``mean(axis=0)`` of each arm's
+    records as an array of its own, bit for bit, and are computed once."""
+    rng = np.random.default_rng(seed)
+    records = [np.round(rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4), 3) for n in row_counts]
+    table = _table(*records)
+    want = np.array([rows.copy().mean(axis=0) for rows in records])
+    assert table.means.tobytes() == want.tobytes() and table.means is table.means
+    assert ReplayEnvironment(table).true_means() is table.means
+
+
 def test_replay_subset_of_every_arm_is_the_table_itself():
-    table = ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4], [0.5, 0.6]])])
+    table = _table(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4], [0.5, 0.6]]))
     assert table.subset(2) is table
     first = table.subset(1)
-    assert first.n_arms == 1 and first.records[0] is table.records[0]
+    assert first.n_arms == 1 and first.rows.tolist() == [[0.1, 0.2]]
+    assert np.shares_memory(first.rows, table.rows)
     for n_arms in (0, 3):
         with pytest.raises(ConfigurationError, match=f"cannot take {n_arms} arms from a 2-arm table"):
             table.subset(n_arms)
@@ -155,7 +177,7 @@ def test_replay_csv_round_trip(tmp_path):
     )
     table = load_replay_csv(path)
     assert table.n_arms == 2 and table.n_objectives == 2
-    assert np.allclose(table.means()[0], [0.3, 0.5])
+    assert np.allclose(table.means[0], [0.3, 0.5])
 
 
 def test_replay_csv_brevity_recompute(tmp_path):
@@ -166,7 +188,7 @@ def test_replay_csv_brevity_recompute(tmp_path):
         "0,10,0.4,0.9\n"
     )
     table = load_replay_csv(path, brevity=(10, 100))
-    assert np.allclose(table.records[0][:, 1], [0.5, 1.0])
+    assert np.allclose(table.rows[:, 1], [0.5, 1.0])
     bare = tmp_path / "no_tokens.csv"
     bare.write_text("arm_id,obj_1,obj_2\n0,0.2,0.9\n")
     with pytest.raises(ConfigurationError, match="len_tokens"):
@@ -178,6 +200,104 @@ def test_replay_csv_missing_arm(tmp_path):
     path.write_text("arm_id,obj_1,obj_2\n0,0.1,0.2\n2,0.3,0.4\n")
     with pytest.raises(ConfigurationError, match="missing records"):
         load_replay_csv(path)
+
+
+# Cell spellings: plain ones the one-pass parse reads, and ones only the
+# per-line reader reads or rejects.
+_PLAIN_ARMS = ("{}", "00{}", "+{}")
+_ODD_ARMS = (" {}", '"{}"', "{}_0", "{}e0", "{}.0", "#{}", "")
+_PLAIN_VALUES = ("0.125", "-0.5", "3", "1e-3", "+.5", "2.", "-0", "7E+2")
+_ODD_VALUES = (" 0.25", "0.25 ", '"0.75"', "1_000.5", "nan", "-inf", "1e400", "Infinity", "abc", "", "0x10")
+_FAULTS = ("spelling", "line", "arm", "ragged", "header", "line end")
+
+
+@st.composite
+def _arm_csv_files(draw):
+    """The text of an arm_id CSV file: plain half the time, else with one
+    kind of fault or odd spelling, in a few of its rows."""
+    fault = draw(st.sampled_from((None,) * len(_FAULTS) + _FAULTS))
+    width = draw(st.integers(1, 4))
+    names = ["len_tokens", "obj_1", "obj_2"] if draw(st.booleans()) else ["e_1", "e_2", "e_3"]
+    head = ",".join(["arm_id", *names[: width - 1]])
+    if fault == "header":
+        quoted = [f'"{head}"', f'arm_id,"{head[7:]}"']
+        head = draw(st.sampled_from([*quoted, head.replace(",", ", "), " arm_id" + head[6:], "", "id,x"]))
+        head = head.replace(",", draw(st.sampled_from([",", "\r", "\x00,"])), draw(st.integers(0, 1)))
+    n_arms = draw(st.integers(1, 6))
+    arms = draw(st.permutations(range(n_arms))) + draw(st.lists(st.integers(0, n_arms - 1), max_size=8))
+    lines = [head]
+    for arm in draw(st.permutations(arms)):
+        faulty = fault is not None and draw(st.integers(0, 3)) == 0
+        if faulty and fault == "arm":
+            arm = draw(st.sampled_from([-1, n_arms + 1]))  # negative, or leaving arms missing
+        arm_spellings = _PLAIN_ARMS + (_ODD_ARMS if faulty and fault == "spelling" else ())
+        value_spellings = _PLAIN_VALUES + (_ODD_VALUES if faulty and fault == "spelling" else ())
+        n_values = width - 1 + (draw(st.sampled_from([-1, 1])) if faulty and fault == "ragged" else 0)
+        cells = [draw(st.sampled_from(arm_spellings)).format(arm)]
+        for _ in range(max(n_values, 0)):
+            value = draw(st.sampled_from(value_spellings))
+            cells.append(value if value != "3" else repr(draw(st.floats(-1e3, 1e3))))
+        lines.append(",".join(cells))
+        if faulty and fault == "line":
+            lines.append(draw(st.sampled_from(["", "  ", "# note", ","])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    end = draw(st.sampled_from(["\r\n", "\r"])) if fault == "line end" else "\n"
+    return end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+
+
+def _read_outcome(read, path, kind, repeats):
+    """(header, per-arm row bytes and shapes) of a read, or its error text."""
+    try:
+        header, per_arm = read(path, kind, repeats)
+    except Exception as err:  # every failure must match, whatever its type
+        return f"{type(err).__name__}: {err}"
+    arrays = [np.array(rows, dtype=float).reshape(len(rows), len(header) - 1) for rows in per_arm]
+    return header, [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _split_read(path, kind, repeats):
+    header, rows, lengths = environments._read_arm_csv(path, kind, repeats)
+    assert rows.dtype == float and rows.shape == (lengths.sum(), len(header) - 1)
+    return header, np.split(rows, np.cumsum(lengths)[:-1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_arm_csv_files(), repeats=st.booleans())
+@example(text="arm_id,obj_1,obj_2\n0,0.5,0.25\n1,1e400,0\n", repeats=True)
+@example(text="arm_id,obj_1,obj_2\r\n0,0.5,0.25\r\n\r\n1,+1,1_0\r\n", repeats=True)
+@example(text='arm_id,"obj_1",obj_2\n1,0.5,0.25\n0,"0.5",0\n1,1e-3,2.\n', repeats=True)
+@example(text="arm_id,e_1\n0,0.5\n1e0,0.25\n", repeats=False)
+@example(text="arm_id,e_1\n1,0.5\n0,0.25\n1,0\n", repeats=False)
+@example(text='arm_id,"obj_1",obj_2\n0,0.5,0.25\n', repeats=True)
+@example(text="arm_id,e_1\re_2,e_3\n0,0.5,0.25\n", repeats=True)
+@example(text="arm_id,e_\x001\n0,0.5\n", repeats=True)
+def test_arm_csv_reader_matches_the_per_line_reader(text, repeats):
+    """Same header and arrays bit for bit, or the same error text, as the
+    per-line reader it replaces, on plain and odd files alike."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "arms.csv"
+        path.write_bytes(text.encode())
+        for kind in ("replay", "embedding"):
+            want = _read_outcome(reference_read_arm_csv, path, kind, repeats)
+            assert _read_outcome(_split_read, path, kind, repeats) == want
+
+
+def test_plain_files_are_read_in_one_pass(monkeypatch, tmp_path):
+    """The fixture and a benchmark-shaped file never reach the per-line reader."""
+    def per_line(*args):
+        raise AssertionError("read line by line")
+
+    rng = np.random.default_rng(3)
+    rows = [f"{arm},{a:.3f},{b:.3f}" for arm in range(48) for a, b in rng.uniform(0, 1, size=(50, 2))]
+    path = tmp_path / "replay.csv"
+    path.write_text("arm_id,obj_1,obj_2\n" + "\n".join(rows) + "\n")
+    monkeypatch.setattr(environments, "_read_arm_lines", per_line)
+    for source in (FIXTURES / "replay_small.csv", path):
+        _, per_arm = reference_read_arm_csv(source, "replay")
+        table = load_replay_csv(source)
+        assert table.rows.tobytes() == np.array([row for rows in per_arm for row in rows]).tobytes()
+        assert table.lengths.tolist() == [len(rows) for rows in per_arm]
 
 
 def test_instance_json_round_trip(tmp_path):
@@ -236,7 +356,7 @@ def test_batched_gaussian_pull_equals_single_pulls(seed, n, m, k):
 
 
 def _replay_table(rng, row_counts) -> ReplayTable:
-    return ReplayTable([rng.uniform(size=(n, 2)) for n in row_counts])
+    return _table(*(rng.uniform(size=(n, 2)) for n in row_counts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,7 +386,7 @@ def test_batched_replay_pull_on_workload_and_fixture_row_counts(seed, mode):
 
 
 def test_single_record_arms_draw_nothing():
-    env = ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])]))
+    env = ReplayEnvironment(_table(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])))
     used, fresh = RngStream(8).generator(), RngStream(8).generator()
     rows = env.pull(np.array([1, 0, 1, 1]), used)
     assert rows.tolist() == [[0.3, 0.4], [0.1, 0.2], [0.3, 0.4], [0.3, 0.4]]
@@ -275,7 +395,7 @@ def test_single_record_arms_draw_nothing():
 
 
 def test_sequential_cursors_advance_in_pull_order():
-    table = ReplayTable([np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), np.array([[5.0, 5.0], [6.0, 6.0]])])
+    table = _table(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), np.array([[5.0, 5.0], [6.0, 6.0]]))
     env = ReplayEnvironment(table, mode="sequential")
     gen = RngStream(0).generator()
     assert env.pull(np.array([0, 1, 0, 0, 1, 0, 1]), gen)[:, 0].tolist() == [0, 5, 1, 2, 6, 0, 5]
@@ -284,7 +404,7 @@ def test_sequential_cursors_advance_in_pull_order():
 
 @pytest.mark.parametrize("make_env", [
     lambda: GaussianEnvironment(Instance(means=[[0.3, 0.7], [0.1, 0.2]], sigma=1.0)),
-    lambda: ReplayEnvironment(ReplayTable([np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]])])),
+    lambda: ReplayEnvironment(_table(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]]))),
 ])
 def test_pull_names_the_first_out_of_range_arm(make_env):
     env = make_env()

@@ -109,7 +109,11 @@ def _paired_logs(seed, round_sizes, k, m, kind):
 
 def _estimate_outcome(estimate, batch, active):
     try:
-        return {arm: value.tobytes() for arm, value in estimate(batch, active).items()}
+        estimates = estimate(batch, active)
+        if isinstance(estimates, dict):  # the oracle's form
+            return {arm: value.tobytes() for arm, value in estimates.items()}
+        assert estimates.arms == sorted(active)
+        return {arm: row.tobytes() for arm, row in zip(estimates.arms, estimates.matrix)}
     except EstimationError as err:
         return str(err)
 

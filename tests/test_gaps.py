@@ -13,7 +13,7 @@ from oracles import (
     oracle_pareto_gap,
 )
 from mopx import gaps
-from mopx.core import InstanceError
+from mopx.core import DomainError, InstanceError
 from mopx.gaps import (
     GapEntry,
     _pair_terms,
@@ -441,6 +441,23 @@ def test_a_zero_of_the_other_sign_misses_the_memo():
     for means in (plus, minus, plus):
         pareto_front(means)
         _check_memo_call("report", means)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_means_fail_every_gap_function_memo_or_not(bad):
+    """Only a memo miss scans for NaN and inf, so a non-finite matrix must
+    miss every time: a finite matrix's entry never answers for it, and it
+    leaves no entry of its own."""
+    finite = np.array([[0.5, 0.25], [0.25, 0.5], [0.0, 0.0]])
+    faulty = finite.copy()
+    faulty[2, 1] = bad
+    calls = [pareto_front, pareto_gap_report, lambda m: constrained_gap_report(m, 0.1), lambda m: hardness(m, 0.1)]
+    for call in calls * 2:
+        pareto_front(finite)  # fills the memo
+        with pytest.raises(DomainError) as err:
+            call(faulty)
+        assert str(err.value) == "means must be finite"
+    assert pareto_front(finite) == [0, 1]
 
 
 def test_memoised_answers_cannot_be_changed_by_callers():

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -384,3 +386,19 @@ def test_non_object_config_entries_fail_at_load(overrides, match):
 def test_non_object_config_fails_at_load():
     with pytest.raises(ConfigurationError, match="must be a JSON object"):
         experiment_config_from_dict([{"environment": {}}])
+
+
+_SERIAL_SWEEP = """
+import sys
+from mopx.cli import main
+main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(sorted(name for name in sys.modules if name.startswith("concurrent")))
+"""
+
+
+def test_serial_sweeps_do_not_import_the_process_pool(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "fixtures" / "regression_config.json"
+    done = subprocess.run(
+        [sys.executable, "-c", _SERIAL_SWEEP, str(config), str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -142,6 +142,21 @@ def test_a_sweep_formats_no_round_log(tmp_path, monkeypatch):
     assert not outcome.failures
     paths = write_outputs(tmp_path, outcome)
     assert paths["summary"].read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+    assert paths["records"].read_bytes() == (FIXTURES / "golden_records.csv").read_bytes()
+
+
+def test_the_golden_replay_file_in_other_spellings_gives_the_golden_answers(tmp_path):
+    """CRLF line ends, quoted cells, spaces after commas, a leading + and a
+    blank line send the replay file to the per-line reader; every run's
+    answer stays the same."""
+    head, *rows = (FIXTURES / "replay_small.csv").read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    lines = [head] + [f'"{arm}", +{a}, {b}' for arm, a, b in cells[:5]] + [""] + [", ".join(c) for c in cells[5:]]
+    (tmp_path / "replay_small.csv").write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    (tmp_path / "regression_config.json").write_bytes((FIXTURES / "regression_config.json").read_bytes())
+    paths = write_outputs(tmp_path / "out", run_experiment(load_experiment_config(tmp_path / "regression_config.json")))
+    assert paths["summary"].read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+    assert paths["records"].read_bytes() == (FIXTURES / "golden_records.csv").read_bytes()
 
 
 def test_round_logs_are_formatted_only_when_read(monkeypatch):
