@@ -34,6 +34,7 @@ from .core import (
     MopxError,
     ObservationBatch,
     RngStream,
+    reset_stream,
 )
 from .estimators import (
     MeanEstimates,
@@ -264,7 +265,7 @@ class _RoundRunner:
         self.env = env
         self.features = _env_features(env)
         self.batch = ObservationBatch()
-        self.stream = RngStream(config.seed)
+        self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
         self.pulls_used = 0
         self.mlp_state: MlpParams | None = None
         self._round_scoped = config.estimator == "linear" or (
@@ -308,9 +309,8 @@ class _RoundRunner:
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
         if sequence:
-            gen = self.stream.child(_ENV_DRAWS, round_index).generator()
             arms = np.array(sequence, dtype=int)
-            rewards = self.env.pull(arms, gen)
+            rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
             self.batch.extend(arms, self.features[arms], rewards, round_index)
         self.pulls_used += len(sequence)
         if self.pulls_used > budget:
@@ -334,7 +334,6 @@ class _RoundRunner:
             fit = fit_linear(data)
             estimates = predict_linear(fit, self.features[arms], arms=arms)
         else:
-            gen = self.stream.child(_MLP_DRAWS, 0).generator()
             params = mlp_fit(
                 data,
                 cfg.mlp_lambda,
@@ -342,7 +341,7 @@ class _RoundRunner:
                 iters=cfg.mlp_iters,
                 step_size=cfg.mlp_step_size,
                 init=self.mlp_state,
-                rng=gen,
+                rng=reset_stream(self.gen, cfg.seed, (_MLP_DRAWS, 0)) if self.mlp_state is None else None,
             )
             self.mlp_state = params
             estimates = mlp_predict(params, self.features[arms], arms=arms)

@@ -74,7 +74,10 @@ class ReplayTable:
             return self
         if not 1 <= n_arms <= self.n_arms:
             raise ConfigurationError(f"cannot take {n_arms} arms from a {self.n_arms}-arm table")
-        return ReplayTable(self.rows[: self.starts[n_arms]], self.lengths[:n_arms])
+        table = object.__new__(type(self))  # each arm's mean reads only its own rows
+        table.rows, table.means = self.rows[: self.starts[n_arms]], self.means[:n_arms]
+        table.lengths, table.starts = self.lengths[:n_arms], self.starts[:n_arms]
+        return table
 
 
 class GaussianEnvironment:

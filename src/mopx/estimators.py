@@ -129,21 +129,21 @@ def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEsti
 
     Reads the batch's per-arm sums and counts, so a call costs O(K) whatever
     the row count; the means equal ``rewards[arms == a].mean(axis=0)`` bit for
-    bit.
+    bit. An error names the first arm of ``active``, in its order, without data.
     """
     if len(batch) == 0:
         raise EstimationError("cannot estimate from an empty batch")
     sums, counts = batch.arm_totals()
-    for arm in active:
-        if not 0 <= arm < len(counts) or counts[arm] == 0:
-            raise EstimationError(f"active arm {arm} has no observations")
     arms = sorted(active)
+    idx = np.array(arms, dtype=int)
+    if len(idx) and not (idx[0] >= 0 and idx[-1] < len(counts) and counts[idx].all()):
+        arm = next(a for a in active if not 0 <= a < len(counts) or counts[a] == 0)
+        raise EstimationError(f"active arm {arm} has no observations")
     if sums.shape[1] == 1:
         # numpy sums one column pairwise, not row by row: only the rows give its bits
         pulled, rewards = batch.arms, batch.rewards
         means = np.array([rewards[pulled == arm].mean(axis=0) for arm in arms]).reshape(-1, 1)
     else:
-        idx = np.asarray(arms, dtype=int)
         means = sums[idx] / counts[idx][:, None]
     return MeanEstimates(arms, means)
 

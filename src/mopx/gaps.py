@@ -137,9 +137,8 @@ def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     large[x, y] = max_i (mu_i(x) - mu_i(y)), plus the ascending indices of
     the non-dominated rows, all read-only.
 
-    One K x K outer difference per objective. ``large`` negates the same
-    differences instead of subtracting the other way round: the two forms
-    differ in the sign of zero, and reported gaps keep the negated form's.
+    One K x K outer difference per objective; ``large`` is ``-small``, the max of
+    the negated differences (not of the reversed ones, whose zeros differ in sign).
     A call on the matrix of the previous call (same shape and bytes, so a
     zero of the other sign misses) returns the same arrays; only a miss scans
     ``mat`` for NaN and inf, and a matrix that holds any is never kept.
@@ -149,9 +148,10 @@ def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if terms is None:
         _check_means(mat)
         diffs = [col[None, :] - col[:, None] for col in mat.T]  # diff[x, y] = mu_i(y) - mu_i(x)
-        small, large = reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
+        small = reduce(np.minimum, diffs)
+        large = -small  # np.minimum and np.maximum keep the same operand on ties
         # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
-        front = np.flatnonzero(~((small >= 0) & (large.T > 0)).any(axis=1))
+        front = np.flatnonzero(~((small >= 0) & (small.T < 0)).any(axis=1))
         terms = (small, large, front)
         for array in terms:
             array.flags.writeable = False

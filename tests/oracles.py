@@ -4,13 +4,14 @@ These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
 meaningful. The exceptions are the untrimmed mirror-descent reference, the
-per-array MLP fit, the list-built observation log and the per-line CSV reader,
-which keep the library's own arithmetic so that the library must match them
-bit for bit.
+per-array MLP fit, the list-built observation log, the per-line CSV reader and
+the two-pass pair terms, which keep the library's own arithmetic so that the
+library must match them bit for bit.
 """
 
 import csv
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,16 @@ def oracle_front(means) -> list:
         for x in range(k)
         if not any(oracle_dominates(means[y], means[x]) for y in range(k) if y != x)
     ]
+
+
+def reference_pair_terms(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-pass form of ``gaps._pair_terms``: ``large`` as its own max
+    over the negated differences, and the front read off ``large``."""
+    mat = np.asarray(means, dtype=float)
+    diffs = [col[None, :] - col[:, None] for col in mat.T]
+    small, large = reduce(np.minimum, diffs), reduce(np.maximum, [-d for d in diffs])
+    front = np.flatnonzero(~((small >= 0) & (large.T > 0)).any(axis=1))
+    return small, large, front
 
 
 def oracle_m(means, x, y) -> float:

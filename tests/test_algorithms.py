@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ege_transcript_zero_noise, oracle_front
+from mopx import algorithms
 from mopx.algorithms import (
     RunConfig,
     eliminate_pareto,
@@ -414,3 +415,18 @@ def test_zero_noise_exactness_over_random_instances():
         assert got == best_feasible_arm(means, tau)
         psi = run_genpsi(RunConfig(algorithm="genpsi", per_arm_budget=4 + k, seed=0), env)
         assert list(psi.selected_set) == pareto_front(means)
+
+
+@pytest.mark.parametrize("scope", ["cumulative", "round"])
+def test_a_run_draws_the_mlp_start_once_and_one_pull_stream_per_round(monkeypatch, scope):
+    """The run's one generator is reset to stream (0, r) for round r's pulls
+    and to (1, 0) only for the MLP's first fit; later fits warm-start."""
+    reset, paths = algorithms.reset_stream, []
+    monkeypatch.setattr(algorithms, "reset_stream", lambda gen, seed, path: paths.append(path) or reset(gen, seed, path))
+    inst = random_linear_instance(np.random.default_rng(3), 6, 2, sigma=0.4)
+    config = RunConfig(algorithm="genpsi", estimator="mlp", mlp_iters=5, mlp_data_scope=scope, per_arm_budget=4, seed=2)
+    result = run_genpsi(config, GaussianEnvironment(inst))
+    rounds = [record.round for record in result.records]
+    assert paths == [(0, 1), (1, 0)] + [(0, r) for r in rounds[1:]]
+    monkeypatch.undo()
+    assert run_genpsi(config, GaussianEnvironment(inst)).to_dict() == result.to_dict()

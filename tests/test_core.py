@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopx import core
 from mopx.core import (
+    STREAM_KEYS_SIZE,
     DomainError,
     Instance,
     InstanceError,
     ObservationBatch,
     RngStream,
+    reset_stream,
 )
 from mopx.environments import GaussianEnvironment
 
@@ -83,6 +86,43 @@ def test_rng_stream_rejects_negative_components():
         RngStream(-1)
     with pytest.raises(DomainError):
         RngStream(1, (-2,))
+
+
+_PATHS = st.lists(st.integers(0, 2**40), max_size=3).map(tuple)
+
+
+def _draws(gen: np.random.Generator) -> list[bytes]:
+    """32-bit draws, integers with array bounds, normals and 32-bit floats, as bytes."""
+    return [
+        gen.integers(0, 2**32, size=3, dtype=np.uint32).tobytes(),
+        gen.integers(0, np.array([3, 17, 2**20]), size=(5, 3)).tobytes(),
+        gen.normal(size=7).tobytes(),
+        gen.random(size=3, dtype=np.float32).tobytes(),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**63), _PATHS, st.integers(0, 2**63), _PATHS, st.integers(0, 9))
+def test_a_reset_generator_draws_what_a_fresh_one_draws(seed, path, other_seed, other_path, used):
+    """A generator left part way through another stream, with a half-used
+    32-bit draw buffered, draws the stream's own bits once reset to it."""
+    gen = RngStream(other_seed, other_path).generator()
+    gen.integers(0, 2**32, size=used, dtype=np.uint32)
+    gen.integers(0, 2**16, dtype=np.uint16)
+    gen.normal(size=used)
+    assert reset_stream(gen, seed, path) is gen
+    assert _draws(gen) == _draws(RngStream(seed, path).generator())
+    assert _draws(reset_stream(gen, seed, path)) == _draws(RngStream(seed, path).generator())
+
+
+def test_the_stream_key_table_holds_at_most_its_size():
+    core._stream_key.cache_clear()
+    gen = RngStream(0).generator()
+    for step in range(STREAM_KEYS_SIZE + 10):
+        reset_stream(gen, 3, (0, step))
+    assert core._stream_key.cache_info().currsize == core._stream_key.cache_info().maxsize == STREAM_KEYS_SIZE
+    for step in (0, STREAM_KEYS_SIZE - 1, STREAM_KEYS_SIZE + 9):  # dropped and kept keys alike
+        assert _draws(reset_stream(gen, 3, (0, step))) == _draws(RngStream(3, (0, step)).generator())
 
 
 def test_reward_mean_is_permutation_invariant():

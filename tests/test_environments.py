@@ -128,6 +128,23 @@ def test_replay_means_equal_each_arms_own_array_mean(seed, row_counts, m):
     assert ReplayEnvironment(table).true_means() is table.means
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=2, max_size=8), st.integers(2, 4), st.data())
+def test_replay_subset_reuses_the_means_of_its_first_arms(seed, row_counts, m, data):
+    """A subset reads its means off the full table's, and they equal the means
+    of a table built from the subset's records alone, bit for bit."""
+    rng = np.random.default_rng(seed)
+    records = [np.round(rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4), 3) for n in row_counts]
+    table = _table(*records)
+    n_arms = data.draw(st.integers(1, len(records) - 1))
+    sub, built = table.subset(n_arms), _table(*records[:n_arms])
+    assert np.shares_memory(sub.means, table.means) and not sub.means.flags.writeable
+    for name in ("rows", "lengths", "starts", "means"):
+        got, want = getattr(sub, name), getattr(built, name)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (sub.n_arms, sub.n_objectives) == (n_arms, m)
+
+
 def test_replay_subset_of_every_arm_is_the_table_itself():
     table = _table(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4], [0.5, 0.6]]))
     assert table.subset(2) is table

@@ -77,6 +77,50 @@ def test_sample_mean_error_texts():
         assert str(err.value) == f"active arm {missing} has no observations"
 
 
+# arms 0, 2, 3 and 5 pulled; 1 and 4 never, -1 negative, 6 and 9 past the totals
+_GAPPY = [(0, [1.0], [0.2, 0.6]), (2, [1.0], [0.1, 0.3]), (3, [1.0], [0.5, 0.5]), (5, [1.0], [0.4, 0.9])]
+
+
+@pytest.mark.parametrize(
+    "active, named",
+    [
+        ([1, 0, 2], 1),
+        ([3, 0, 4], 4),
+        ([5, 3, 2, 0, 1], 1),
+        ([5, -1, 0], -1),
+        ([0, 2, 5, 3, -1], -1),
+        ([9, 0], 9),
+        ([2, 0, 6], 6),
+        ([4, -1, 9], 4),
+        ([6, 1, -1], 6),
+        ([-1, 4, 9], -1),
+        ([3, 3, 4, 1], 4),
+    ],
+)
+def test_sample_mean_names_the_first_faulty_arm_of_an_unsorted_list(active, named):
+    with pytest.raises(EstimationError) as err:
+        estimate_sample_mean(_batch(_GAPPY), active)
+    assert str(err.value) == f"active arm {named} has no observations"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 8), max_size=8))
+def test_sample_mean_answers_and_errors_match_the_per_arm_oracle(active):
+    batch, oracle = _batch(_GAPPY), ListBatch()
+    for row in _GAPPY:
+        oracle.append(*row, 1)
+    try:
+        want = oracle_sample_mean(oracle, active)
+    except EstimationError as err:
+        with pytest.raises(EstimationError) as got:
+            estimate_sample_mean(batch, active)
+        assert str(got.value) == str(err)
+        return
+    est = estimate_sample_mean(batch, active)
+    assert est.arms == sorted(active)
+    assert [est[a].tobytes() for a in active] == [want[a].tobytes() for a in active]
+
+
 def _rewards(rng, n, m, kind):
     if kind == "grid":  # quarter steps, with zeros of either sign
         rewards = np.round(rng.uniform(-0.6, 0.6, size=(n, m)) * 4) / 4

@@ -11,6 +11,7 @@ from oracles import (
     oracle_front,
     oracle_hardness,
     oracle_pareto_gap,
+    reference_pair_terms,
 )
 from mopx import gaps
 from mopx.core import DomainError, InstanceError
@@ -469,3 +470,35 @@ def test_memoised_answers_cannot_be_changed_by_callers():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert all(a is b for a, b in zip(_pair_terms(SQUARE), terms))  # served, not rebuilt
+
+
+# signed zeros and a coarse grid: most differences tie, many of them at zero
+_TIED_ROWS = st.integers(1, 9).flatmap(
+    lambda k: st.integers(2, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.5, 1.0]), min_size=m, max_size=m),
+            min_size=k,
+            max_size=k,
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIED_ROWS)
+def test_pair_terms_match_the_two_pass_form_byte_for_byte(rows):
+    """``large`` is ``-small``: on ties np.minimum and np.maximum keep the same
+    operand, so even the sign of every zero matches the two-pass form."""
+    got, want = _pair_terms(np.array(rows)), reference_pair_terms(rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_pair_terms_keep_the_sign_of_zero_on_signed_zero_ties():
+    rows = [[0.0, 0.0], [0.0, 0.0], [0.0, -0.0]]
+    small, large, front = _pair_terms(np.array(rows))
+    assert np.signbit(small).astype(int).tolist() == [[0, 0, 1], [0, 0, 1], [0, 0, 0]]
+    assert np.signbit(large).astype(int).tolist() == [[1, 1, 0], [1, 1, 0], [1, 1, 1]]
+    assert front.tolist() == [0, 1, 2]
+    for got, want in zip((small, large, front), reference_pair_terms(rows)):
+        assert got.tobytes() == want.tobytes()

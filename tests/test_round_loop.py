@@ -145,6 +145,16 @@ def test_a_sweep_formats_no_round_log(tmp_path, monkeypatch):
     assert paths["records"].read_bytes() == (FIXTURES / "golden_records.csv").read_bytes()
 
 
+def test_the_golden_config_run_twice_in_one_process_gives_the_golden_files_both_times(tmp_path):
+    """The second run resets generators to keys the first one left in the
+    process-wide key table, and must draw what fresh generators draw."""
+    config = load_experiment_config(FIXTURES / "regression_config.json")
+    for attempt in range(2):
+        paths = write_outputs(tmp_path / str(attempt), run_experiment(config, jobs=1))
+        assert paths["summary"].read_bytes() == (FIXTURES / "golden_summary.csv").read_bytes()
+        assert paths["records"].read_bytes() == (FIXTURES / "golden_records.csv").read_bytes()
+
+
 def test_the_golden_replay_file_in_other_spellings_gives_the_golden_answers(tmp_path):
     """CRLF line ends, quoted cells, spaces after commas, a leading + and a
     blank line send the replay file to the per-line reader; every run's
