@@ -8,7 +8,6 @@ by arm index is the global tie-break order used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -76,19 +75,13 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-STREAM_KEYS_SIZE = 1024  # (seed, path) Philox keys kept per process, least recently used dropped first
-
-
-@lru_cache(maxsize=STREAM_KEYS_SIZE)  # the key Philox(seq) takes, as a tuple no caller can change
-def _stream_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
-    return tuple(np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64).tolist())
-
-
 def reset_stream(gen: np.random.Generator, seed: int, path: tuple[int, ...]) -> np.random.Generator:
     """Return ``gen``, a Philox generator, reset to draw what ``RngStream(seed, path).generator()`` draws:
-    a Philox stream is its key and a counter, here zero with an empty buffer and no half-used 32-bit draw."""
+    a Philox stream is its key and a counter, here zero with an empty buffer and no half-used 32-bit draw.
+    The key is the one ``Philox(seq)`` derives; no ``SeedSequence``-fed ``Philox`` is built."""
     zeros = np.zeros(4, dtype=np.uint64)
-    gen.bit_generator.state = {"state": {"counter": zeros, "key": _stream_key(seed, path)}, "buffer": zeros,
+    key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    gen.bit_generator.state = {"state": {"counter": zeros, "key": key}, "buffer": zeros,
                                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, "bit_generator": "Philox"}
     return gen
 

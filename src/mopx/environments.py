@@ -37,9 +37,9 @@ def brevity_score(length: float, tau_low: float, tau_high: float) -> float:
 class ReplayTable:
     """Recorded pull observations of every arm, in one array: arm a's records,
     in recorded order, are ``rows[starts[a]:starts[a] + lengths[a]]``, and
-    ``means[a]`` is their mean. Every arm needs at least one record."""
+    ``means[a]`` is their mean, computed unless given. Every arm needs at least one record."""
 
-    def __init__(self, rows: np.ndarray, lengths: np.ndarray):
+    def __init__(self, rows: np.ndarray, lengths: np.ndarray, means: np.ndarray | None = None):
         rows = np.asarray(rows, dtype=float)
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or len(lengths) == 0:
@@ -57,8 +57,10 @@ class ReplayTable:
             raise ConfigurationError("replay records need m >= 2 objectives")
         self.rows = rows
         self.lengths = lengths
-        self.means = np.array([rows[start : start + n].mean(axis=0) for start, n in zip(self.starts, lengths)])
-        self.means.flags.writeable = False  # every cell of a sweep reads these
+        if means is None:
+            means = np.array([rows[start : start + n].mean(axis=0) for start, n in zip(self.starts, lengths)])
+            means.flags.writeable = False  # every cell of a sweep reads these
+        self.means = means
 
     @property
     def n_arms(self) -> int:
@@ -74,10 +76,8 @@ class ReplayTable:
             return self
         if not 1 <= n_arms <= self.n_arms:
             raise ConfigurationError(f"cannot take {n_arms} arms from a {self.n_arms}-arm table")
-        table = object.__new__(type(self))  # each arm's mean reads only its own rows
-        table.rows, table.means = self.rows[: self.starts[n_arms]], self.means[:n_arms]
-        table.lengths, table.starts = self.lengths[:n_arms], self.starts[:n_arms]
-        return table
+        # each arm's mean reads only its own rows
+        return ReplayTable(self.rows[: self.starts[n_arms]], self.lengths[:n_arms], means=self.means[:n_arms])
 
 
 class GaussianEnvironment:

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopx import core
 from mopx.core import (
-    STREAM_KEYS_SIZE,
     DomainError,
     Instance,
     InstanceError,
@@ -113,16 +111,6 @@ def test_a_reset_generator_draws_what_a_fresh_one_draws(seed, path, other_seed, 
     assert reset_stream(gen, seed, path) is gen
     assert _draws(gen) == _draws(RngStream(seed, path).generator())
     assert _draws(reset_stream(gen, seed, path)) == _draws(RngStream(seed, path).generator())
-
-
-def test_the_stream_key_table_holds_at_most_its_size():
-    core._stream_key.cache_clear()
-    gen = RngStream(0).generator()
-    for step in range(STREAM_KEYS_SIZE + 10):
-        reset_stream(gen, 3, (0, step))
-    assert core._stream_key.cache_info().currsize == core._stream_key.cache_info().maxsize == STREAM_KEYS_SIZE
-    for step in (0, STREAM_KEYS_SIZE - 1, STREAM_KEYS_SIZE + 9):  # dropped and kept keys alike
-        assert _draws(reset_stream(gen, 3, (0, step))) == _draws(RngStream(3, (0, step)).generator())
 
 
 def test_reward_mean_is_permutation_invariant():

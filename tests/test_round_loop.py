@@ -146,8 +146,8 @@ def test_a_sweep_formats_no_round_log(tmp_path, monkeypatch):
 
 
 def test_the_golden_config_run_twice_in_one_process_gives_the_golden_files_both_times(tmp_path):
-    """The second run resets generators to keys the first one left in the
-    process-wide key table, and must draw what fresh generators draw."""
+    """Nothing a run leaves in the process, such as the last pair terms kept
+    by the gaps layer, changes what the next run in it draws or answers."""
     config = load_experiment_config(FIXTURES / "regression_config.json")
     for attempt in range(2):
         paths = write_outputs(tmp_path / str(attempt), run_experiment(config, jobs=1))
