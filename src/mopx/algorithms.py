@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -152,7 +151,7 @@ class RoundRecord(NamedTuple):
 
 
 def _round_log(record: RoundRecord) -> dict:
-    """One round's string-keyed log entry, as ``RunResult.rounds`` holds it."""
+    """One round's string-keyed log entry, as ``RunResult.to_dict()`` writes it."""
     log = {
         "round": record.round,
         "active": sorted(record.active),
@@ -170,11 +169,11 @@ def _round_log(record: RoundRecord) -> dict:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Output of one run: the selection plus per-round diagnostics.
+    """Output of one run: the selection plus each round's ``RoundRecord``.
 
-    ``records`` keeps each round raw; the string-keyed round log is built only
-    when ``rounds`` or ``to_dict()`` is read, so a sweep that reads neither
-    formats nothing. Equality ignores the records, which hold numpy rows.
+    The string-keyed round log is formatted only by ``to_dict()``, so a sweep
+    that never serialises a run formats nothing. Equality ignores the rounds,
+    which hold numpy rows.
     """
 
     algorithm: str
@@ -182,11 +181,7 @@ class RunResult:
     selected_set: tuple[int, ...] | None
     pulls_used: int
     budget: int
-    records: tuple[RoundRecord, ...] = field(default=(), repr=False, compare=False)
-
-    @cached_property
-    def rounds(self) -> tuple[dict, ...]:
-        return tuple(_round_log(record) for record in self.records)
+    rounds: tuple[RoundRecord, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -195,7 +190,7 @@ class RunResult:
             "selected_set": list(self.selected_set) if self.selected_set is not None else None,
             "pulls_used": self.pulls_used,
             "budget": self.budget,
-            "rounds": list(self.rounds),
+            "rounds": [_round_log(record) for record in self.rounds],
         }
 
 
@@ -360,7 +355,7 @@ class _RoundRunner:
         and ``answer`` maps the final active set to (selected_arm, selected_set)."""
         schedule = self.schedule()
         active = list(range(self.env.n_arms))
-        records: list[RoundRecord] = []
+        rounds: list[RoundRecord] = []
         for r in range(1, schedule.n_rounds + 1):
             try:
                 counts, sequence = self.allocate(schedule.pulls_per_round[r - 1], active)
@@ -369,7 +364,7 @@ class _RoundRunner:
             except MopxError as err:
                 raise type(err)(f"round {r}: {err}") from err
             active, fields = eliminate(active, schedule.keep_counts[r - 1], estimates)
-            records.append(RoundRecord(r, active, counts.counts, **fields))
+            rounds.append(RoundRecord(r, active, counts.counts, **fields))
         selected_arm, selected_set = answer(active)
         return RunResult(
             algorithm=self.config.algorithm,
@@ -377,7 +372,7 @@ class _RoundRunner:
             selected_set=selected_set,
             pulls_used=self.pulls_used,
             budget=schedule.budget,
-            records=tuple(records),
+            rounds=tuple(rounds),
         )
 
 

@@ -8,7 +8,7 @@ by arm index is the global tie-break order used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class RngStream:
         if any(p < 0 for p in self.path):
             raise DomainError("RngStream path components must be non-negative")
         object.__setattr__(self, "path", tuple(int(p) for p in self.path))
-
-    def child(self, *steps: int) -> "RngStream":
-        """Derive a sub-stream by extending the path."""
-        return RngStream(self.seed, self.path + tuple(int(s) for s in steps))
 
     def generator(self) -> np.random.Generator:
         """Fresh Philox generator for this (seed, path); same inputs, same draws."""
@@ -280,7 +276,6 @@ class ObservationBatch:
         return out
 
 
-@runtime_checkable
 class Environment(Protocol):
     """Reward source: one stochastic reward vector per pull of an arm.
 
@@ -292,5 +287,3 @@ class Environment(Protocol):
     n_objectives: int
 
     def pull(self, arm: int | np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
-
-    def true_means(self) -> np.ndarray: ...

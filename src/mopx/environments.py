@@ -93,9 +93,6 @@ class GaussianEnvironment:
         noise = rng.normal(0.0, 1.0, size=arms.shape + (self.n_objectives,)) * self.instance.sigma
         return self.instance.means[arms] + noise
 
-    def true_means(self) -> np.ndarray:
-        return self.instance.means
-
     @property
     def features(self) -> np.ndarray | None:
         return self.instance.features
@@ -135,9 +132,6 @@ class ReplayEnvironment:
                 offsets.flat[i] = self._cursors[a] % lengths.flat[i]
                 self._cursors[a] += 1
         return table.rows.take(table.starts[arms] + offsets, axis=0)
-
-    def true_means(self) -> np.ndarray:
-        return self.table.means
 
 
 def _checked_arms(arm, n_arms: int) -> np.ndarray:

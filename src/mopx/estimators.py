@@ -194,10 +194,6 @@ class MlpParams:
     w2: np.ndarray  # m x h
     b2: np.ndarray  # m
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
 
 def mlp_init(dim: int, n_objectives: int, hidden: int, rng: np.random.Generator) -> MlpParams:
     """Symmetric uniform fan-in initialisation."""
@@ -329,18 +325,14 @@ def mlp_fit(
     iters: int = 2000,
     step_size: float = 1e-2,
     init: MlpParams | None = None,
-    checkpoint_every: int = 100,
-    return_trace: bool = False,
-) -> MlpParams | tuple[MlpParams, list[float]]:
+) -> MlpParams:
     """Full-batch Adam on the regularised squared loss.
 
     ``rng`` draws the initial weights; ``init`` instead warm-starts from a
     previous round's parameters, which are copied and never written to.
     Deterministic for a fixed ``rng`` state and config. The lowest-loss
-    iterate is retained, so the logged checkpoint losses are non-increasing.
-    With ``return_trace`` the checkpoint losses are returned alongside the
-    parameters. The returned parameters are views of a vector of their own,
-    allocated by this fit.
+    iterate, the final one included, is returned. The returned parameters are
+    views of a vector of their own, allocated by this fit.
 
     Adam runs element by element on one flat parameter vector, updated in
     place, and every iteration's loss and gradient go into one workspace
@@ -377,7 +369,6 @@ def mlp_fit(
 
     best_loss = np.inf
     best = flat.copy()  # the lowest-loss iterate; init until a loss is finite
-    trace: list[float] = []
     for it in range(iters):
         loss = _mlp_loss_grad(feats, targets, lam, ws)
         if not math.isfinite(loss):
@@ -385,8 +376,6 @@ def mlp_fit(
         if loss < best_loss:
             best_loss = loss
             best[...] = flat
-        if it % checkpoint_every == 0:
-            trace.append(best_loss)
         # first = beta1 * first + (1 - beta1) * grad, and so on: the same
         # operations on the same operands in the same order, written in place
         np.multiply(first, beta1, out=first)
@@ -407,11 +396,7 @@ def mlp_fit(
 
     final_loss = _mlp_loss(feats, targets, lam, ws)
     if math.isfinite(final_loss) and final_loss < best_loss:
-        best_loss = final_loss
         best = flat
-    trace.append(best_loss)
-    if return_trace:
-        return ws.views(best), trace
     return ws.views(best)
 
 

@@ -43,31 +43,15 @@ class GapEntry:
         }
 
 
-# Component names each classification reports, in serialisation order.
-_COMPONENTS = {
-    "dominated": ("domination_margin",),
-    "pareto": ("delta_plus", "delta_minus"),
-    **dict.fromkeys(
-        ("optimal", "feasible", "infeasible"),
-        ("violation", "suboptimality", "difficulty", "margin_cap"),
-    ),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class GapReport:
-    """Per-arm gaps of one instance, stored as columns indexed by arm.
-
-    ``gap_column[x]`` is arm x's gap, ``classifications[x]`` its class, and
-    ``component_columns[name][x]`` the components its class reports (other
-    arms hold NaN there). Only ``gap_column`` is built with the report:
-    ``build_columns()`` returns the classifications and component columns, and
-    runs on their first read, as ``entries`` does.
-    """
+    """Per-arm gaps of one instance: ``gap_column[x]`` is arm x's gap. The
+    per-arm ``entries``, with each arm's class and the components its class
+    reports, come from ``build_entries()`` on their first read."""
 
     mode: str  # "pareto" or "constrained"
     gap_column: np.ndarray
-    build_columns: Callable[[], tuple[tuple[str, ...], dict[str, np.ndarray]]] = field(repr=False)
+    build_entries: Callable[[], tuple[GapEntry, ...]] = field(repr=False)
     tau: float | None = None
     optimal_arm: int | None = None
 
@@ -75,27 +59,12 @@ class GapReport:
         self.gap_column.flags.writeable = False
 
     @cached_property
-    def _columns(self) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
-        classifications, columns = self.build_columns()
-        for column in columns.values():
-            column.flags.writeable = False
-        return classifications, columns
-
-    classifications = property(lambda self: self._columns[0])
-    component_columns = property(lambda self: self._columns[1])
-
-    @cached_property
     def entries(self) -> tuple[GapEntry, ...]:
-        columns = {name: col.tolist() for name, col in self.component_columns.items()}
-        return tuple(
-            GapEntry(
-                arm=x,
-                gap=g,
-                classification=cls,
-                components={name: columns[name][x] for name in _COMPONENTS[cls]},
-            )
-            for x, (g, cls) in enumerate(zip(self.gap_column.tolist(), self.classifications))
-        )
+        return self.build_entries()
+
+    @property
+    def classifications(self) -> tuple[str, ...]:
+        return tuple(entry.classification for entry in self.entries)
 
     def gap(self, arm: int) -> float:
         return float(self.gap_column[arm])
@@ -207,14 +176,15 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     gap[dominated] = dominated_gap
     gap[front] = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
 
-    def columns() -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
-        cols = {name: np.full(k, np.nan) for name in ("domination_margin", "delta_plus", "delta_minus")}
-        cols["domination_margin"][dominated] = dominated_gap
-        cols["delta_plus"][front] = delta_plus
-        cols["delta_minus"][front] = delta_minus
-        return tuple(np.where(on_front, "pareto", "dominated").tolist()), cols
+    def entries() -> tuple[GapEntry, ...]:
+        parts = {}
+        for x, margin in zip(dominated.tolist(), dominated_gap.tolist()):
+            parts[x] = ("dominated", {"domination_margin": margin})
+        for x, plus, minus in zip(front.tolist(), delta_plus.tolist(), delta_minus.tolist()):
+            parts[x] = ("pareto", {"delta_plus": plus, "delta_minus": minus})
+        return tuple(GapEntry(x, g, *parts[x]) for x, g in enumerate(gap.tolist()))
 
-    return GapReport("pareto", gap, columns)
+    return GapReport("pareto", gap, entries)
 
 
 def best_feasible_arm(means: np.ndarray, tau: float) -> int:
@@ -246,13 +216,15 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
     gap = np.where(cap < delta, cap, delta)
     classes = np.where(mat[:, 1] >= tau, "feasible", "infeasible")
     classes[star] = "optimal"
-    columns = {
-        "violation": viol,
-        "suboptimality": subopt,
-        "difficulty": delta,
-        "margin_cap": np.full(mat.shape[0], cap),
-    }
-    return GapReport("constrained", gap, lambda: (tuple(classes.tolist()), columns), tau=tau, optimal_arm=star)
+
+    def entries() -> tuple[GapEntry, ...]:
+        rows = zip(gap.tolist(), classes.tolist(), viol.tolist(), subopt.tolist(), delta.tolist())
+        return tuple(
+            GapEntry(x, g, cls, {"violation": v, "suboptimality": s, "difficulty": d, "margin_cap": cap})
+            for x, (g, cls, v, s, d) in enumerate(rows)
+        )
+
+    return GapReport("constrained", gap, entries, tau=tau, optimal_arm=star)
 
 
 def hardness(means: np.ndarray, tau: float) -> float:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import CONSTRAINED, GENPSI, UNIFORM, RunConfig, RunResult, run_algorithm
-from .core import ConfigurationError, Instance, InstanceError
+from .algorithms import CONSTRAINED, GENPSI, PARETO, UNIFORM, RunConfig, RunResult, run_algorithm
+from .core import ConfigurationError, Instance, InstanceError, MetricError
 from .environments import (
     GaussianEnvironment,
     LinearEnvironment,
@@ -235,15 +235,21 @@ class ExperimentConfig:
                     f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
                 )
         # every RunConfig setting error raises here, at load
-        runs = [_run_config(v, self.tau, b, self.seeds[0]) for v in self.algorithms for b in self.per_arm_budgets]
+        modes = {_run_config(v, self.tau, b, self.seeds[0]).mode for v in self.algorithms for b in self.per_arm_budgets}
         # labels name summary rows and run ids, so two variants must not share one
         labels = [_label(variant) for variant in self.algorithms]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
-        if any(run.mode == CONSTRAINED for run in runs) and self.environment.n_objectives == 2:
-            for k in self.k_values:
-                _check_constrained_truth(self.environment.true_means(k), self.tau, k)
+        m = self.environment.n_objectives
+        if CONSTRAINED in modes and m != 2:
+            raise ConfigurationError(f"gensec and constrained uniform variants need exactly two objectives, got m={m}")
+        for k in self.k_values:
+            truth = self.environment.true_means(k)
+            if CONSTRAINED in modes:
+                _check_constrained_truth(truth, self.tau, k)
+            if PARETO in modes:
+                _check_pareto_truth(truth, self.hv_reference, k)
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return list(product(self.algorithms, self.k_values, self.per_arm_budgets, self.seeds))
@@ -262,6 +268,18 @@ def _check_constrained_truth(means: np.ndarray, tau: float, k: int) -> None:
         raise ConfigurationError(f"{prefix}: {err}") from None
     if means[star, 1] == tau:
         raise ConfigurationError(f"{prefix}: the optimal arm {star} has mu2 == tau, a zero margin cap")
+
+
+def _check_pareto_truth(means: np.ndarray, reference: tuple[float, ...] | None, k: int) -> None:
+    """Reject a truth that ``hv_recovery`` cannot score: m > 3, or no volume
+    over the reference (dominated arms add none, so it is the front's volume)."""
+    ref = np.zeros(means.shape[1]) if reference is None else np.asarray(reference, dtype=float)
+    try:
+        volume = hypervolume(means, ref)
+    except MetricError as err:
+        raise ConfigurationError(f"pareto truth at K={k}: {err}") from None
+    if volume == 0.0:
+        raise ConfigurationError(f"pareto truth at K={k} has zero hypervolume over the reference {tuple(ref.tolist())}")
 
 
 def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -489,7 +507,7 @@ def render_table(rows: list[SummaryRow]) -> str:
 
 
 def write_outputs(out_dir: str | Path, outcome: ExperimentOutcome) -> dict[str, Path]:
-    """Write records.csv, summary.csv, table.txt (and failures.json if any)."""
+    """Write records.csv, summary.csv, table.txt and, if any cell failed, failures.json (else remove an old one)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -504,4 +522,6 @@ def write_outputs(out_dir: str | Path, outcome: ExperimentOutcome) -> dict[str, 
     if outcome.failures:
         paths["failures"] = out / "failures.json"
         paths["failures"].write_text(json.dumps(outcome.failures, indent=2) + "\n")
+    else:
+        (out / "failures.json").unlink(missing_ok=True)
     return paths

@@ -46,9 +46,6 @@ class CountingEnv:
         self.count += np.size(arm)
         return self.inner.pull(arm, rng)
 
-    def true_means(self):
-        return self.inner.true_means()
-
 
 # ------------------------------------------------------------------ ranking
 
@@ -196,11 +193,11 @@ def test_genpsi_matches_direct_ege_transcript_on_zero_noise():
         result = run_genpsi(config, env)
         transcript, final = ege_transcript_zero_noise(means, 6 * k)
         previous = set(range(k))
-        for log, (removed, accepted) in zip(result.rounds, transcript):
-            gone = previous - set(log["active"])
+        for record, (removed, accepted) in zip(result.rounds, transcript):
+            gone = previous - set(record.active)
             assert gone == {removed}
-            assert (removed in log["accepted"]) == accepted
-            previous = set(log["active"])
+            assert (removed in record.accepted) == accepted
+            previous = set(record.active)
         assert list(result.selected_set) == final
         assert final == sorted(oracle_front(means)) or set(final) == set(oracle_front(means))
 
@@ -274,7 +271,7 @@ def test_uniform_baseline_matches_brute_force_on_hand_pulled_means(case):
     result = run_uniform_baseline(config, GaussianEnvironment(inst))
 
     # the same pulls by hand: round-robin from the round-1 environment stream
-    gen = RngStream(seed).child(0, 1).generator()
+    gen = RngStream(seed, (0, 1)).generator()
     env = GaussianEnvironment(inst)
     rows = {arm: [] for arm in range(k)}
     for t in range(budget):
@@ -426,7 +423,7 @@ def test_a_run_draws_the_mlp_start_once_and_one_pull_stream_per_round(monkeypatc
     inst = random_linear_instance(np.random.default_rng(3), 6, 2, sigma=0.4)
     config = RunConfig(algorithm="genpsi", estimator="mlp", mlp_iters=5, mlp_data_scope=scope, per_arm_budget=4, seed=2)
     result = run_genpsi(config, GaussianEnvironment(inst))
-    rounds = [record.round for record in result.records]
+    rounds = [record.round for record in result.rounds]
     assert paths == [(0, 1), (1, 0)] + [(0, r) for r in rounds[1:]]
     monkeypatch.undo()
     assert run_genpsi(config, GaussianEnvironment(inst)).to_dict() == result.to_dict()

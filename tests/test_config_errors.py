@@ -48,7 +48,16 @@ def _alg(key, value):
     return ("algorithms", 0, *key.split(".")), value
 
 
+def _gaussian(means):
+    return {"kind": "gaussian", "instance": {"means": means}}
+
+
 UNIFORM = [{"label": "u", "algorithm": "uniform", "mode": "pareto"}]
+UNIFORM_CONSTRAINED = [{"label": "u", "algorithm": "uniform", "mode": "constrained"}]
+GENPSI = [{"label": "p", "algorithm": "genpsi"}]
+THREE = [[0.8, 0.6, 0.5], [0.9, 0.4, 0.5], [0.6, 0.7, 0.5], [0.3, 0.3, 0.5]]
+FOUR = [row + [0.5] for row in THREE]
+TWO_OBJECTIVES = "gensec and constrained uniform variants need exactly two objectives, got m=3"
 
 # (path into BASE, value put there, message); the path () replaces the config
 ROWS = [
@@ -299,6 +308,33 @@ ROWS = [
         "constrained truth at K=4, tau=0.5: arm 2 has zero constrained gap; hardness is undefined",
     ),
     (("environment", "instance", "means"), [[0.8, 0.6], [0.9, 0.4], [0.8, 0.49], [0.3, 0.3]], None),
+    # constrained variants need m = 2; Pareto variants need m <= 3 and a truth
+    # with some hypervolume over the reference (zeros by default) at every K
+    ((), dict(BASE, environment=_gaussian(THREE), hv_reference=None), TWO_OBJECTIVES),
+    ((), dict(BASE, environment=_gaussian(THREE), hv_reference=None, algorithms=UNIFORM_CONSTRAINED), TWO_OBJECTIVES),
+    ((), dict(BASE, environment=_gaussian(THREE), hv_reference=None, algorithms=UNIFORM + GENPSI), None),
+    (
+        (),
+        dict(BASE, environment=_gaussian(FOUR), hv_reference=None, algorithms=GENPSI),
+        "pareto truth at K=4: hypervolume supports m in {2, 3}, got m=4",
+    ),
+    (
+        (),
+        dict(BASE, algorithms=GENPSI, hv_reference=[0.9, 0.7]),
+        "pareto truth at K=4 has zero hypervolume over the reference (0.9, 0.7)",
+    ),
+    (
+        (),
+        dict(BASE, algorithms=UNIFORM, hv_reference=[0.5, 0.6], k_values=[4, 2]),
+        "pareto truth at K=2 has zero hypervolume over the reference (0.5, 0.6)",
+    ),
+    # without brevity every recorded mu2 is 0.0, level with the default reference
+    (
+        (),
+        dict(BASE, environment=_replay(brevity=None), algorithms=UNIFORM, hv_reference=None),
+        "pareto truth at K=4 has zero hypervolume over the reference (0.0, 0.0)",
+    ),
+    ((), dict(BASE, environment=_replay(brevity=None), algorithms=UNIFORM, hv_reference=[0.0, -0.1]), None),
 ]
 
 

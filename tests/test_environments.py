@@ -95,7 +95,7 @@ def test_environment_mean_fidelity_every_kind():
     for name, env in kinds.items():
         gen = RngStream(5).generator()
         draws = np.array([env.pull(0, gen) for _ in range(n)])
-        truth = env.true_means()[0]
+        truth = (env.table if name == "replay" else env.instance).means[0]
         spread = max(np.max(np.std([env.pull(0, gen) for _ in range(100)], axis=0)), 1e-3)
         assert np.all(np.abs(draws.mean(axis=0) - truth) < 5 * spread / np.sqrt(n) + 5e-3), name
 
@@ -125,7 +125,7 @@ def test_replay_means_equal_each_arms_own_array_mean(seed, row_counts, m):
     table = _table(*records)
     want = np.array([rows.copy().mean(axis=0) for rows in records])
     assert table.means.tobytes() == want.tobytes() and table.means is table.means
-    assert ReplayEnvironment(table).true_means() is table.means
+    assert EnvironmentSource(kind="replay", table=table).true_means(len(row_counts)) is table.means
 
 
 @settings(max_examples=100, deadline=None)

@@ -299,6 +299,24 @@ def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jo
     assert json.loads(paths["failures"].read_text()) == outcome.failures
 
 
+def test_a_clean_sweep_removes_the_failures_of_an_earlier_sweep_in_its_directory(tmp_path):
+    config = _config(
+        algorithms=[
+            {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
+            # K=4, b=3 gives B=12 < 45*d*ceil(log2 K): the strict variant fails
+            {"label": "strict", "algorithm": "gensec", "allocator": "g-optimal", "estimator": "linear",
+             "enforce_design_budget": True},
+        ],
+        per_arm_budgets=[3],
+        seeds=[0],
+    )
+    failed = write_outputs(tmp_path, run_experiment(config))
+    assert failed["failures"].exists()
+    clean = write_outputs(tmp_path, run_experiment(_config(per_arm_budgets=[3], seeds=[0])))
+    assert "failures" not in clean
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["records.csv", "summary.csv", "table.txt"]
+
+
 def test_environment_subsetting_takes_first_k():
     config = _config(k_values=[2], per_arm_budgets=[4], seeds=[0, 1])
     outcome = run_experiment(config)

@@ -171,9 +171,10 @@ def test_the_golden_replay_file_in_other_spellings_gives_the_golden_answers(tmp_
 
 def test_round_logs_are_formatted_only_when_read(monkeypatch):
     """Every run of the digests above formats nothing until its ``to_dict()``,
-    and the JSON it then gives still hashes to the recorded digests."""
+    not even when ``len(result.rounds)`` counts its rounds, and the JSON it
+    then gives still hashes to the recorded digests."""
     formatter, runner = algorithms._round_log, algorithms.run_algorithm
-    running = []
+    running, counts = [], []
 
     def guarded(record):
         return _refuse(record) if running else formatter(record)
@@ -181,10 +182,13 @@ def test_round_logs_are_formatted_only_when_read(monkeypatch):
     def run(config, env):
         running.append(config)
         try:
-            return runner(config, env)
+            result = runner(config, env)
+            counts.append(len(result.rounds))
+            return result
         finally:
             running.pop()
 
     monkeypatch.setattr(algorithms, "_round_log", guarded)
     monkeypatch.setattr(sys.modules[__name__], "run_algorithm", run)
     assert {key: _digest(*key) for key in DIGESTS} == DIGESTS
+    assert len(counts) == 864 and min(counts) >= 1  # every run that returns a result
