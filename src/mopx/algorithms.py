@@ -300,7 +300,26 @@ class _RoundRunner:
             active_feats, self.config.g_optimal_epsilon, active=sorted(active)
         )
         counts = round_design(n_pulls, design, 1.0 / 3.0, sorted(active), active_feats)
+        if self.config.estimator == "mean":
+            counts = self._cover_unpulled(counts)
         return counts, counts.blocked_sequence()
+
+    def _cover_unpulled(self, counts: PullCounts) -> PullCounts:
+        """The sample mean needs a pull of every arm: each active arm with none so
+        far and none in ``counts`` takes one from the largest count of at least 2
+        (ties to the lowest arm), while such a count is left."""
+        pulled = self.batch.arm_totals()[1]
+        new = dict(counts.counts)
+        for arm in sorted(new):
+            if new[arm] or arm < len(pulled) and pulled[arm]:
+                continue
+            donors = [a for a in new if new[a] >= 2]
+            if not donors:
+                break
+            donor = min(donors, key=lambda a: (-new[a], a))
+            new[donor] -= 1
+            new[arm] += 1
+        return PullCounts(new)
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
         if sequence:

@@ -131,6 +131,15 @@ class Instance:
     def n_objectives(self) -> int:
         return self.means.shape[1]
 
+    def subset(self, n_arms: int) -> "Instance":
+        """The first ``n_arms`` arms, sharing their means and feature rows; all of them is the instance itself."""
+        if n_arms == self.n_arms:
+            return self
+        if not 1 <= n_arms <= self.n_arms:
+            raise ConfigurationError(f"cannot take K={n_arms} arms from a {self.n_arms}-arm instance")
+        feats = self.features[:n_arms] if self.features is not None else None
+        return Instance(means=self.means[:n_arms], sigma=self.sigma, features=feats, theta=self.theta)
+
 
 class ObservationBatch:
     """Append-only log of (arm, feature, reward, round) rows collected by a run.

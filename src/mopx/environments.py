@@ -146,6 +146,18 @@ def _checked_arms(arm, n_arms: int) -> np.ndarray:
     return arms
 
 
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    """One line per row, a dict's values in order or a sequence's items, under
+    the comma-separated ``header``; floats are written as ``repr(float(v))``,
+    the shortest text that reads back to the same float, and None as an empty cell."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header.split(","))
+        for row in rows:
+            values = row.values() if isinstance(row, dict) else row
+            writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in values])
+
+
 _PLAIN = b"0123456789.,eE+-\n"  # the characters of a body the one-pass parse reads
 
 

@@ -8,13 +8,12 @@ making its first nonzero component positive.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .core import ConfigurationError, NumericalError
-from .environments import _read_arm_csv
+from .environments import _read_arm_csv, _write_csv
 
 _JACOBI_MAX_SWEEPS = 100
 _SIGN_EPS = 1e-12
@@ -102,8 +101,5 @@ def load_embeddings_csv(path: str | Path) -> np.ndarray:
 
 def write_features_csv(path: str | Path, features: np.ndarray) -> None:
     feats = np.asarray(features, dtype=float)
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["arm_id"] + [f"phi_{j + 1}" for j in range(feats.shape[1])])
-        for arm, row in enumerate(feats):
-            writer.writerow([arm] + [repr(float(v)) for v in row])
+    header = ",".join(["arm_id"] + [f"phi_{j + 1}" for j in range(feats.shape[1])])
+    _write_csv(path, header, ([arm, *row] for arm, row in enumerate(feats.tolist())))

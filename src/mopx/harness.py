@@ -11,21 +11,23 @@ format (rows = method, columns = per-arm budget).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .algorithms import CONSTRAINED, GENPSI, PARETO, UNIFORM, RunConfig, RunResult, run_algorithm
-from .core import ConfigurationError, Instance, InstanceError, MetricError
+from .core import ConfigurationError, Environment, Instance, InstanceError, MetricError
 from .environments import (
     GaussianEnvironment,
     LinearEnvironment,
     ReplayEnvironment,
     ReplayTable,
+    _write_csv,
     instance_from_dict,
     load_instance_json,
     load_replay_csv,
@@ -63,41 +65,17 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class EnvironmentSource:
-    """Recipe for building fresh, optionally arm-subsetted environments."""
+    """Recipe for fresh environments: ``make`` builds one from ``table`` (an
+    ``Instance`` or a ``ReplayTable``), or from its first K arms."""
 
-    kind: str
-    instance: Instance | None = None
-    table: ReplayTable | None = None
-    replay_mode: str = "iid"
+    table: Instance | ReplayTable
+    make: Callable[[Instance | ReplayTable], Environment]
 
-    @property
-    def n_arms(self) -> int:
-        return self.instance.n_arms if self.instance is not None else self.table.n_arms
-
-    @property
-    def n_objectives(self) -> int:
-        return self.instance.n_objectives if self.instance is not None else self.table.n_objectives
-
-    def _sub_instance(self, n_arms: int) -> Instance:
-        inst = self.instance
-        if n_arms == inst.n_arms:
-            return inst
-        if not 1 <= n_arms <= inst.n_arms:
-            raise ConfigurationError(f"cannot take K={n_arms} arms from a {inst.n_arms}-arm instance")
-        feats = inst.features[:n_arms] if inst.features is not None else None
-        return Instance(means=inst.means[:n_arms], sigma=inst.sigma, features=feats, theta=inst.theta)
-
-    def build(self, n_arms: int):
-        if self.kind == "gaussian":
-            return GaussianEnvironment(self._sub_instance(n_arms))
-        if self.kind == "linear":
-            return LinearEnvironment(self._sub_instance(n_arms))
-        return ReplayEnvironment(self.table.subset(n_arms), mode=self.replay_mode)
+    def build(self, n_arms: int) -> Environment:
+        return self.make(self.table.subset(n_arms))
 
     def true_means(self, n_arms: int) -> np.ndarray:
-        if self.kind == "replay":
-            return self.table.subset(n_arms).means
-        return self._sub_instance(n_arms).means
+        return self.table.means[:n_arms]
 
 
 def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> EnvironmentSource:
@@ -108,16 +86,15 @@ def environment_source_from_dict(data: dict, base_dir: Path | None = None) -> En
             raise ConfigurationError("replay environments need a 'path'")
         brevity = data.get("brevity")  # walked in shape order: (tau_low, tau_high)
         table = load_replay_csv(base / data["path"], brevity=brevity and tuple(brevity.values()))
-        mode = data.get("mode", "iid")
-        ReplayEnvironment(table, mode=mode)  # the environment's own mode check, once at load
-        return EnvironmentSource(kind="replay", table=table, replay_mode=mode)
-    raw = data.get("instance")
-    if raw is None:
-        raise ConfigurationError("gaussian/linear environments need an 'instance'")
-    instance = load_instance_json(base / raw) if isinstance(raw, str) else instance_from_dict(raw)
-    if data["kind"] == "linear":
-        LinearEnvironment(instance)  # the environment's own features/theta check, once at load
-    return EnvironmentSource(kind=data["kind"], instance=instance)
+        make = partial(ReplayEnvironment, mode=data.get("mode", "iid"))
+    else:
+        raw = data.get("instance")
+        if raw is None:
+            raise ConfigurationError("gaussian/linear environments need an 'instance'")
+        table = load_instance_json(base / raw) if isinstance(raw, str) else instance_from_dict(raw)
+        make = LinearEnvironment if data["kind"] == "linear" else GaussianEnvironment
+    make(table)  # the environment's own check (replay mode, linear features and theta), once at load
+    return EnvironmentSource(table, make)
 
 
 _DEFAULT_ALGORITHMS = (
@@ -227,13 +204,13 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} list must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if self.hv_reference is not None and len(self.hv_reference) != self.environment.n_objectives:
+        table = self.environment.table
+        m = table.n_objectives
+        if self.hv_reference is not None and len(self.hv_reference) != m:
             raise ConfigurationError(f"hv_reference needs one entry per objective, got {len(self.hv_reference)}")
         for k in self.k_values:
-            if not 2 <= k <= self.environment.n_arms:
-                raise ConfigurationError(
-                    f"k_values entry {k} is outside [2, {self.environment.n_arms}] (the arm count)"
-                )
+            if not 2 <= k <= table.n_arms:
+                raise ConfigurationError(f"k_values entry {k} is outside [2, {table.n_arms}] (the arm count)")
         # every RunConfig setting error raises here, at load
         modes = {_run_config(v, self.tau, b, self.seeds[0]).mode for v in self.algorithms for b in self.per_arm_budgets}
         # labels name summary rows and run ids, so two variants must not share one
@@ -241,7 +218,6 @@ class ExperimentConfig:
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
-        m = self.environment.n_objectives
         if CONSTRAINED in modes and m != 2:
             raise ConfigurationError(f"gensec and constrained uniform variants need exactly two objectives, got m={m}")
         for k in self.k_values:
@@ -288,7 +264,7 @@ def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> Exp
     config = _walk(_CONFIG, data)
     source = environment_source_from_dict(config["environment"], base_dir)
     defaults = {"algorithms": _DEFAULT_ALGORITHMS, "per_arm_budgets": (5,), "seeds": tuple(range(20))}
-    return ExperimentConfig(**{**defaults, "k_values": (source.n_arms,), **config, "environment": source})
+    return ExperimentConfig(**{**defaults, "k_values": (source.table.n_arms,), **config, "environment": source})
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -378,63 +354,53 @@ class ExperimentOutcome:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentOutcome:
     """Execute every grid cell; failures are recorded and the sweep continues."""
     cells = [(config, variant, k, b, seed) for variant, k, b, seed in config.cells()]
+    answers = _run_parallel(cells, jobs) if jobs > 1 else [_answer(cell) for cell in cells]
     outcome = ExperimentOutcome()
-    if jobs > 1:
-        _run_parallel(outcome, cells, jobs)
-    else:
-        for cell in cells:
-            _collect(outcome, cell, lambda c=cell: _execute_cell(c))
+    for (_, variant, k, b, seed), answer in zip(cells, answers):
+        if isinstance(answer, Exception):
+            error = f"{type(answer).__name__}: {answer}"
+            outcome.failures.append({"algorithm": _label(variant), "K": k, "b": b, "seed": seed, "error": error})
+        else:
+            outcome.records.extend(answer)
     outcome.records.sort(key=MetricRecord.sort_key)
     return outcome
 
 
-def _run_parallel(outcome: ExperimentOutcome, cells: list, jobs: int) -> None:
-    """Run ``cells`` in worker processes, surviving workers that die.
+def _answer(cell) -> list[MetricRecord] | Exception:
+    try:
+        return _execute_cell(cell)
+    except Exception as err:  # any failure of one cell is that cell's answer
+        return err
+
+
+def _run_parallel(cells: list, jobs: int) -> list[list[MetricRecord] | Exception]:
+    """Each cell's answer, in cell order, from worker processes that may die.
 
     A worker that dies breaks its pool and every cell still pending in it.
     Those cells run again in a one-worker pool, which runs them in order, so
-    the first cell to break it is the one that crashed: it is recorded as a
-    failure and the cells after it go back to a ``jobs``-wide pool.
+    the first cell to break it is the one that crashed: its answer is that
+    error, and the cells after it go back to a ``jobs``-wide pool.
     """
     from concurrent.futures import ProcessPoolExecutor, process  # here: serial sweeps never load them
 
-    pending, workers = cells, jobs
+    answers: list = [None] * len(cells)
+    pending, workers = list(range(len(cells))), jobs
     while pending:
-        broken = []  # (cell, error) in submission order
+        broken = []  # (cell index, error) in submission order
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(cell, pool.submit(_execute_cell, cell)) for cell in pending]
-            for cell, future in futures:
+            futures = [(i, pool.submit(_execute_cell, cells[i])) for i in pending]
+            for i, future in futures:
                 err = future.exception()
                 if isinstance(err, process.BrokenProcessPool):
-                    broken.append((cell, err))
+                    broken.append((i, err))
                 else:
-                    _collect(outcome, cell, future.result)
+                    answers[i] = err if isinstance(err, Exception) else future.result()
         if workers == 1 and broken:
-            _record_failure(outcome, *broken.pop(0))
-        pending = [cell for cell, _ in broken]
+            i, err = broken.pop(0)
+            answers[i] = err
+        pending = [i for i, _ in broken]
         workers = 1 if workers > 1 else jobs
-    order = {(_label(v), k, b, seed): i for i, (_, v, k, b, seed) in enumerate(cells)}
-    outcome.failures.sort(key=lambda f: order[f["algorithm"], f["K"], f["b"], f["seed"]])
-
-
-def _collect(outcome: ExperimentOutcome, cell, produce) -> None:
-    try:
-        outcome.records.extend(produce())
-    except Exception as err:  # any failure of one cell is that cell's answer
-        _record_failure(outcome, cell, err)
-
-
-def _record_failure(outcome: ExperimentOutcome, cell, err: BaseException) -> None:
-    _, variant, k, b, seed = cell
-    outcome.failures.append(
-        {
-            "algorithm": _label(variant),
-            "K": k,
-            "b": b,
-            "seed": seed,
-            "error": f"{type(err).__name__}: {err}",
-        }
-    )
+    return answers
 
 
 def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:
@@ -466,43 +432,26 @@ def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:
     return rows
 
 
-def _write_csv(path: Path, header: str, rows: list) -> None:
-    """One line per dataclass row, its fields in declaration order under the
-    comma-separated ``header``; floats are written as ``repr(float(v))``, the
-    shortest text that reads back to the same float, and None as an empty cell."""
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header.split(","))
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in vars(row).values()]
-            )
-
-
 def render_table(rows: list[SummaryRow]) -> str:
     """Plain-text tables, one per (metric, K): rows = method, columns = budget."""
     budgets = sorted({r.per_arm_budget for r in rows})
+    table = {(r.metric, r.n_arms, r.algorithm, r.per_arm_budget): r for r in rows}
     blocks = []
-    for metric in sorted({r.metric for r in rows}):
-        for k in sorted({r.n_arms for r in rows if r.metric == metric}):
-            subset = [r for r in rows if r.metric == metric and r.n_arms == k]
-            methods = sorted({r.algorithm for r in subset})
-            header = [f"{metric}  (K={k})"] + [f"b={b}" for b in budgets]
-            lines = ["  ".join(f"{h:>18}" for h in header)]
-            for method in methods:
-                cells = [f"{method:>18}"]
-                for b in budgets:
-                    match = [r for r in subset if r.algorithm == method and r.per_arm_budget == b]
-                    if not match:
-                        cells.append(f"{'-':>18}")
-                        continue
-                    row = match[0]
-                    if row.ci_half_width is None:
-                        cells.append(f"{row.mean:>18.4f}")
-                    else:
-                        cells.append(f"{f'{row.mean:.4f} +/- {row.ci_half_width:.4f}':>18}")
-                lines.append("  ".join(cells))
-            blocks.append("\n".join(lines))
+    for metric, k in sorted({key[:2] for key in table}):
+        header = [f"{metric}  (K={k})"] + [f"b={b}" for b in budgets]
+        lines = ["  ".join(f"{h:>18}" for h in header)]
+        for method in sorted({key[2] for key in table if key[:2] == (metric, k)}):
+            cells = [method]
+            for b in budgets:
+                row = table.get((metric, k, method, b))
+                if row is None:
+                    cells.append("-")
+                elif row.ci_half_width is None:
+                    cells.append(f"{row.mean:.4f}")
+                else:
+                    cells.append(f"{row.mean:.4f} +/- {row.ci_half_width:.4f}")
+            lines.append("  ".join(f"{cell:>18}" for cell in cells))
+        blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -515,9 +464,9 @@ def write_outputs(out_dir: str | Path, outcome: ExperimentOutcome) -> dict[str, 
         "summary": out / "summary.csv",
         "table": out / "table.txt",
     }
-    _write_csv(paths["records"], "run_id,seed,algorithm,K,b,metric,value", outcome.records)
+    _write_csv(paths["records"], "run_id,seed,algorithm,K,b,metric,value", map(vars, outcome.records))
     rows = aggregate(outcome.records)
-    _write_csv(paths["summary"], "algorithm,K,b,metric,mean,ci_half_width,n_seeds", rows)
+    _write_csv(paths["summary"], "algorithm,K,b,metric,mean,ci_half_width,n_seeds", map(vars, rows))
     paths["table"].write_text(render_table(rows))
     if outcome.failures:
         paths["failures"] = out / "failures.json"

@@ -12,14 +12,17 @@ from mopx.algorithms import (
     RunConfig,
     eliminate_pareto,
     rank_constrained,
+    run_algorithm,
     run_genpsi,
     run_gensec,
     run_uniform_baseline,
     theorem_bound,
 )
-from mopx.core import ConfigurationError, Instance, RngStream
+from mopx.allocators import PullCounts
+from mopx.core import ConfigurationError, EstimationError, Instance, RngStream
 from mopx.environments import (
     GaussianEnvironment,
+    LinearEnvironment,
     random_constrained_instance,
     random_linear_instance,
 )
@@ -427,3 +430,44 @@ def test_a_run_draws_the_mlp_start_once_and_one_pull_stream_per_round(monkeypatc
     assert paths == [(0, 1), (1, 0)] + [(0, r) for r in rounds[1:]]
     monkeypatch.undo()
     assert run_genpsi(config, GaussianEnvironment(inst)).to_dict() == result.to_dict()
+
+
+def test_each_never_pulled_arm_takes_a_pull_from_the_largest_count_lowest_arm_first():
+    env = GaussianEnvironment(Instance(means=np.zeros((5, 2))))
+    runner = algorithms._RoundRunner(RunConfig(algorithm="genpsi", allocator="g-optimal", per_arm_budget=2), env)
+    cover = runner._cover_unpulled
+    assert cover(PullCounts({0: 3, 1: 0, 2: 3, 3: 0, 4: 1})).counts == {0: 2, 1: 1, 2: 2, 3: 1, 4: 1}
+    covered = {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert cover(PullCounts(covered)).counts == covered
+    runner.batch.extend([1], np.eye(5)[[1]], [[0.0, 0.0]], 1)  # arm 1 has a pull: it needs none
+    assert cover(PullCounts({0: 2, 1: 0, 2: 0, 3: 1, 4: 1})).counts == {0: 1, 1: 0, 2: 1, 3: 1, 4: 1}
+    # no count of 2 or more is left for arm 3: it stays unpulled and the estimate fails
+    assert cover(PullCounts({0: 2, 1: 0, 2: 0, 3: 0, 4: 1})).counts == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def _g_optimal_mean_case(seed: int) -> tuple[RunConfig, LinearEnvironment]:
+    """A seeded random linear instance (K 4-19, d 1-5) run by sequential halving
+    with G-optimal pulls and sample means, at a per-arm budget >= ceil(log2 K)."""
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(4, 20)), int(rng.integers(1, 6))
+    instance = random_linear_instance(rng, k, d, sigma=0.3)
+    loop = ("gensec", "genpsi")[seed % 2]
+    tau = float(np.median(instance.means[:, 1])) if loop == "gensec" else None
+    per_arm = math.ceil(math.log2(k)) + int(rng.integers(0, 6))
+    config = RunConfig(algorithm=loop, allocator="g-optimal", estimator="mean", tau=tau, per_arm_budget=per_arm, seed=seed)
+    return config, LinearEnvironment(instance)
+
+
+def test_g_optimal_mean_runs_pull_every_arm_the_design_leaves_out(monkeypatch):
+    for seed in range(40):
+        result = run_algorithm(*_g_optimal_mean_case(seed))
+        assert min(result.rounds[0].pull_counts.values()) >= 1 and result.pulls_used <= result.budget
+    # the designs alone leave an arm with no observation in most of these runs
+    monkeypatch.setattr(algorithms._RoundRunner, "_cover_unpulled", lambda self, counts: counts)
+    unpulled = 0
+    for seed in range(40):
+        try:
+            run_algorithm(*_g_optimal_mean_case(seed))
+        except EstimationError as err:
+            unpulled += "has no observations" in str(err)
+    assert unpulled > 20

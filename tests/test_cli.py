@@ -197,6 +197,19 @@ def test_mlp_sweep_output_does_not_depend_on_jobs(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+
+def test_g_optimal_mean_sweep_scores_every_cell_at_both_job_counts(tmp_path, capsys):
+    """Round 1's design leaves an arm unpulled in 8 of the 32 cells; that arm
+    takes a pull from the largest count, so the sample mean scores every cell."""
+    config = str(FIXTURES / "linear_gopt_mean_config.json")
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", config, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert not (out / "failures.json").exists()
+        outputs.append([(out / f).read_bytes() for f in ("summary.csv", "records.csv")])
+    assert outputs[0] == outputs[1]
+
 def test_run_command_partial_failure_exit_code(tmp_path, capsys):
     config = {
         "environment": {

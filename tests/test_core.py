@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mopx.core import (
+    ConfigurationError,
     DomainError,
     Instance,
     InstanceError,
@@ -15,7 +16,7 @@ from mopx.core import (
     RngStream,
     reset_stream,
 )
-from mopx.environments import GaussianEnvironment
+from mopx.environments import GaussianEnvironment, random_linear_instance
 
 
 def test_zero_noise_pull_is_exact():
@@ -42,7 +43,7 @@ def test_pull_out_of_range_arm():
 _SUBPROCESS_SNIPPET = """
 import json
 from mopx.core import Instance, RngStream
-from mopx.environments import GaussianEnvironment
+from mopx.environments import GaussianEnvironment, random_linear_instance
 env = GaussianEnvironment(Instance(means=[[0.3, 0.7], [0.1, 0.2]], sigma=0.8))
 gen = RngStream(99, (4, 2)).generator()
 rows = [env.pull(t % 2, gen).tolist() for t in range(50)]
@@ -131,6 +132,19 @@ def test_instance_linear_consistency_checked():
     with pytest.raises(InstanceError):
         Instance(means=[[0.1]])
 
+
+
+def test_instance_subset_shares_the_first_arms_of_the_instance():
+    inst = random_linear_instance(np.random.default_rng(4), 6, 3, sigma=0.2)
+    assert inst.subset(6) is inst
+    sub = inst.subset(4)
+    assert (sub.n_arms, sub.sigma, sub.theta) == (4, inst.sigma, inst.theta)
+    for mine, full in ((sub.means, inst.means), (sub.features, inst.features)):
+        assert np.shares_memory(mine, full) and mine.tobytes() == full[:4].tobytes()
+    assert Instance(means=[[0.1, 0.2], [0.3, 0.4]]).subset(1).features is None
+    for k in (0, 7):
+        with pytest.raises(ConfigurationError, match=f"^cannot take K={k} arms from a 6-arm instance$"):
+            inst.subset(k)
 
 def test_observation_batch_round_slicing():
     batch = ObservationBatch()

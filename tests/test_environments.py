@@ -102,7 +102,7 @@ def test_environment_mean_fidelity_every_kind():
 
 def test_environment_source_dispatch_and_replay_validation():
     inst = Instance(means=[[0.1, 0.2]])
-    source = EnvironmentSource(kind="gaussian", instance=inst)
+    source = EnvironmentSource(inst, GaussianEnvironment)
     assert isinstance(source.build(1), GaussianEnvironment)
     with pytest.raises(ConfigurationError):
         environment_source_from_dict({"kind": "refusal"})
@@ -125,7 +125,8 @@ def test_replay_means_equal_each_arms_own_array_mean(seed, row_counts, m):
     table = _table(*records)
     want = np.array([rows.copy().mean(axis=0) for rows in records])
     assert table.means.tobytes() == want.tobytes() and table.means is table.means
-    assert EnvironmentSource(kind="replay", table=table).true_means(len(row_counts)) is table.means
+    truth = EnvironmentSource(table, ReplayEnvironment).true_means(len(row_counts))
+    assert np.shares_memory(truth, table.means) and truth.tobytes() == table.means.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -107,3 +107,13 @@ def test_embeddings_csv_round_trip(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "arm_id,phi_1"
     assert len(lines) == 3
+
+
+def test_features_csv_text_is_pinned_and_reads_back_bit_for_bit(tmp_path):
+    feats = np.array([[0.1, -0.0], [1e-300, 2.0 / 3.0], [-12345.678, 5e20]])
+    out = tmp_path / "features.csv"
+    write_features_csv(out, feats)
+    assert out.read_bytes() == (
+        b"arm_id,phi_1,phi_2\r\n0,0.1,-0.0\r\n1,1e-300,0.6666666666666666\r\n2,-12345.678,5e+20\r\n"
+    )
+    assert load_embeddings_csv(out).tobytes() == feats.tobytes()

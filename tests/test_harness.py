@@ -272,11 +272,14 @@ _PARENT_PID = os.getpid()
 _execute_cell = harness._execute_cell
 
 
+_CRASHES = [("csr", 3), ("uniform", 1)]  # in cell order, with cells between them
+
+
 def _failing_cell(args):
-    """Fails the ``sh`` cell of seed 2: kills its worker process when run in
+    """Fails the cells of ``_CRASHES``: kills its worker process when run in
     one, raises otherwise (never kills the test process itself)."""
     _, variant, _, _, seed = args
-    if variant["label"] == "sh" and seed == 2:
+    if (variant["label"], seed) in _CRASHES:
         if os.getpid() != _PARENT_PID:
             os._exit(1)
         raise RuntimeError("cell exploded")
@@ -289,11 +292,11 @@ def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jo
     clean = run_experiment(config)
     monkeypatch.setattr(harness, "_execute_cell", _failing_cell)
     outcome = run_experiment(config, jobs=jobs)
-    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == [("sh", 2)]
-    error = outcome.failures[0]["error"]
-    assert error.startswith("BrokenProcessPool:" if jobs > 1 else "RuntimeError: cell exploded")
+    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == _CRASHES
+    for failure in outcome.failures:
+        assert failure["error"].startswith("BrokenProcessPool:" if jobs > 1 else "RuntimeError: cell exploded")
     assert outcome.records == [
-        rec for rec in clean.records if (rec.algorithm, rec.seed) != ("sh", 2)
+        rec for rec in clean.records if (rec.algorithm, rec.seed) not in _CRASHES
     ]
     paths = write_outputs(tmp_path, outcome)
     assert json.loads(paths["failures"].read_text()) == outcome.failures
