@@ -57,7 +57,11 @@ def _cmd_gaps(args) -> int:
 def _load_points(path: str) -> np.ndarray:
     rows = []
     first = 0  # line number of the first row, which fixes the row width
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"points file {path} is not UTF-8 text: {err}") from None
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -171,25 +171,8 @@ class ObservationBatch:
         return self._size
 
     def append(self, arm: int, feature: np.ndarray, reward: np.ndarray, round_index: int) -> None:
-        """Write one row; ``extend`` writes a whole round in one call. Only an
-        int arm >= 0 with array rows of the log's widths, in a log with room
-        left, is written here; any other row goes through ``extend``."""
-        start = self._size
-        if (
-            start < len(self._arms)
-            and type(arm) is int
-            and arm >= 0
-            and type(feature) is np.ndarray
-            and type(reward) is np.ndarray
-            and (feature.shape, reward.shape) == self._row_shapes
-        ):
-            self._arms[start] = arm
-            self._features[start] = feature
-            self._rewards[start] = reward
-            self._rounds[start] = round_index
-            self._size = start + 1
-        else:
-            self.extend([arm], [feature], [reward], round_index)
+        """Write one row: ``extend`` of a one-row round."""
+        self.extend([arm], [feature], [reward], round_index)
 
     def extend(self, arms, features, rewards, round_index: int) -> None:
         """Write the rows of one round: ``arms`` (n), ``features`` (n x d) and

@@ -175,10 +175,10 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
     check rejects are read line by line, which also names the faulty line.
     """
     try:
-        with Path(path).open(newline="") as handle:
+        with Path(path).open(newline="", encoding="utf-8") as handle:
             head, _, body = handle.read().partition("\n")
-    except UnicodeDecodeError:
-        head = body = ""
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{kind} file {path} is not UTF-8 text: {err}") from None
     header = [h.strip() for h in head.split(",")]
     plain = head.isprintable() and '"' not in head and not body.encode().translate(None, _PLAIN)
     if plain and header[0] == "arm_id" and len(header) > 1 and body.strip("\n"):
@@ -198,7 +198,7 @@ def _read_arm_lines(path: str | Path, kind: str, repeats: bool) -> tuple[list[st
     """``_read_arm_csv`` line by line, with ``csv.reader``, ``int()`` and ``float()``."""
     path = Path(path)
     per_arm: dict[int, list[list[float]]] = {}
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
 
         def fault(text: str) -> ConfigurationError:
@@ -255,7 +255,7 @@ def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None
 def load_instance_json(path: str | Path) -> Instance:
     """Read an instance from JSON: {K, m, sigma, means, features?, theta?}."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as err:
         raise ConfigurationError(f"instance file {path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):

@@ -37,11 +37,11 @@ class MeanEstimates:
         return self.matrix[self.arms.index(arm)]
 
 
-def select_independent_basis(features: np.ndarray, tol: float = BASIS_RESIDUAL_TOL) -> list[int]:
+def select_independent_basis(features: np.ndarray) -> list[int]:
     """Row indices of a maximal linearly independent subset, greedy in row order.
 
-    Gram-Schmidt scan over rows in ascending order; a row joins the basis when
-    its residual after projecting onto the rows already chosen exceeds ``tol``.
+    Gram-Schmidt scan over rows in ascending order; a row joins the basis when its
+    residual after projecting onto the rows already chosen exceeds ``BASIS_RESIDUAL_TOL``.
     """
     feats = np.asarray(features, dtype=float)
     basis: list[int] = []
@@ -51,7 +51,7 @@ def select_independent_basis(features: np.ndarray, tol: float = BASIS_RESIDUAL_T
         for q in ortho:
             residual -= (q @ residual) * q
         norm = math.sqrt(float(residual @ residual))  # what np.linalg.norm computes
-        if norm > tol:
+        if norm > BASIS_RESIDUAL_TOL:
             basis.append(i)
             ortho.append(residual / norm)
     return basis

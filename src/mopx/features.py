@@ -16,10 +16,11 @@ from .core import ConfigurationError, NumericalError
 from .environments import _read_arm_csv, _write_csv
 
 _JACOBI_MAX_SWEEPS = 100
+_JACOBI_TOL = 1e-12  # off-diagonal Frobenius norm, relative to max(max |a_ij|, 1)
 _SIGN_EPS = 1e-12
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = _JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix: np.ndarray):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors in columns, unsorted.
@@ -32,9 +33,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = _JACOB
     n = a.shape[0]
     vectors = np.eye(n)
     scale = max(float(np.abs(a).max()), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             return np.diag(a).copy(), vectors
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -60,7 +61,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = _JACOB
                 vec_q = vectors[:, q].copy()
                 vectors[:, p] = c * vec_p - s * vec_q
                 vectors[:, q] = s * vec_p + c * vec_q
-    raise NumericalError(f"Jacobi rotations did not converge in {max_sweeps} sweeps")
+    raise NumericalError(f"Jacobi rotations did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def pca_reduce(embeddings: np.ndarray, dim: int):

@@ -351,3 +351,57 @@ def test_gaps_command_rejects_an_instance_file_that_is_not_json(tmp_path, capsys
     assert main(["gaps", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: instance file {path} is not valid JSON: Expecting value: line 1 column 23 (char 22)\n"
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"
+
+
+def test_run_command_refuses_a_replay_file_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "replay.csv").write_bytes(b"arm_id,obj_1,obj_2\n0,0.\xff,0.3\n1,0.1,0.2\n")
+    config = {"environment": {"kind": "replay", "path": "replay.csv"}, "algorithms": [{"algorithm": "genpsi"}]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == f"error: replay file {tmp_path / 'replay.csv'} is not UTF-8 text: {_NOT_UTF8}\n"
+
+
+def test_run_command_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"environment": {"kind": "\xff"}}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    message = "'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"
+    assert capsys.readouterr().err == f"error: config file {path} is not valid JSON: {message}\n"
+
+
+def test_features_command_refuses_an_embedding_file_that_is_not_utf8(tmp_path, capsys):
+    emb = tmp_path / "emb.csv"
+    emb.write_bytes(b"arm_id,e_1,e_2\n0,1.0,0.\xff\n1,0.0,1.0\n")
+    out = tmp_path / "feat.csv"
+    assert main(["features", "--embeddings", str(emb), "--dim", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: embedding file {emb} is not UTF-8 text: {_NOT_UTF8}\n"
+    assert not out.exists()
+
+
+def test_hv_command_refuses_a_points_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"obj_1,obj_2\n0.8,0.25\n0.\xff,0.5\n")
+    assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: points file {path} is not UTF-8 text: {_NOT_UTF8}\n"
+
+
+@pytest.mark.parametrize("given", ["config", "absolute", "flag"])
+def test_run_command_writes_a_relative_out_dir_next_to_its_config(tmp_path, monkeypatch, capsys, given):
+    config = json.loads((FIXTURES / "regression_config.json").read_text())
+    config["environment"]["path"] = str(FIXTURES / "replay_small.csv")
+    config["seeds"] = [101]
+    config["out_dir"] = str(tmp_path / "absolute") if given == "absolute" else "res"
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "config.json").write_text(json.dumps(config))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    flag = ["--out", "mine"] if given == "flag" else []
+    assert main(["run", "--config", "../configs/config.json", *flag]) == 0
+    expected = {"config": "configs/res", "absolute": "absolute", "flag": "elsewhere/mine"}[given]
+    written = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("summary.csv"))
+    assert written == [expected]

@@ -1,0 +1,256 @@
+"""Every input check of the library's public functions, each reached once and
+pinned by its error type and full message.
+
+Each row calls one function with one faulty input. The checks that need a
+file or a patched constant have tests of their own below the table.
+"""
+
+import numpy as np
+import pytest
+
+import mopx.features as features
+from mopx.algorithms import RunConfig, eliminate_pareto, run_algorithm, theorem_bound
+from mopx.allocators import DesignWeights, allocate_uniform, round_design, solve_g_optimal
+from mopx.core import (
+    ConfigurationError,
+    DomainError,
+    EstimationError,
+    Instance,
+    InstanceError,
+    MetricError,
+    NumericalError,
+    ObservationBatch,
+)
+from mopx.environments import GaussianEnvironment, ReplayTable, load_replay_csv
+from mopx.estimators import mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse
+from mopx.features import jacobi_eigh, pca_reduce
+from mopx.gaps import constrained_gap_report, hardness, pareto_front
+from mopx.metrics import hypervolume
+from mopx.schedulers import Schedule
+
+MEANS = np.array([[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]])
+
+
+def _batch() -> ObservationBatch:
+    batch = ObservationBatch()
+    batch.extend([0, 1], [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.2, 0.8]], 1)
+    return batch
+
+
+def _uniform_run_below_k():
+    config = RunConfig(algorithm="uniform", mode="pareto", budget=2)
+    return run_algorithm(config, GaussianEnvironment(Instance(MEANS, sigma=0.1)))
+
+
+CASES = {
+    # algorithms
+    "run config without a budget": (
+        lambda: RunConfig(algorithm="genpsi"),
+        ConfigurationError,
+        "either budget or per_arm_budget is required",
+    ),
+    "eliminate with nothing to eliminate": (
+        lambda: eliminate_pareto([0, 1], 2, {0: 0.1, 1: 0.2}, {0, 1}),
+        ConfigurationError,
+        "nothing to eliminate: |active|=2 <= keep=2",
+    ),
+    "theorem bound with one arm": (
+        lambda: theorem_bound(1, 2, 1.0, 1000, 1.0),
+        ConfigurationError,
+        "the bound needs K >= 2",
+    ),
+    "uniform baseline with a budget below K": (
+        _uniform_run_below_k,
+        ConfigurationError,
+        "budget B=2 violates B >= K=3",
+    ),
+    # allocators
+    "uniform allocation of no pulls": (
+        lambda: allocate_uniform(0, [0, 1]),
+        DomainError,
+        "need at least one pull, got n=0",
+    ),
+    "rounded design of no pulls": (
+        lambda: round_design(0, DesignWeights({0: 0.5, 1: 0.5}, 2.0), 1 / 3, [0, 1], np.eye(2)),
+        DomainError,
+        "need at least one pull, got n=0",
+    ),
+    "design over a feature vector": (
+        lambda: solve_g_optimal(np.ones(3), 0.1),
+        DomainError,
+        "features must be a non-empty 2-D array, got shape (3,)",
+    ),
+    "design with an active list of the wrong length": (
+        lambda: solve_g_optimal(np.eye(2), 0.1, active=[0]),
+        DomainError,
+        "active arm list must match the feature rows",
+    ),
+    "design over zero features": (
+        lambda: solve_g_optimal(np.zeros((3, 2)), 0.1),
+        DomainError,
+        "active features span a zero-dimensional space",
+    ),
+    # core
+    "instance with non-finite means": (
+        lambda: Instance([[np.nan, 0.5], [0.2, 0.8]]),
+        InstanceError,
+        "means must be finite",
+    ),
+    "instance with features of another K": (
+        lambda: Instance(MEANS, features=np.ones((2, 1))),
+        InstanceError,
+        "features must be K x d, got (2, 1)",
+    ),
+    "instance with non-finite features": (
+        lambda: Instance(MEANS, features=[[1.0], [np.inf], [0.0]]),
+        InstanceError,
+        "features must be finite",
+    ),
+    "instance with theta but no features": (
+        lambda: Instance(MEANS, theta=np.ones((1, 2))),
+        InstanceError,
+        "theta without features is meaningless",
+    ),
+    "instance with theta that is not d x m": (
+        lambda: Instance(MEANS, features=np.ones((3, 1)), theta=np.ones((2, 2))),
+        InstanceError,
+        "theta must be d x m, got (2, 2)",
+    ),
+    # environments
+    "replay table without arms": (
+        lambda: ReplayTable(np.ones((2, 2)), np.array([], dtype=int)),
+        ConfigurationError,
+        "replay table has no arms",
+    ),
+    "replay table with more rows than records": (
+        lambda: ReplayTable(np.ones((3, 2)), [1, 1]),
+        ConfigurationError,
+        "replay table needs 2 rows of records, got shape (3, 2)",
+    ),
+    "replay table with a non-finite record": (
+        lambda: ReplayTable([[0.1, 0.2], [0.3, 0.4], [np.nan, 0.5]], [1, 2]),
+        ConfigurationError,
+        "replay arm 1 has non-finite records",
+    ),
+    # estimators
+    "pseudo-inverse over a feature vector": (
+        lambda: pseudo_inverse(np.eye(2), np.ones(2)),
+        EstimationError,
+        "active_features must be a non-empty 2-D array",
+    ),
+    "pseudo-inverse over zero features": (
+        lambda: pseudo_inverse(np.eye(2), np.zeros((2, 2))),
+        NumericalError,
+        "all active features are numerically zero",
+    ),
+    "mlp loss with a negative lambda": (
+        lambda: mlp_loss_grad(mlp_init(2, 2, 3, np.random.default_rng(0)), _batch(), -1.0),
+        EstimationError,
+        "regularisation weight must be >= 0",
+    ),
+    "mlp fit with a negative lambda": (
+        lambda: mlp_fit(_batch(), -1.0, rng=np.random.default_rng(0), hidden=3, iters=1),
+        EstimationError,
+        "regularisation weight must be >= 0",
+    ),
+    # features
+    "jacobi on a non-square matrix": (
+        lambda: jacobi_eigh(np.ones((2, 3))),
+        ConfigurationError,
+        "need a square matrix, got shape (2, 3)",
+    ),
+    "jacobi on a non-symmetric matrix": (
+        lambda: jacobi_eigh([[1.0, 2.0], [0.0, 1.0]]),
+        ConfigurationError,
+        "matrix must be symmetric",
+    ),
+    "pca of a vector": (
+        lambda: pca_reduce(np.ones(3), 1),
+        ConfigurationError,
+        "embeddings must be K x p, got shape (3,)",
+    ),
+    "pca of a non-finite table": (
+        lambda: pca_reduce([[np.nan, 1.0], [1.0, 2.0]], 1),
+        ConfigurationError,
+        "embeddings must be finite",
+    ),
+    # gaps
+    "pareto front of one objective": (
+        lambda: pareto_front(np.ones((3, 1))),
+        DomainError,
+        "means must be K x m with m >= 2, got shape (3, 1)",
+    ),
+    "constrained gaps of three objectives": (
+        lambda: constrained_gap_report(np.ones((2, 3)), 0.5),
+        DomainError,
+        "constrained gaps are defined for m = 2 objectives",
+    ),
+    "hardness of one arm": (
+        lambda: hardness([[0.5, 0.6]], 0.5),
+        DomainError,
+        "hardness needs K >= 2 arms",
+    ),
+    # metrics
+    "hypervolume over a matrix reference": (
+        lambda: hypervolume(MEANS, [[0.0, 0.0]]),
+        MetricError,
+        "reference must be an m-vector with m >= 2, got shape (1, 2)",
+    ),
+    "hypervolume of points of another m": (
+        lambda: hypervolume([[0.5, 0.5, 0.5]], [0.0, 0.0]),
+        MetricError,
+        "points have m=3 but reference has m=2",
+    ),
+    "hypervolume of non-finite points": (
+        lambda: hypervolume([[0.5, np.inf], [0.2, 0.8]], [0.0, 0.0]),
+        MetricError,
+        "points must be finite",
+    ),
+    # schedulers
+    "schedule with fewer rounds than R": (
+        lambda: Schedule(2, (4,), (1,), 10),
+        ConfigurationError,
+        "pulls_per_round and keep_counts must have length R",
+    ),
+    "schedule over its budget": (
+        lambda: Schedule(1, (11,), (1,), 10),
+        ConfigurationError,
+        "schedule spends 11 pulls, over budget 10",
+    ),
+    "schedule that keeps no arm": (
+        lambda: Schedule(2, (4, 4), (1, 0), 10),
+        ConfigurationError,
+        "keep counts must be >= 1",
+    ),
+    "schedule whose keep counts do not fall": (
+        lambda: Schedule(2, (4, 4), (2, 2), 10),
+        ConfigurationError,
+        "keep counts must be strictly decreasing",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", list(CASES.values()), ids=list(CASES))
+def test_each_input_check_raises_its_message(call, kind, message):
+    with pytest.raises(kind) as raised:
+        call()
+    assert type(raised.value) is kind
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, fault", [("", "is empty"), ("arm_id,obj_1,obj_2\n", "holds no records")], ids=["empty", "header only"]
+)
+def test_a_replay_file_without_records_is_refused(tmp_path, text, fault):
+    path = tmp_path / "replay.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as raised:
+        load_replay_csv(path)
+    assert str(raised.value) == f"replay file {path} {fault}"
+
+
+def test_jacobi_rotations_that_do_not_converge_are_an_error(monkeypatch):
+    monkeypatch.setattr(features, "_JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(NumericalError) as raised:
+        jacobi_eigh(np.eye(2))
+    assert str(raised.value) == "Jacobi rotations did not converge in 0 sweeps"
