@@ -46,7 +46,6 @@ from .environments import (
     brevity_score,
     load_instance_json,
     load_replay_csv,
-    random_constrained_instance,
     random_linear_instance,
 )
 from .estimators import (

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .allocators import PullCounts, allocate_uniform, round_design, solve_g_optimal
+from .allocators import PullCounts, allocate_uniform, cover_arms, round_design, solve_g_optimal
 from .core import (
     ConfigurationError,
     Environment,
@@ -245,20 +245,14 @@ def theorem_bound(n_arms: int, dim: int, sigma: float, budget: int, difficulty: 
     return 48.0 * rounds * math.exp(exponent)
 
 
-def _env_features(env: Environment) -> np.ndarray:
-    feats = getattr(env, "features", None)
-    if feats is None:
-        return np.eye(env.n_arms)
-    return np.asarray(feats, dtype=float)
-
-
 class _RoundRunner:
     """The allocate -> pull -> estimate -> eliminate loop of one run."""
 
     def __init__(self, config: RunConfig, env: Environment):
         self.config = config
         self.env = env
-        self.features = _env_features(env)
+        feats = getattr(env, "features", None)
+        self.features = np.eye(env.n_arms) if feats is None else np.asarray(feats, dtype=float)
         self.batch = ObservationBatch()
         self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
         self.pulls_used = 0
@@ -305,20 +299,12 @@ class _RoundRunner:
         return counts, counts.blocked_sequence()
 
     def _cover_unpulled(self, counts: PullCounts) -> PullCounts:
-        """The sample mean needs a pull of every arm: each active arm with none so
-        far and none in ``counts`` takes one from the largest count of at least 2
-        (ties to the lowest arm), while such a count is left."""
+        """The sample mean needs a pull of every arm: ``cover_arms`` gives each
+        active arm with none so far one pull, in ascending order, while a donor
+        is left."""
         pulled = self.batch.arm_totals()[1]
         new = dict(counts.counts)
-        for arm in sorted(new):
-            if new[arm] or arm < len(pulled) and pulled[arm]:
-                continue
-            donors = [a for a in new if new[a] >= 2]
-            if not donors:
-                break
-            donor = min(donors, key=lambda a: (-new[a], a))
-            new[donor] -= 1
-            new[arm] += 1
+        cover_arms(new, [arm for arm in sorted(new) if arm >= len(pulled) or not pulled[arm]])
         return PullCounts(new)
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:

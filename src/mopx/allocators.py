@@ -10,8 +10,8 @@ feature basis so the round's design matrix spans the active feature space.
 
 A design depends only on the active feature rows, so successful solves are
 memoised in a small per-process LRU cache keyed on the exact feature bytes and
-layout, ``epsilon``, the active arm ids and ``max_iters``. A hit returns the
-same bits a fresh solve would; failed solves are not cached and raise again.
+layout, ``epsilon`` and the active arm ids. A hit returns the same bits a
+fresh solve would; failed solves are not cached and raise again.
 """
 
 from __future__ import annotations
@@ -120,14 +120,13 @@ def solve_g_optimal(
     epsilon: float,
     *,
     active: list[int] | None = None,
-    max_iters: int = MAX_DESIGN_ITERS,
 ) -> DesignWeights:
     """Minimise the worst-case leverage over the simplex to within (1+epsilon).
 
     ``features`` holds one row per active arm, in ascending arm index; ``active``
     supplies the arm ids for the returned weight map (defaults to row numbers).
     Raises DesignConvergenceError (carrying the best design) if the target
-    objective (1+epsilon)*d_act is not reached within ``max_iters`` iterations.
+    objective (1+epsilon)*d_act is not reached within ``MAX_DESIGN_ITERS`` iterations.
     Repeated calls with the same inputs are answered from the design cache.
     """
     feats = np.asarray(features, dtype=float)
@@ -139,10 +138,10 @@ def solve_g_optimal(
     if len(arms) != feats.shape[0]:
         raise DomainError("active arm list must match the feature rows")
     # matmul rounding can depend on memory layout, so the strides are part of the key
-    key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon), arms, max_iters)
+    key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon), arms)
     design = _DESIGNS.get(key)
     if design is None:
-        design = _mirror_descent(feats, epsilon, arms, max_iters)  # errors are not cached
+        design = _mirror_descent(feats, epsilon, arms)  # errors are not cached
         _DESIGNS[key] = design
         if len(_DESIGNS) > DESIGN_CACHE_SIZE:
             _DESIGNS.popitem(last=False)
@@ -152,9 +151,7 @@ def solve_g_optimal(
     return DesignWeights(dict(design.weights), design.objective_value, design.trace, design.basis)
 
 
-def _mirror_descent(
-    feats: np.ndarray, epsilon: float, arms: tuple[int, ...], max_iters: int
-) -> DesignWeights:
+def _mirror_descent(feats: np.ndarray, epsilon: float, arms: tuple[int, ...]) -> DesignWeights:
     basis = select_independent_basis(feats)
     d_act = len(basis)
     if d_act < 1:
@@ -163,19 +160,21 @@ def _mirror_descent(
 
     k = feats.shape[0]
     feats_t = feats.T
-    phi = feats[basis].T  # d x d_act, as pseudo_inverse builds it
+    basis_rows = feats[basis]
+    phi = basis_rows.T  # d x d_act, as pseudo_inverse builds it
     w = np.full(k, 1.0 / k)
     best_w = w
     best_obj = np.inf
     trace: list[float] = []
-    for it in range(max_iters):
+    for it in range(MAX_DESIGN_ITERS):
         gram = feats_t @ (w[:, None] * feats)
         # the first iteration validates through pseudo_inverse; the rest reuse
-        # its basis matrix and skip the checks that cannot change within a solve
+        # its basis matrix and skip the checks that cannot change within a solve;
+        # the basis rows alone scan to the same basis, all of them in order
         if it:
             pinv = _restricted_inverse(gram, phi)
         else:
-            pinv = pseudo_inverse(gram, feats, basis=basis)
+            pinv = pseudo_inverse(gram, basis_rows)
         lev = np.einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
         star = int(lev.argmax())
         obj = float(lev[star])
@@ -204,7 +203,7 @@ def _mirror_descent(
     )
     if best_obj > target:
         raise DesignConvergenceError(
-            f"design solver did not reach objective {target:.6g} within {max_iters} iterations "
+            f"design solver did not reach objective {target:.6g} within {MAX_DESIGN_ITERS} iterations "
             f"(best {best_obj:.6g})",
             weights,
         )
@@ -221,12 +220,12 @@ def round_design(
     """Turn design weights into integer pull counts summing exactly to n.
 
     Largest-remainder apportionment of ``n * w_i`` (fractional ties to the
-    lowest index), followed by a coverage pass that gives every arm of the
-    greedily selected feature basis at least one pull, decrementing the
-    largest count to compensate. The basis is the one ``weights`` carries from
-    the solver, or a fresh scan of ``features`` when it carries none; one row
-    of ``features`` and one weight per active arm are required. ``kappa`` is
-    validated against (0, 1/3] and otherwise ignored.
+    lowest index), followed by a ``cover_arms`` pass that gives every arm of
+    the greedily selected feature basis at least one pull. The basis is the
+    one ``weights`` carries from the solver, or a fresh scan of ``features``
+    when it carries none; one row of ``features`` and one weight per active
+    arm are required. ``kappa`` is validated against (0, 1/3] and otherwise
+    ignored.
     """
     if not (0.0 < kappa <= 1.0 / 3.0):
         raise ConfigurationError(f"kappa must be in (0, 1/3], got {kappa}")
@@ -258,15 +257,24 @@ def round_design(
     counts = floors.copy()
     for i in order[:remainder]:
         counts[i] += 1
+    pulls = dict(zip(arms, counts.tolist()))
+    if not cover_arms(pulls, [arms[b] for b in basis]):
+        raise ConfigurationError("budget too small to keep the feature basis covered")
+    return PullCounts(counts=pulls)
 
-    for b in basis:
-        if counts[b] >= 1:
+
+def cover_arms(counts: dict[int, int], needed: list[int]) -> bool:
+    """Give each ``needed`` arm with a zero count, in the order given, one pull
+    from the largest count of at least 2 (ties to the lowest arm), editing
+    ``counts`` in place. Returns False, stopping there, when no such count is
+    left for a needed arm."""
+    for arm in needed:
+        if counts[arm] >= 1:
             continue
-        donors = [i for i in range(len(arms)) if counts[i] >= 2]
+        donors = [a for a in counts if counts[a] >= 2]
         if not donors:
-            raise ConfigurationError("budget too small to keep the feature basis covered")
-        donor = min(donors, key=lambda i: (-counts[i], arms[i]))
+            return False
+        donor = min(donors, key=lambda a: (-counts[a], a))
         counts[donor] -= 1
-        counts[b] += 1
-
-    return PullCounts(counts={arm: int(counts[i]) for i, arm in enumerate(arms)})
+        counts[arm] += 1
+    return True

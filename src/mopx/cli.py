@@ -156,10 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MopxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:  # a missing or unreadable file
+    except (MopxError, OSError) as err:  # OSError: a missing or unreadable file
         print(f"error: {err}", file=sys.stderr)
         return 2
 

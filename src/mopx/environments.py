@@ -12,6 +12,7 @@ the same bits as single pulls of its arms, in order, from the same generator.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -176,9 +177,10 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
     """
     try:
         with Path(path).open(newline="", encoding="utf-8") as handle:
-            head, _, body = handle.read().partition("\n")
+            text = handle.read()
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"{kind} file {path} is not UTF-8 text: {err}") from None
+    head, _, body = text.partition("\n")
     header = [h.strip() for h in head.split(",")]
     plain = head.isprintable() and '"' not in head and not body.encode().translate(None, _PLAIN)
     if plain and header[0] == "arm_id" and len(header) > 1 and body.strip("\n"):
@@ -191,42 +193,42 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
             lengths = np.zeros(1)
         if lengths.all() and (repeats or lengths.max() == 1) and np.isfinite(rows).all():
             return header, rows[np.argsort(arms, kind="stable")], lengths
-    return _read_arm_lines(path, kind, repeats)
+    return _read_arm_lines(text, path, kind, repeats)
 
 
-def _read_arm_lines(path: str | Path, kind: str, repeats: bool) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``_read_arm_csv`` line by line, with ``csv.reader``, ``int()`` and ``float()``."""
+def _read_arm_lines(text: str, path: str | Path, kind: str, repeats: bool) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``_read_arm_csv`` on the ``text`` of ``path``, line by line, with
+    ``csv.reader``, ``int()`` and ``float()``."""
     path = Path(path)
     per_arm: dict[int, list[list[float]]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(text, newline=""))
 
-        def fault(text: str) -> ConfigurationError:
-            return ConfigurationError(f"{kind} file {path} line {reader.line_num} {text}")
+    def fault(message: str) -> ConfigurationError:
+        return ConfigurationError(f"{kind} file {path} line {reader.line_num} {message}")
 
-        header = next(reader, None)
-        if header is None:
-            raise ConfigurationError(f"{kind} file {path} is empty")
-        header = [h.strip() for h in header]
-        if header[:1] != ["arm_id"]:
-            raise ConfigurationError(f"{kind} file {path} must start with an arm_id column")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise fault(f"has {len(row)} values, the header has {len(header)}")
-            try:
-                arm = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise fault(f"is not a row of numbers: {','.join(row)!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise fault(f"holds a value that is not finite: {','.join(row)!r}")
-            if arm < 0:
-                raise fault(f"has a negative arm_id {arm}")
-            if not repeats and arm in per_arm:
-                raise fault(f"repeats arm_id {arm}")
-            per_arm.setdefault(arm, []).append(values)
+    header = next(reader, None)
+    if header is None:
+        raise ConfigurationError(f"{kind} file {path} is empty")
+    header = [h.strip() for h in header]
+    if header[:1] != ["arm_id"]:
+        raise ConfigurationError(f"{kind} file {path} must start with an arm_id column")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise fault(f"has {len(row)} values, the header has {len(header)}")
+        try:
+            arm = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise fault(f"is not a row of numbers: {','.join(row)!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise fault(f"holds a value that is not finite: {','.join(row)!r}")
+        if arm < 0:
+            raise fault(f"has a negative arm_id {arm}")
+        if not repeats and arm in per_arm:
+            raise fault(f"repeats arm_id {arm}")
+        per_arm.setdefault(arm, []).append(values)
     if not per_arm:
         raise ConfigurationError(f"{kind} file {path} holds no records")
     missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
@@ -278,20 +280,6 @@ def instance_from_dict(data: dict) -> Instance:
     except (TypeError, ValueError) as err:
         raise ConfigurationError(f"instance is malformed: {err}") from None
     return Instance(means=means, sigma=sigma, features=features, theta=theta)
-
-
-def random_constrained_instance(
-    rng: np.random.Generator,
-    n_arms: int,
-    tau: float,
-    sigma: float = 0.5,
-) -> Instance:
-    """Two-objective instance guaranteed to contain at least one feasible arm."""
-    means = rng.uniform(0.0, 1.0, size=(n_arms, 2))
-    if not np.any(means[:, 1] >= tau):
-        lucky = int(rng.integers(n_arms))
-        means[lucky, 1] = tau + (1.0 - tau) * rng.uniform(0.1, 1.0)
-    return Instance(means=means, sigma=sigma)
 
 
 def random_linear_instance(

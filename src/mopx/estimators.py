@@ -57,16 +57,8 @@ def select_independent_basis(features: np.ndarray) -> list[int]:
     return basis
 
 
-def pseudo_inverse(
-    gram: np.ndarray,
-    active_features: np.ndarray,
-    *,
-    basis: list[int] | None = None,
-) -> np.ndarray:
+def pseudo_inverse(gram: np.ndarray, active_features: np.ndarray) -> np.ndarray:
     """Inverse of ``gram`` restricted to the span of ``active_features``.
-
-    ``basis`` may carry precomputed basis row indices (from
-    ``select_independent_basis`` on the same feature rows) to skip the scan.
 
     The restricted Gram ``A`` is rejected when its 2-norm condition number,
     read from its singular values, exceeds ``MAX_CONDITION``. That SVD runs
@@ -88,8 +80,7 @@ def pseudo_inverse(
     feats = np.asarray(active_features, dtype=float)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise EstimationError("active_features must be a non-empty 2-D array")
-    if basis is None:
-        basis = select_independent_basis(feats)
+    basis = select_independent_basis(feats)
     if not basis:
         raise NumericalError("all active features are numerically zero")
     return _restricted_inverse(np.asarray(gram, dtype=float), feats[basis].T)

@@ -62,10 +62,6 @@ class GapReport:
     def entries(self) -> tuple[GapEntry, ...]:
         return self.build_entries()
 
-    @property
-    def classifications(self) -> tuple[str, ...]:
-        return tuple(entry.classification for entry in self.entries)
-
     def gap(self, arm: int) -> float:
         return float(self.gap_column[arm])
 

@@ -213,13 +213,18 @@ class ExperimentConfig:
                 raise ConfigurationError(f"k_values entry {k} is outside [2, {table.n_arms}] (the arm count)")
         # every RunConfig setting error raises here, at load
         modes = {_run_config(v, self.tau, b, self.seeds[0]).mode for v in self.algorithms for b in self.per_arm_budgets}
-        # labels name summary rows and run ids, so two variants must not share one
+        # labels name summary rows and run ids, and a repeated grid entry would run
+        # one cell twice and count it as two seeds, so no list may repeat an entry
         labels = [_label(variant) for variant in self.algorithms]
-        repeated = sorted({label for label in labels if labels.count(label) > 1})
-        if repeated:
-            raise ConfigurationError(f"algorithm labels must be distinct, repeated: {repeated}")
+        lists = {"algorithm labels": labels, "k_values": self.k_values, "per_arm_budgets": self.per_arm_budgets, "seeds": self.seeds}
+        for name, entries in lists.items():
+            repeated = sorted({entry for entry in entries if entries.count(entry) > 1})
+            if repeated:
+                raise ConfigurationError(f"{name} must be distinct, repeated: {repeated}")
         if CONSTRAINED in modes and m != 2:
             raise ConfigurationError(f"gensec and constrained uniform variants need exactly two objectives, got m={m}")
+        if CONSTRAINED in modes and not self.tau > 0:  # soft_constrained_reward scores with tau > 0 only
+            raise ConfigurationError(f"gensec and constrained uniform variants need tau > 0, got {self.tau}")
         for k in self.k_values:
             truth = self.environment.true_means(k)
             if CONSTRAINED in modes:

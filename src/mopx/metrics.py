@@ -15,10 +15,6 @@ from .core import MetricError, UnsupportedDimensionError
 from .gaps import pareto_front
 
 
-def _clip_points(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    return np.maximum(points, reference)
-
-
 def _hv_two(points: np.ndarray, reference: np.ndarray) -> float:
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     best_y = reference[1]
@@ -51,6 +47,8 @@ def hypervolume(points, reference) -> float:
         raise MetricError(f"reference must be an m-vector with m >= 2, got shape {ref.shape}")
     if ref.size > 3:
         raise UnsupportedDimensionError(f"hypervolume supports m in {{2, 3}}, got m={ref.size}")
+    if not np.all(np.isfinite(ref)):
+        raise MetricError("reference must be finite")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return 0.0
@@ -58,7 +56,7 @@ def hypervolume(points, reference) -> float:
         raise MetricError(f"points have m={pts.shape[1]} but reference has m={ref.size}")
     if not np.all(np.isfinite(pts)):
         raise MetricError("points must be finite")
-    pts = _clip_points(pts, ref)
+    pts = np.maximum(pts, ref)
     if ref.size == 2:
         return _hv_two(pts, ref)
     return _hv_three(pts, ref)

@@ -23,7 +23,6 @@ from mopx.core import ConfigurationError, EstimationError, Instance, RngStream
 from mopx.environments import (
     GaussianEnvironment,
     LinearEnvironment,
-    random_constrained_instance,
     random_linear_instance,
 )
 from mopx.estimators import MeanEstimates
@@ -243,7 +242,8 @@ def test_uniform_baseline_minimum_budget_single_pull_each():
 
 
 def test_uniform_baseline_deterministic_per_seed():
-    inst = random_constrained_instance(np.random.default_rng(2), 6, tau=0.5, sigma=0.6)
+    means = [[0.2, 0.7], [0.6, 0.3], [0.5, 0.55], [0.9, 0.1], [0.4, 0.8], [0.7, 0.45]]
+    inst = Instance(means=np.array(means), sigma=0.6)
     outs = set()
     for _ in range(3):
         env = GaussianEnvironment(inst)

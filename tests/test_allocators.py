@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,19 @@ from mopx.allocators import (
 )
 from mopx.core import ConfigurationError, DomainError, NumericalError
 from mopx.estimators import select_independent_basis
+
+
+@contextmanager
+def _iteration_cap(n):
+    """``solve_g_optimal`` capped at n iterations inside the block; the design
+    memo, whose key holds no cap, is empty on entry and on exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocators, "MAX_DESIGN_ITERS", n)
+        allocators._DESIGNS.clear()
+        try:
+            yield
+        finally:
+            allocators._DESIGNS.clear()
 
 
 def test_uniform_remainder_to_lowest_indices():
@@ -135,8 +149,9 @@ def test_g_optimal_validates_epsilon():
 def test_g_optimal_non_convergence_carries_best_design():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(6, 3))
-    with pytest.raises(DesignConvergenceError) as err:
-        solve_g_optimal(feats, 0.01, max_iters=1)
+    with _iteration_cap(1), pytest.raises(DesignConvergenceError) as err:
+        solve_g_optimal(feats, 0.01)
+    assert "within 1 iterations" in str(err.value)
     assert err.value.weights is not None
     assert err.value.weights.objective_value >= 3.0
 
@@ -258,14 +273,14 @@ def test_g_optimal_matches_untrimmed_mirror_descent():
 
 def test_design_convergence_error_is_raised_again_every_call():
     feats = np.random.default_rng(3).normal(size=(6, 3))
-    allocators._DESIGNS.clear()
     raised = []
-    for _ in range(3):
-        with pytest.raises(DesignConvergenceError) as err:
-            solve_g_optimal(feats, 0.01, max_iters=1)
-        raised.append((str(err.value), err.value.weights.weights, err.value.weights.trace))
+    with _iteration_cap(1):
+        for _ in range(3):
+            with pytest.raises(DesignConvergenceError) as err:
+                solve_g_optimal(feats, 0.01)
+            raised.append((str(err.value), err.value.weights.weights, err.value.weights.trace))
+        assert not allocators._DESIGNS
     assert raised[0] == raised[1] == raised[2]
-    assert not allocators._DESIGNS
 
 
 def test_numerical_error_is_raised_again_every_call():
@@ -299,8 +314,7 @@ def test_design_cache_key_includes_layout_and_epsilon_type():
     solve_g_optimal(feats, 0.1)
     solve_g_optimal(np.asfortranarray(feats), 0.1)
     solve_g_optimal(feats, np.float32(0.1))
-    solve_g_optimal(feats, 0.1, max_iters=4000)
-    assert len(allocators._DESIGNS) == 4
+    assert len(allocators._DESIGNS) == 3
 
 
 # ----------------------------------------------------------- carried basis
@@ -429,7 +443,8 @@ def _solve_or_error(solve, feats):
 
 
 def _library_solve(feats):
-    design = solve_g_optimal(feats, 0.1, max_iters=600)
+    with _iteration_cap(600):
+        design = solve_g_optimal(feats, 0.1)
     return list(design.weights.values()), design.objective_value, design.trace
 
 

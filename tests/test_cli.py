@@ -258,6 +258,28 @@ def test_run_command_mistyped_value_is_configuration_error(tmp_path, capsys):
     assert "per_arm_budgets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ref", ["nan,0", "-inf,0", "0,inf"])
+def test_hv_command_refuses_a_non_finite_reference(tmp_path, capsys, ref):
+    path = tmp_path / "points.csv"
+    path.write_text("0.8,0.2\n0.5,0.5\n")
+    assert main(["hv", "--points", str(path), f"--ref={ref}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reference must be finite\n"
+
+
+def test_run_command_refuses_a_nan_hv_reference_that_json_reads(tmp_path, capsys):
+    instance = {"means": [[0.8, 0.6], [0.9, 0.4]], "sigma": 0.1}
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"environment": {"kind": "gaussian", "instance": %s}, "algorithms": [{"algorithm": "genpsi"}], '
+        '"hv_reference": [NaN, 0.0]}' % json.dumps(instance)
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == "error: pareto truth at K=2: reference must be finite\n"
+    assert not (tmp_path / "res").exists()
+
+
 def test_hv_command_rejects_non_numeric_rows_after_the_first(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("obj_1,obj_2\n0.8,0.2\n0.9,abc\n0.2,0.8\n")

@@ -8,6 +8,7 @@ errors name the key below its section (``'mlp.iters'``, ``'seeds[0]'``).
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -214,6 +215,18 @@ ROWS = [
         [{"label": "a", "algorithm": "gensec"}, {"label": "a", "algorithm": "genpsi"}],
         "algorithm labels must be distinct, repeated: ['a']",
     ),
+    # a repeated grid entry would run one cell twice and count it as two seeds
+    (("seeds",), [0, 0], "seeds must be distinct, repeated: [0]"),
+    (("seeds",), [2, 0, 2, 1, 0], "seeds must be distinct, repeated: [0, 2]"),
+    (("k_values",), [4, 2, 4], "k_values must be distinct, repeated: [4]"),
+    (("per_arm_budgets",), [3, 5, 3], "per_arm_budgets must be distinct, repeated: [3]"),
+    ((), dict(BASE, algorithms=[{"algorithm": "gensec"}] * 2, seeds=[0, 0]), "algorithm labels must be distinct, repeated: ['gensec']"),
+    # soft_constrained_reward scores with tau > 0 only; Pareto variants read no tau
+    (("tau",), 0.0, "gensec and constrained uniform variants need tau > 0, got 0.0"),
+    (("tau",), -0.5, "gensec and constrained uniform variants need tau > 0, got -0.5"),
+    (("tau",), math.nan, "gensec and constrained uniform variants need tau > 0, got nan"),
+    ((), dict(BASE, tau=0.0, algorithms=UNIFORM_CONSTRAINED), "gensec and constrained uniform variants need tau > 0, got 0.0"),
+    ((), dict(BASE, tau=0.0, algorithms=UNIFORM), None),
     # errors at load that were once a traceback, a failure of every cell, or a
     # key read for no kind that takes it
     (("environment",), _replay(path=5), "config key 'path' must be a JSON string, got 5"),
@@ -335,6 +348,9 @@ ROWS = [
         "pareto truth at K=4 has zero hypervolume over the reference (0.0, 0.0)",
     ),
     ((), dict(BASE, environment=_replay(brevity=None), algorithms=UNIFORM, hv_reference=[0.0, -0.1]), None),
+    # Python's json reads NaN and Infinity; hypervolume refuses them in a reference
+    ((), dict(BASE, algorithms=GENPSI, hv_reference=[math.nan, 0.0]), "pareto truth at K=4: reference must be finite"),
+    ((), dict(BASE, algorithms=UNIFORM, hv_reference=[0.0, -math.inf]), "pareto truth at K=4: reference must be finite"),
 ]
 
 

@@ -18,7 +18,6 @@ from mopx.environments import (
     instance_from_dict,
     load_instance_json,
     load_replay_csv,
-    random_constrained_instance,
     random_linear_instance,
 )
 from mopx.harness import EnvironmentSource, environment_source_from_dict
@@ -318,6 +317,17 @@ def test_plain_files_are_read_in_one_pass(monkeypatch, tmp_path):
         assert table.lengths.tolist() == [len(rows) for rows in per_arm]
 
 
+def test_a_respelled_file_is_read_from_disk_once(monkeypatch, tmp_path):
+    """The per-line reader parses the text the one-pass reader decoded."""
+    path = tmp_path / "replay.csv"
+    path.write_text('arm_id,obj_1,obj_2\r\n"0", +0.5, 0.25\r\n\r\n1,0.75,0.5\r\n', newline="")
+    opened, open_file = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kw: opened.append(self) or open_file(self, *args, **kw))
+    table = load_replay_csv(path)
+    assert opened == [path]
+    assert table.rows.tolist() == [[0.5, 0.25], [0.75, 0.5]]
+
+
 def test_instance_json_round_trip(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(
@@ -330,13 +340,6 @@ def test_instance_json_round_trip(tmp_path):
 
 
 # --------------------------------------------------------------- generators
-
-
-def test_random_constrained_instance_always_feasible():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        inst = random_constrained_instance(rng, 6, tau=0.95)
-        assert np.any(inst.means[:, 1] >= 0.95)
 
 
 def test_random_linear_instance_structure():

@@ -366,7 +366,7 @@ def test_fit_linear_matches_np_linalg_cond_form_bit_for_bit(monkeypatch):
     monkeypatch.setattr(
         estimators,
         "pseudo_inverse",
-        lambda gram, feats, basis=None: reference_restricted_inverse(
+        lambda gram, feats: reference_restricted_inverse(
             gram, feats, select_independent_basis(feats)
         ),
     )

@@ -400,10 +400,10 @@ def _check_memo_call(step, means):
         return
     report = pareto_gap_report(means)
     assert report.gaps() == {x: oracle_pareto_gap(means, x) for x in range(k)}
-    assert [x for x, c in enumerate(report.classifications) if c == "pareto"] == oracle_front(means)
+    assert [e.arm for e in report.entries if e.classification == "pareto"] == oracle_front(means)
     fresh = _memo_free(pareto_gap_report, means)
     assert report.gap_column.tobytes() == fresh.gap_column.tobytes()
-    assert report.classifications == fresh.classifications
+    assert [e.classification for e in report.entries] == [e.classification for e in fresh.entries]
     assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
 
 

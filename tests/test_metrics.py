@@ -27,6 +27,13 @@ def test_hv_clips_points_below_reference():
     assert hypervolume([(0.5, -1.0)], (0.0, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("reference", [(np.nan, 0.0), (0.0, -np.inf), (np.inf, 0.0, 0.0)])
+@pytest.mark.parametrize("points", [[(0.5, 0.5, 0.5)], np.empty((0, 3))])
+def test_hv_rejects_a_non_finite_reference(reference, points):
+    with pytest.raises(MetricError, match="reference must be finite"):
+        hypervolume(np.asarray(points)[:, : len(reference)], reference)
+
+
 def test_hv_rejects_high_dimensions():
     with pytest.raises(UnsupportedDimensionError):
         hypervolume([(0.1, 0.2, 0.3, 0.4)], (0, 0, 0, 0))
