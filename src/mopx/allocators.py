@@ -81,9 +81,6 @@ class DesignWeights:
     trace: tuple[float, ...] = field(default=(), repr=False)
     basis: tuple[int, ...] | None = field(default=None, repr=False)
 
-    def as_array(self, active: list[int]) -> np.ndarray:
-        return np.array([self.weights[a] for a in active], dtype=float)
-
 
 class DesignConvergenceError(NumericalError):
     """Mirror descent hit the iteration cap; carries the best design found."""
@@ -248,8 +245,7 @@ def round_design(
         raise ConfigurationError(
             f"round budget n={n} cannot cover the {len(basis)}-arm feature basis"
         )
-    w = weights.as_array(arms)
-    raw = n * w
+    raw = n * np.array([weights.weights[a] for a in arms], dtype=float)
     floors = np.floor(raw).astype(int)
     remainder = n - int(floors.sum())
     # ties on the fractional part go to the lowest arm index

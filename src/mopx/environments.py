@@ -266,20 +266,36 @@ def load_instance_json(path: str | Path) -> Instance:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """An instance from parsed JSON, coercing nothing: ``K`` and ``m`` are JSON
+    integers, and ``sigma`` and every entry of ``means``, ``features`` and ``theta`` JSON numbers."""
     if "means" not in data:
         raise ConfigurationError("instance needs 'means'")
-    try:
+    for key in ("K", "m"):
+        if key in data and type(data[key]) is not int:
+            raise ConfigurationError(f"instance is malformed: {key} must be a JSON integer, got {data[key]!r}")
+    if type(data.get("sigma", 0.0)) not in (int, float):
+        raise ConfigurationError(f"instance is malformed: sigma must be a JSON number, got {data['sigma']!r}")
+    for key in ("means", "features", "theta"):
+        for leaf in _leaves(data.get(key, [])):
+            if type(leaf) not in (int, float):
+                raise ConfigurationError(f"instance is malformed: {key} holds {leaf!r}, not a JSON number")
+    try:  # ragged rows, or an integer past the float range
         means = np.asarray(data["means"], dtype=float)
-        if "K" in data and means.ndim >= 1 and means.shape[0] != int(data["K"]):
-            raise ConfigurationError(f"declared K={data['K']} but means has {means.shape[0]} rows")
-        if "m" in data and means.ndim >= 2 and means.shape[1] != int(data["m"]):
-            raise ConfigurationError(f"declared m={data['m']} but means has {means.shape[1]} columns")
         features = np.asarray(data["features"], dtype=float) if "features" in data else None
         theta = np.asarray(data["theta"], dtype=float) if "theta" in data else None
         sigma = float(data.get("sigma", 0.0))
-    except (TypeError, ValueError) as err:
+    except (ValueError, OverflowError) as err:
         raise ConfigurationError(f"instance is malformed: {err}") from None
+    if "K" in data and means.ndim >= 1 and means.shape[0] != data["K"]:
+        raise ConfigurationError(f"declared K={data['K']} but means has {means.shape[0]} rows")
+    if "m" in data and means.ndim >= 2 and means.shape[1] != data["m"]:
+        raise ConfigurationError(f"declared m={data['m']} but means has {means.shape[1]} columns")
     return Instance(means=means, sigma=sigma, features=features, theta=theta)
+
+
+def _leaves(value) -> list:
+    """The non-list items of nested JSON lists, in reading order."""
+    return [leaf for item in value for leaf in _leaves(item)] if type(value) is list else [value]
 
 
 def random_linear_instance(

@@ -65,9 +65,6 @@ class GapReport:
     def gap(self, arm: int) -> float:
         return float(self.gap_column[arm])
 
-    def gaps(self) -> dict[int, float]:
-        return dict(enumerate(self.gap_column.tolist()))
-
     def to_dict(self) -> dict:
         out: dict = {"mode": self.mode, "entries": [e.to_dict() for e in self.entries]}
         if self.tau is not None:
@@ -202,6 +199,8 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
     mat = _check_means(means)
     if mat.shape[1] != 2:
         raise DomainError("constrained gaps are defined for m = 2 objectives")
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau}")
     star = best_feasible_arm(mat, tau)
     cap = float(mat[star, 1] - tau)
     # Python's max/min keep their first operand on ties, and so do these wheres
@@ -230,7 +229,7 @@ def hardness(means: np.ndarray, tau: float) -> float:
         raise DomainError("hardness needs K >= 2 arms")
     report = constrained_gap_report(mat, tau)
     worst = 0.0
-    for arm, gap in report.gaps().items():
+    for arm, gap in enumerate(report.gap_column.tolist()):
         if arm == report.optimal_arm:
             continue
         if gap == 0.0:

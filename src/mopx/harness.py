@@ -34,6 +34,7 @@ from .environments import (
 )
 from .gaps import best_feasible_arm, hardness, pareto_front
 from .metrics import hv_recovery, hypervolume, soft_constrained_reward
+from .schedulers import SCHEDULER_NAMES, SUCCESSIVE_REJECTS
 
 Z_95 = 1.96
 
@@ -221,6 +222,14 @@ class ExperimentConfig:
             repeated = sorted({entry for entry in entries if entries.count(entry) > 1})
             if repeated:
                 raise ConfigurationError(f"{name} must be distinct, repeated: {repeated}")
+        # at B = K every successive-rejects round target is 0, so round 1 pulls nothing
+        for variant in self.algorithms if 1 in self.per_arm_budgets else ():
+            run = _run_config(variant, self.tau, 1, self.seeds[0])
+            if run.algorithm != UNIFORM and SCHEDULER_NAMES[run.scheduler] == SUCCESSIVE_REJECTS:
+                raise ConfigurationError(
+                    f"algorithm {_label(variant)!r} uses successive rejects, which pulls nothing in round 1 "
+                    "at per-arm budget 1 (B = K)"
+                )
         if CONSTRAINED in modes and m != 2:
             raise ConfigurationError(f"gensec and constrained uniform variants need exactly two objectives, got m={m}")
         if CONSTRAINED in modes and not self.tau > 0:  # soft_constrained_reward scores with tau > 0 only

@@ -141,7 +141,7 @@ def test_gensec_round_context_on_estimation_error():
 
 def test_eliminate_pareto_worked_examples():
     report = pareto_gap_report(SQUARE)
-    gaps = report.gaps()
+    gaps = dict(enumerate(report.gap_column.tolist()))
     front = set(pareto_front(SQUARE))
     active, accepted = eliminate_pareto([0, 1, 2, 3], 3, gaps, front)
     assert accepted == [0] and active == [1, 2, 3]

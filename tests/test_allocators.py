@@ -91,7 +91,7 @@ def test_blocked_sequence_matches_count_interval_rule():
 
 def test_g_optimal_orthonormal_features():
     design = solve_g_optimal(np.eye(3), 0.1)
-    w = design.as_array([0, 1, 2])
+    w = np.array([design.weights[a] for a in range(3)])
     assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
     assert design.objective_value == pytest.approx(3.0, abs=1e-6)
 
@@ -133,7 +133,7 @@ def test_g_optimal_bounds_on_random_instances():
             feats[1] = feats[0]
         d_act = len(select_independent_basis(feats))
         design = solve_g_optimal(feats, 0.1)
-        w = design.as_array(list(range(k)))
+        w = np.array([design.weights[a] for a in range(k)])
         assert abs(w.sum() - 1.0) < 1e-9
         assert design.objective_value <= 1.1 * d_act + 1e-9
         assert design.objective_value >= d_act - 1e-9  # worst leverage is at least the rank
@@ -200,7 +200,7 @@ def test_round_design_budget_and_linfty_deviation():
         n = int(rng.integers(max(45 * d_act, k), 400))
         counts = round_design(n, design, 1 / 3, list(range(k)), feats)
         assert counts.total == n
-        w = design.as_array(list(range(k)))
+        w = np.array([design.weights[a] for a in range(k)])
         got = np.array([counts.counts[a] for a in range(k)], dtype=float)
         assert np.max(np.abs(got - n * w)) < 1.0 + d_act
         for b in select_independent_basis(feats):

@@ -338,7 +338,7 @@ _INSTANCE = {"means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]], "sigma": 0.1}
         (
             {"kind": "gaussian", "instance": dict(_INSTANCE, sigma="abc")},
             None,
-            "instance is malformed: could not convert string to float: 'abc'",
+            "instance is malformed: sigma must be a JSON number, got 'abc'",
         ),
         (
             {"kind": "gaussian", "instance": "bad.json"},
@@ -353,6 +353,11 @@ _INSTANCE = {"means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]], "sigma": 0.1}
             "replay file $TMP/bad.csv line 3 is not a row of numbers: '1,0.1,abc'",
         ),
         ({"kind": "linear", "instance": _INSTANCE}, None, "a linear environment needs features and theta"),
+        (
+            {"kind": "gaussian", "instance": dict(_INSTANCE, means=[["0.8", "0.6"], [0.9, 0.4], [0.6, 0.7]])},
+            None,
+            "instance is malformed: means holds '0.8', not a JSON number",
+        ),
     ],
 )
 def test_run_command_former_crashes_exit_two_with_an_error_line(tmp_path, capsys, environment, out_dir, message):
@@ -373,6 +378,12 @@ def test_gaps_command_rejects_an_instance_file_that_is_not_json(tmp_path, capsys
     assert main(["gaps", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: instance file {path} is not valid JSON: Expecting value: line 1 column 23 (char 22)\n"
+
+
+@pytest.mark.parametrize("tau", ["nan", "-inf", "inf"])
+def test_gaps_command_refuses_a_non_finite_tau(capsys, tau):
+    assert main(["gaps", "--instance", str(FIXTURES / "linear_gopt_instance.json"), f"--tau={tau}"]) == 2
+    assert capsys.readouterr() == ("", f"error: tau must be finite, got {float(tau)}\n")
 
 
 _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"

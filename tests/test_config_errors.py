@@ -58,6 +58,8 @@ UNIFORM_CONSTRAINED = [{"label": "u", "algorithm": "uniform", "mode": "constrain
 GENPSI = [{"label": "p", "algorithm": "genpsi"}]
 THREE = [[0.8, 0.6, 0.5], [0.9, 0.4, 0.5], [0.6, 0.7, 0.5], [0.3, 0.3, 0.5]]
 FOUR = [row + [0.5] for row in THREE]
+SR = {"label": "s", "algorithm": "gensec", "scheduler": "sr"}
+SR_AT_ONE = "algorithm 's' uses successive rejects, which pulls nothing in round 1 at per-arm budget 1 (B = K)"
 TWO_OBJECTIVES = "gensec and constrained uniform variants need exactly two objectives, got m=3"
 
 # (path into BASE, value put there, message); the path () replaces the config
@@ -233,8 +235,37 @@ ROWS = [
     (("environment",), _replay(path=["replay.csv"]), "config key 'path' must be a JSON string, got ['replay.csv']"),
     (("environment", "instance", "means"), DROP, "instance needs 'means'"),
     (("environment", "instance"), {}, "instance needs 'means'"),
-    (("environment", "instance", "sigma"), "abc", "instance is malformed: could not convert string to float: 'abc'"),
-    (("environment", "instance", "K"), "x", "instance is malformed: invalid literal for int() with base 10: 'x'"),
+    (("environment", "instance", "sigma"), "abc", "instance is malformed: sigma must be a JSON number, got 'abc'"),
+    (("environment", "instance", "K"), "x", "instance is malformed: K must be a JSON integer, got 'x'"),
+    # instance values are JSON numbers, and K and m JSON integers: nothing is coerced
+    (
+        ("environment", "instance", "means"),
+        [["0.8", "0.6"], [0.9, 0.4], [0.6, 0.7], [0.3, 0.3]],
+        "instance is malformed: means holds '0.8', not a JSON number",
+    ),
+    (
+        ("environment", "instance", "means"),
+        [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7], [0.3, False]],
+        "instance is malformed: means holds False, not a JSON number",
+    ),
+    (("environment", "instance", "sigma"), "0.1", "instance is malformed: sigma must be a JSON number, got '0.1'"),
+    (("environment", "instance", "sigma"), True, "instance is malformed: sigma must be a JSON number, got True"),
+    (("environment", "instance", "sigma"), None, "instance is malformed: sigma must be a JSON number, got None"),
+    (("environment", "instance", "K"), 4.9, "instance is malformed: K must be a JSON integer, got 4.9"),
+    (("environment", "instance", "K"), 4.0, "instance is malformed: K must be a JSON integer, got 4.0"),
+    (("environment", "instance", "m"), True, "instance is malformed: m must be a JSON integer, got True"),
+    (
+        ("environment", "instance", "features"),
+        [[1.0], [0.5], ["x"], [0.0]],
+        "instance is malformed: features holds 'x', not a JSON number",
+    ),
+    (("environment", "instance"), "strings.json", "instance is malformed: means holds '0.9', not a JSON number"),
+    (("environment", "instance", "sigma"), 10**400, "instance is malformed: int too large to convert to float"),
+    (
+        ("environment", "instance", "means"),
+        [[10**400, 0.6], [0.9, 0.4], [0.6, 0.7], [0.3, 0.3]],
+        "instance is malformed: int too large to convert to float",
+    ),
     (
         ("environment", "instance", "means"),
         [0.8, 0.6, 0.9, 0.4],
@@ -351,6 +382,12 @@ ROWS = [
     # Python's json reads NaN and Infinity; hypervolume refuses them in a reference
     ((), dict(BASE, algorithms=GENPSI, hv_reference=[math.nan, 0.0]), "pareto truth at K=4: reference must be finite"),
     ((), dict(BASE, algorithms=UNIFORM, hv_reference=[0.0, -math.inf]), "pareto truth at K=4: reference must be finite"),
+    # at B = K every successive-rejects round target is 0, so round 1 would pull nothing
+    ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2, 1]), SR_AT_ONE),
+    ((), dict(BASE, algorithms=[dict(SR, algorithm="genpsi", scheduler="successive_rejects")], per_arm_budgets=[1]), SR_AT_ONE),
+    ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2]), None),
+    ((), dict(BASE, per_arm_budgets=[1]), None),
+    ((), dict(BASE, algorithms=[dict(UNIFORM[0], scheduler="sr")], per_arm_budgets=[1]), None),
 ]
 
 
@@ -379,6 +416,7 @@ def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, val
     (tmp_path / "instance.json").write_text(json.dumps(INSTANCE))
     (tmp_path / "bad.json").write_text("{means: []}")
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "strings.json").write_text(json.dumps(dict(INSTANCE, means=[[0.8, 0.6], ["0.9", 0.4], [0.6, 0.7], [0.3, 0.3]])))
     (tmp_path / "cells.csv").write_text(REPLAY_CSV.replace("1,50,0.8,0.0", "1,50,0.8,abc"))
     (tmp_path / "short.csv").write_text(REPLAY_CSV.replace("0,20,0.6,0.0", "0,20,0.6"))
     (tmp_path / "negative.csv").write_text(REPLAY_CSV + "-1,30,0.5,0.0\n")
