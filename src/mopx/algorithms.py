@@ -45,7 +45,7 @@ from .estimators import (
     predict_linear,
 )
 from .gaps import _json_num, pareto_front, pareto_gap_report
-from .schedulers import SCHEDULER_NAMES, Schedule, make_schedule
+from .schedulers import SCHEDULER_NAMES, SUCCESSIVE_REJECTS, Schedule, make_schedule
 
 GENSEC = "gensec"
 GENPSI = "genpsi"
@@ -95,10 +95,19 @@ class RunConfig:
             raise ConfigurationError("uniform baseline needs mode 'constrained' or 'pareto'")
         if self.mode == CONSTRAINED and self.tau is None:
             raise ConfigurationError("constrained mode needs a threshold tau")
-        if self.budget is None and self.per_arm_budget is None:
-            raise ConfigurationError("either budget or per_arm_budget is required")
+        if self.mode == CONSTRAINED and not math.isfinite(self.tau):  # NaN would make every arm infeasible
+            raise ConfigurationError(f"tau must be finite, got {self.tau}")
+        for name in ("budget", "per_arm_budget", "seed", "mlp_hidden", "mlp_iters"):
+            value = getattr(self, name)  # else a budget of 2.5 runs as a float and True runs as 1
+            if type(value) is not int and not (value is None and name.endswith("budget")):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+        if (self.budget is None) == (self.per_arm_budget is None):
+            which = "either" if self.budget is None else "exactly one of"
+            raise ConfigurationError(f"{which} budget or per_arm_budget is required")
         if self.per_arm_budget is not None and self.per_arm_budget < 1:
             raise ConfigurationError("per-arm budget must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.scheduler not in SCHEDULER_NAMES:
             raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
         if self.allocator not in ("uniform", "g-optimal"):
@@ -125,11 +134,12 @@ class RunConfig:
             raise ConfigurationError(
                 "uniform baseline runs with allocator 'uniform', estimator 'mean' and eliminator 'ege'"
             )
+        sr_at_one = self.per_arm_budget == 1 and SCHEDULER_NAMES[self.scheduler] == SUCCESSIVE_REJECTS
+        if sr_at_one and self.algorithm != UNIFORM:  # at B = K every round target is 0: round 1 pulls nothing
+            raise ConfigurationError("successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)")
 
     def resolve_budget(self, n_arms: int) -> int:
-        if self.budget is not None:
-            return self.budget
-        return self.per_arm_budget * n_arms
+        return self.budget if self.budget is not None else self.per_arm_budget * n_arms
 
 
 class RoundRecord(NamedTuple):
@@ -399,8 +409,6 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
 
 def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     """Pareto-set elimination: returns the accepted arms plus the surviving front."""
-    if env.n_arms < 2:
-        raise ConfigurationError("the Pareto loop needs K >= 2 arms")
     accepted: list[int] = []
     front: set[int] = set()
 

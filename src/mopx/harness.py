@@ -34,7 +34,6 @@ from .environments import (
 )
 from .gaps import best_feasible_arm, hardness, pareto_front
 from .metrics import hv_recovery, hypervolume, soft_constrained_reward
-from .schedulers import SCHEDULER_NAMES, SUCCESSIVE_REJECTS
 
 Z_95 = 1.96
 
@@ -182,10 +181,13 @@ def _walk(shape, value, path: str = ""):
             raise ConfigurationError(f"config key {path!r} must be a JSON list, got {value!r}")
         return tuple(_walk(shape[0], item, f"{path}[{i}]") for i, item in enumerate(value))
     expected = (int, float) if shape is float else shape
+    key = path if shape is dict else path.partition(".")[2] or path  # scalars: the key below its section
     if not isinstance(value, expected) or isinstance(value, bool) and shape in (int, float):
-        key = path if shape is dict else path.partition(".")[2] or path  # scalars: the key below its section
         raise ConfigurationError(f"config key {key!r} must be a JSON {_JSON_TYPES[shape]}, got {value!r}")
-    return float(value) if shape is float else value
+    try:
+        return float(value) if shape is float else value
+    except OverflowError as err:  # json reads a long integer literal as an int past the float range
+        raise ConfigurationError(f"config key {key!r} is malformed: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,6 @@ class ExperimentConfig:
         for name in ("algorithm", "k_value", "per_arm_budget", "seed"):
             if not getattr(self, f"{name}s"):
                 raise ConfigurationError(f"{name} list must be non-empty")
-        if min(self.seeds) < 0:
-            raise ConfigurationError(f"seeds must be non-negative, got {min(self.seeds)}")
         table = self.environment.table
         m = table.n_objectives
         if self.hv_reference is not None and len(self.hv_reference) != m:
@@ -212,8 +212,8 @@ class ExperimentConfig:
         for k in self.k_values:
             if not 2 <= k <= table.n_arms:
                 raise ConfigurationError(f"k_values entry {k} is outside [2, {table.n_arms}] (the arm count)")
-        # every RunConfig setting error raises here, at load
-        modes = {_run_config(v, self.tau, b, self.seeds[0]).mode for v in self.algorithms for b in self.per_arm_budgets}
+        # every RunConfig setting error raises here, at load; of the seeds only the least can fail its check
+        modes = {_run_config(v, self.tau, b, min(self.seeds)).mode for v in self.algorithms for b in self.per_arm_budgets}
         # labels name summary rows and run ids, and a repeated grid entry would run
         # one cell twice and count it as two seeds, so no list may repeat an entry
         labels = [_label(variant) for variant in self.algorithms]
@@ -222,14 +222,6 @@ class ExperimentConfig:
             repeated = sorted({entry for entry in entries if entries.count(entry) > 1})
             if repeated:
                 raise ConfigurationError(f"{name} must be distinct, repeated: {repeated}")
-        # at B = K every successive-rejects round target is 0, so round 1 pulls nothing
-        for variant in self.algorithms if 1 in self.per_arm_budgets else ():
-            run = _run_config(variant, self.tau, 1, self.seeds[0])
-            if run.algorithm != UNIFORM and SCHEDULER_NAMES[run.scheduler] == SUCCESSIVE_REJECTS:
-                raise ConfigurationError(
-                    f"algorithm {_label(variant)!r} uses successive rejects, which pulls nothing in round 1 "
-                    "at per-arm budget 1 (B = K)"
-                )
         if CONSTRAINED in modes and m != 2:
             raise ConfigurationError(f"gensec and constrained uniform variants need exactly two objectives, got m={m}")
         if CONSTRAINED in modes and not self.tau > 0:  # soft_constrained_reward scores with tau > 0 only

@@ -372,6 +372,14 @@ def test_run_command_former_crashes_exit_two_with_an_error_line(tmp_path, capsys
     assert capsys.readouterr().err == f"error: {message.replace('$TMP', str(tmp_path))}\n"
 
 
+def test_run_command_refuses_a_tau_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    instance = json.dumps({"kind": "gaussian", "instance": _INSTANCE})
+    path.write_text(f'{{"environment": {instance}, "tau": 1{"0" * 400}, "algorithms": [{{"algorithm": "gensec"}}]}}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == "error: config key 'tau' is malformed: int too large to convert to float\n"
+
+
 def test_gaps_command_rejects_an_instance_file_that_is_not_json(tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text('{"means": [[0.1, 0.2],]}')

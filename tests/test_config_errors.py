@@ -59,7 +59,7 @@ GENPSI = [{"label": "p", "algorithm": "genpsi"}]
 THREE = [[0.8, 0.6, 0.5], [0.9, 0.4, 0.5], [0.6, 0.7, 0.5], [0.3, 0.3, 0.5]]
 FOUR = [row + [0.5] for row in THREE]
 SR = {"label": "s", "algorithm": "gensec", "scheduler": "sr"}
-SR_AT_ONE = "algorithm 's' uses successive rejects, which pulls nothing in round 1 at per-arm budget 1 (B = K)"
+SR_AT_ONE = "successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)"
 TWO_OBJECTIVES = "gensec and constrained uniform variants need exactly two objectives, got m=3"
 
 # (path into BASE, value put there, message); the path () replaces the config
@@ -103,6 +103,10 @@ ROWS = [
     (("hv_reference",), 0.0, "config key 'hv_reference' must be a JSON list, got 0.0"),
     (("hv_reference", 1), "a", "config key 'hv_reference[1]' must be a JSON number, got 'a'"),
     (("hv_reference", 0), None, "config key 'hv_reference[0]' must be a JSON number, got None"),
+    # json reads a long integer literal as an int that no float holds
+    (("tau",), 10**400, "config key 'tau' is malformed: int too large to convert to float"),
+    (("hv_reference", 0), 10**400, "config key 'hv_reference[0]' is malformed: int too large to convert to float"),
+    (*_alg("g_optimal.epsilon", 10**400), "config key 'g_optimal.epsilon' is malformed: int too large to convert to float"),
     # grid values
     (("seeds",), [], "seed list must be non-empty"),
     (("k_values",), [1], "k_values entry 1 is outside [2, 4] (the arm count)"),
@@ -226,7 +230,9 @@ ROWS = [
     # soft_constrained_reward scores with tau > 0 only; Pareto variants read no tau
     (("tau",), 0.0, "gensec and constrained uniform variants need tau > 0, got 0.0"),
     (("tau",), -0.5, "gensec and constrained uniform variants need tau > 0, got -0.5"),
-    (("tau",), math.nan, "gensec and constrained uniform variants need tau > 0, got nan"),
+    (("tau",), math.nan, "tau must be finite, got nan"),
+    (("tau",), math.inf, "tau must be finite, got inf"),
+    ((), dict(BASE, tau=math.nan, algorithms=UNIFORM), None),
     ((), dict(BASE, tau=0.0, algorithms=UNIFORM_CONSTRAINED), "gensec and constrained uniform variants need tau > 0, got 0.0"),
     ((), dict(BASE, tau=0.0, algorithms=UNIFORM), None),
     # errors at load that were once a traceback, a failure of every cell, or a
@@ -282,8 +288,8 @@ ROWS = [
     (("algorithms",), [], "algorithm list must be non-empty"),
     (("k_values",), [], "k_value list must be non-empty"),
     (("per_arm_budgets",), [], "per_arm_budget list must be non-empty"),
-    (("seeds",), [-1], "seeds must be non-negative, got -1"),
-    (("seeds",), [0, 3, -2], "seeds must be non-negative, got -2"),
+    (("seeds",), [-1], "seed must be non-negative, got -1"),
+    (("seeds",), [0, 3, -2], "seed must be non-negative, got -2"),
     (("hv_reference",), [0.0], "hv_reference needs one entry per objective, got 1"),
     (("hv_reference",), [0.0, 0.0, 0.0], "hv_reference needs one entry per objective, got 3"),
     (("environment", "path"), "replay.csv", "unknown environment keys: ['path']"),

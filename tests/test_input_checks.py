@@ -42,12 +42,69 @@ def _uniform_run_below_k():
     return run_algorithm(config, GaussianEnvironment(Instance(MEANS, sigma=0.1)))
 
 
+def _genpsi_run_of_one_arm():
+    config = RunConfig(algorithm="genpsi", per_arm_budget=3)
+    return run_algorithm(config, GaussianEnvironment(Instance(MEANS[:1], sigma=0.1)))
+
+
+def _round_scoped_run_at_b_equal_k():
+    # successive rejects at B = K plans no pull for round 1; RunConfig refuses only per_arm_budget=1
+    config = RunConfig(algorithm="genpsi", scheduler="sr", estimator="linear", budget=3)
+    return run_algorithm(config, GaussianEnvironment(Instance(MEANS, sigma=0.1)))
+
+
+def _gensec(**settings):
+    return lambda: RunConfig(**{"algorithm": "gensec", "tau": 0.5, "per_arm_budget": 3, **settings})
+
+
 CASES = {
     # algorithms
     "run config without a budget": (
         lambda: RunConfig(algorithm="genpsi"),
         ConfigurationError,
         "either budget or per_arm_budget is required",
+    ),
+    "run config with both budgets": (
+        _gensec(budget=9),
+        ConfigurationError,
+        "exactly one of budget or per_arm_budget is required",
+    ),
+    "constrained run config with a NaN tau": (_gensec(tau=np.nan), ConfigurationError, "tau must be finite, got nan"),
+    "constrained run config with an infinite tau": (_gensec(tau=np.inf), ConfigurationError, "tau must be finite, got inf"),
+    "constrained run config with a tau of -inf": (_gensec(tau=-np.inf), ConfigurationError, "tau must be finite, got -inf"),
+    "run config with a fractional per-arm budget": (
+        _gensec(per_arm_budget=2.5),
+        ConfigurationError,
+        "per_arm_budget must be an int, got 2.5",
+    ),
+    "run config with a boolean per-arm budget": (
+        _gensec(per_arm_budget=True),
+        ConfigurationError,
+        "per_arm_budget must be an int, got True",
+    ),
+    "run config with a float budget": (
+        _gensec(per_arm_budget=None, budget=8.0),
+        ConfigurationError,
+        "budget must be an int, got 8.0",
+    ),
+    "run config with a fractional seed": (_gensec(seed=1.5), ConfigurationError, "seed must be an int, got 1.5"),
+    "run config with a negative seed": (_gensec(seed=-1), ConfigurationError, "seed must be non-negative, got -1"),
+    "run config with fractional mlp iters": (_gensec(mlp_iters=2.5), ConfigurationError, "mlp_iters must be an int, got 2.5"),
+    "run config with a boolean mlp hidden": (_gensec(mlp_hidden=True), ConfigurationError, "mlp_hidden must be an int, got True"),
+    "successive rejects at per-arm budget 1": (
+        _gensec(scheduler="successive_rejects", per_arm_budget=1),
+        ConfigurationError,
+        "successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)",
+    ),
+    "round-scoped estimate of an empty first round": (
+        _round_scoped_run_at_b_equal_k,
+        EstimationError,
+        "round 1: no observations in the first round",
+    ),
+    "genpsi run over one arm": (
+        _genpsi_run_of_one_arm,
+        ConfigurationError,
+        "need K >= 2 arms to schedule, got K=1",
     ),
     "eliminate with nothing to eliminate": (
         lambda: eliminate_pareto([0, 1], 2, {0: 0.1, 1: 0.2}, {0, 1}),
@@ -236,6 +293,11 @@ def test_each_input_check_raises_its_message(call, kind, message):
         call()
     assert type(raised.value) is kind
     assert str(raised.value) == message
+
+
+def test_a_pareto_run_config_reads_no_tau():
+    config = RunConfig(algorithm="genpsi", tau=np.nan, per_arm_budget=3)
+    assert config.mode == "pareto" and np.isnan(config.tau)
 
 
 @pytest.mark.parametrize(

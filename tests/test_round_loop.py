@@ -1,9 +1,9 @@
-"""Every setting combination RunConfig accepts, run through the round loop.
+"""Every setting combination of the round loop, run through it.
 
-Each run's ``RunResult.to_dict()`` JSON, or its error class and message, is
-hashed per algorithm and mode. The digests pin answers, round logs, pull
-counts and error messages byte for byte, so a rewrite of the loop must leave
-every one of them unchanged.
+Each run's ``RunResult.to_dict()`` JSON, or the error class and message of
+its ``RunConfig`` or its run, is hashed per algorithm and mode. The digests
+pin answers, round logs, pull counts and error messages byte for byte, so a
+rewrite of the loop must leave every one of them unchanged.
 """
 
 import hashlib
@@ -33,8 +33,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIED = np.array([[0.75, 0.5], [0.5, 0.75], [0.75, 0.5], [0.25, 0.25], [0.5, 0.5]])
 
 DIGESTS = {
-    ("gensec", "constrained"): "56031f71b92f834c78ea22f07e82edb37862452f390eb000d8361e4a21f0f550",
-    ("genpsi", "pareto"): "f34a1b3d9ca0c66de585d5027b61dcb1d3a9af6b34316a2c40e7a9f97a9fdd51",
+    ("gensec", "constrained"): "ab26df9afe5767d9c855b4054a405acc4dceb4559475a58a470e4fcc26c8935c",
+    ("genpsi", "pareto"): "9ed559ba8e3cdb365ce9ba2a5b6292d4385abe88b6814174ab3eceaadbc7c0fd",
     ("uniform", "constrained"): "77d2a6b54489e55692b84a761e521fad36e972dd220728b7bb869a3a133baa28",
     ("uniform", "pareto"): "3f8421f3cc3ebd0307fab90109d811f7626b908e4ee82c11d425d7e8d75e8296",
 }
@@ -65,11 +65,12 @@ def _settings(algorithm: str):
     )
 
 
-def _outcome(config: RunConfig, env) -> str:
+def _outcome(settings: dict, env) -> str:
+    """The run's JSON, or the error of its ``RunConfig`` or of the run."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return json.dumps(run_algorithm(config, env).to_dict(), sort_keys=True)
+            return json.dumps(run_algorithm(RunConfig(**settings), env).to_dict(), sort_keys=True)
     except Exception as err:
         return f"{type(err).__name__}: {err}"
 
@@ -79,7 +80,7 @@ def _digest(algorithm: str, mode: str | None) -> str:
     for name, make_env, tau in _environments():
         for seed, setting in enumerate(_settings(algorithm)):
             scheduler, allocator, estimator, eliminator, scope, per_arm, enforce, redistribute = setting
-            config = RunConfig(
+            settings = dict(
                 algorithm=algorithm,
                 mode=mode,
                 scheduler=scheduler,
@@ -95,7 +96,7 @@ def _digest(algorithm: str, mode: str | None) -> str:
                 mlp_hidden=4,
                 mlp_iters=3,
             )
-            sha.update(f"{name}|{setting}|{_outcome(config, make_env())}\n".encode())
+            sha.update(f"{name}|{setting}|{_outcome(settings, make_env())}\n".encode())
     return sha.hexdigest()
 
 
@@ -118,7 +119,7 @@ def test_linear_g_optimal_runs_match_their_recorded_digest():
         instance = Instance(means=features @ theta, sigma=0.5, features=features, theta=theta)
         tau = float(np.median(instance.means[:, 1]))
         for seed in range(4):
-            config = RunConfig(
+            settings = dict(
                 algorithm="gensec",
                 scheduler="sequential_halving",
                 allocator="g-optimal",
@@ -127,7 +128,7 @@ def test_linear_g_optimal_runs_match_their_recorded_digest():
                 per_arm_budget=20,
                 seed=seed,
             )
-            outcome = _outcome(config, LinearEnvironment(instance))
+            outcome = _outcome(settings, LinearEnvironment(instance))
             sha.update(f"{instance_seed}|{seed}|{outcome}\n".encode())
     assert sha.hexdigest() == G_OPTIMAL_DIGEST
 
