@@ -29,7 +29,6 @@ from .allocators import PullCounts, allocate_uniform, cover_arms, round_design, 
 from .core import (
     ConfigurationError,
     Environment,
-    EstimationError,
     MopxError,
     ObservationBatch,
     RngStream,
@@ -68,8 +67,7 @@ class RunConfig:
     estimator: str = "mean"
     mode: str | None = None  # fixed by gensec/genpsi; uniform needs "constrained" or "pareto"
     tau: float | None = None
-    budget: int | None = None
-    per_arm_budget: int | None = None
+    per_arm_budget: int | None = None  # the run's budget is B = per_arm_budget * K
     seed: int = 0
     eliminator: str = "ege"  # "ege" or "truncate"
     g_optimal_epsilon: float = 0.1
@@ -95,16 +93,17 @@ class RunConfig:
             raise ConfigurationError("uniform baseline needs mode 'constrained' or 'pareto'")
         if self.mode == CONSTRAINED and self.tau is None:
             raise ConfigurationError("constrained mode needs a threshold tau")
+        ints = ("per_arm_budget", "seed", "mlp_hidden", "mlp_iters")
+        reals = ("g_optimal_epsilon", "mlp_lambda", "mlp_step_size") + (("tau",) if self.mode == CONSTRAINED else ())
+        for name in ints + reals:
+            value = getattr(self, name)  # else a budget of 2.5 runs as a float, True as 1 and "0.5" ends in a TypeError
+            if name in ints and type(value) is not int:
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+            if name in reals and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if self.mode == CONSTRAINED and not math.isfinite(self.tau):  # NaN would make every arm infeasible
             raise ConfigurationError(f"tau must be finite, got {self.tau}")
-        for name in ("budget", "per_arm_budget", "seed", "mlp_hidden", "mlp_iters"):
-            value = getattr(self, name)  # else a budget of 2.5 runs as a float and True runs as 1
-            if type(value) is not int and not (value is None and name.endswith("budget")):
-                raise ConfigurationError(f"{name} must be an int, got {value!r}")
-        if (self.budget is None) == (self.per_arm_budget is None):
-            which = "either" if self.budget is None else "exactly one of"
-            raise ConfigurationError(f"{which} budget or per_arm_budget is required")
-        if self.per_arm_budget is not None and self.per_arm_budget < 1:
+        if self.per_arm_budget < 1:
             raise ConfigurationError("per-arm budget must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
@@ -138,8 +137,20 @@ class RunConfig:
         if sr_at_one and self.algorithm != UNIFORM:  # at B = K every round target is 0: round 1 pulls nothing
             raise ConfigurationError("successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)")
 
-    def resolve_budget(self, n_arms: int) -> int:
-        return self.budget if self.budget is not None else self.per_arm_budget * n_arms
+    def schedule(self, n_arms: int, features: np.ndarray | None) -> Schedule:
+        """The round plan over ``n_arms`` arms at B = per_arm_budget * K, for the
+        loader and the round loop alike. The design-budget floor takes d from the
+        columns of ``features``, or d = K for one-hot arms (``features`` None)."""
+        budget = self.per_arm_budget * n_arms
+        if self.algorithm == UNIFORM:
+            # single-phase successive rejects: spend B in round 1, keep one arm
+            if n_arms < 2:
+                raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
+            return Schedule(1, (budget,), (1,), budget)
+        dim = (n_arms if features is None else np.shape(features)[1]) if self.enforce_design_budget else None
+        return make_schedule(
+            self.scheduler, n_arms, budget, feature_dim=dim, redistribute_leftover=self.redistribute_leftover
+        )
 
 
 class RoundRecord(NamedTuple):
@@ -262,6 +273,7 @@ class _RoundRunner:
         self.config = config
         self.env = env
         feats = getattr(env, "features", None)
+        self.plan = config.schedule(env.n_arms, feats)  # before any pull
         self.features = np.eye(env.n_arms) if feats is None else np.asarray(feats, dtype=float)
         self.batch = ObservationBatch()
         self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
@@ -271,26 +283,6 @@ class _RoundRunner:
             config.estimator == "mlp" and config.mlp_data_scope == "round"
         )
         self._cached: MeanEstimates | None = None
-
-    def schedule(self) -> Schedule:
-        cfg = self.config
-        n_arms = self.env.n_arms
-        budget = cfg.resolve_budget(n_arms)
-        if cfg.algorithm == UNIFORM:
-            # single-phase successive rejects: spend B in round 1, keep one arm
-            if n_arms < 2:
-                raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
-            if budget < n_arms:
-                raise ConfigurationError(f"budget B={budget} violates B >= K={n_arms}")
-            return Schedule(1, (budget,), (1,), budget)
-        dim = self.features.shape[1] if cfg.enforce_design_budget else None
-        return make_schedule(
-            cfg.scheduler,
-            n_arms,
-            budget,
-            feature_dim=dim,
-            redistribute_leftover=cfg.redistribute_leftover,
-        )
 
     def allocate(self, n_pulls: int, active: list[int]) -> tuple[PullCounts, list[int]]:
         if n_pulls == 0:
@@ -334,9 +326,7 @@ class _RoundRunner:
         if self._round_scoped:
             data = self.batch.round_slice(round_index)
             if len(data) == 0:
-                # no new pulls this round: carry the previous round's estimates
-                if self._cached is None:
-                    raise EstimationError("no observations in the first round")
+                # no new pulls this round (round 1 always has some): carry the previous round's estimates
                 return MeanEstimates(arms, np.array([self._cached[a] for a in arms]))
         if cfg.estimator == "mean":
             estimates = estimate_sample_mean(data, arms)
@@ -368,17 +358,16 @@ class _RoundRunner:
         pulls, and estimates every arm in ``scope(active)``; ``eliminate``
         returns the next active set plus its mode's ``RoundRecord`` fields,
         and ``answer`` maps the final active set to (selected_arm, selected_set)."""
-        schedule = self.schedule()
         active = list(range(self.env.n_arms))
         rounds: list[RoundRecord] = []
-        for r in range(1, schedule.n_rounds + 1):
+        for r in range(1, self.plan.n_rounds + 1):
             try:
-                counts, sequence = self.allocate(schedule.pulls_per_round[r - 1], active)
-                self.pull(sequence, r, schedule.budget)
+                counts, sequence = self.allocate(self.plan.pulls_per_round[r - 1], active)
+                self.pull(sequence, r, self.plan.budget)
                 estimates = self.estimate(r, scope(active))
             except MopxError as err:
                 raise type(err)(f"round {r}: {err}") from err
-            active, fields = eliminate(active, schedule.keep_counts[r - 1], estimates)
+            active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
             rounds.append(RoundRecord(r, active, counts.counts, **fields))
         selected_arm, selected_set = answer(active)
         return RunResult(
@@ -386,7 +375,7 @@ class _RoundRunner:
             selected_arm=selected_arm,
             selected_set=selected_set,
             pulls_used=self.pulls_used,
-            budget=schedule.budget,
+            budget=self.plan.budget,
             rounds=tuple(rounds),
         )
 

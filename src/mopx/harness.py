@@ -212,8 +212,17 @@ class ExperimentConfig:
         for k in self.k_values:
             if not 2 <= k <= table.n_arms:
                 raise ConfigurationError(f"k_values entry {k} is outside [2, {table.n_arms}] (the arm count)")
-        # every RunConfig setting error raises here, at load; of the seeds only the least can fail its check
-        modes = {_run_config(v, self.tau, b, min(self.seeds)).mode for v in self.algorithms for b in self.per_arm_budgets}
+        # every RunConfig and round-plan error raises here, at load; of the seeds only the least can fail its check
+        feats = getattr(table, "features", None)  # a plan reads only their column count d
+        modes = set()
+        for variant, b in product(self.algorithms, self.per_arm_budgets):
+            run_cfg = _run_config(variant, self.tau, b, min(self.seeds))
+            modes.add(run_cfg.mode)
+            for k in self.k_values:
+                try:
+                    run_cfg.schedule(k, feats)
+                except ConfigurationError as err:
+                    raise ConfigurationError(f"variant {_label(variant)!r} at K={k}, b={b}: {err}") from None
         # labels name summary rows and run ids, and a repeated grid entry would run
         # one cell twice and count it as two seeds, so no list may repeat an entry
         labels = [_label(variant) for variant in self.algorithms]
@@ -285,7 +294,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def _label(variant: dict) -> str:
-    return variant.get("label", variant.get("algorithm", "run"))
+    return variant.get("label", variant.get("algorithm", RunConfig.algorithm))
 
 
 def _run_config(variant: dict, tau: float | None, per_arm_budget: int, seed: int) -> RunConfig:

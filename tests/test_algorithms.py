@@ -130,7 +130,7 @@ def test_gensec_requires_tau_and_two_objectives():
 def test_gensec_round_context_on_estimation_error():
     # budget so small that round one cannot observe every arm
     env = GaussianEnvironment(Instance(means=np.tile([[0.5, 0.5]], (16, 1)), sigma=0.0))
-    config = RunConfig(algorithm="gensec", tau=0.4, budget=16)  # n_r = 4 < K
+    config = RunConfig(algorithm="gensec", tau=0.4, per_arm_budget=1)  # B = 16: n_r = 4 < K
     with pytest.raises(Exception, match="round 1"):
         with pytest.warns(UserWarning):
             run_gensec(config, env)
@@ -235,7 +235,7 @@ def test_uniform_baseline_zero_noise_matches_elimination():
 
 def test_uniform_baseline_minimum_budget_single_pull_each():
     env = GaussianEnvironment(Instance(means=RANK_MEANS, sigma=0.3))
-    config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, budget=4, seed=3)
+    config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, per_arm_budget=1, seed=3)
     result = run_uniform_baseline(config, env)
     assert result.pulls_used == 4
     assert result.selected_arm in range(4)
@@ -258,19 +258,20 @@ def _uniform_cases(draw):
     grid = st.sampled_from([i * 0.25 for i in range(5)])
     rows = draw(st.lists(st.lists(grid, min_size=2, max_size=2), min_size=k, max_size=k))
     sigma = draw(st.sampled_from([0.0, 0.3]))
-    budget = draw(st.integers(k, 4 * k))
+    per_arm = draw(st.integers(1, 4))
     tau = draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
-    return np.array(rows), sigma, budget, tau, draw(st.integers(0, 10**6))
+    return np.array(rows), sigma, per_arm, tau, draw(st.integers(0, 10**6))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_uniform_cases())
 def test_uniform_baseline_matches_brute_force_on_hand_pulled_means(case):
-    means, sigma, budget, tau, seed = case
+    means, sigma, per_arm, tau, seed = case
     k = len(means)
+    budget = per_arm * k
     inst = Instance(means=means, sigma=sigma)
     mode = "pareto" if tau is None else "constrained"
-    config = RunConfig(algorithm="uniform", mode=mode, tau=tau, budget=budget, seed=seed)
+    config = RunConfig(algorithm="uniform", mode=mode, tau=tau, per_arm_budget=per_arm, seed=seed)
     result = run_uniform_baseline(config, GaussianEnvironment(inst))
 
     # the same pulls by hand: round-robin from the round-1 environment stream
@@ -294,11 +295,11 @@ def test_uniform_baseline_matches_brute_force_on_hand_pulled_means(case):
 def test_uniform_baseline_rejects_one_arm_and_three_objectives():
     one = GaussianEnvironment(Instance(means=[[0.1, 0.2]], sigma=0.0))
     for mode, tau in (("constrained", 0.5), ("pareto", None)):
-        config = RunConfig(algorithm="uniform", mode=mode, tau=tau, budget=3)
+        config = RunConfig(algorithm="uniform", mode=mode, tau=tau, per_arm_budget=3)
         with pytest.raises(ConfigurationError):
             run_uniform_baseline(config, one)
     wide = GaussianEnvironment(Instance(means=[[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]], sigma=0.0))
-    config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, budget=4)
+    config = RunConfig(algorithm="uniform", mode="constrained", tau=0.5, per_arm_budget=2)
     with pytest.raises(ConfigurationError, match="two objectives"):
         run_uniform_baseline(config, wide)
 
@@ -361,8 +362,7 @@ def test_budget_safety_every_algorithm_and_config():
             result = run_genpsi(config, env)
         else:
             result = run_uniform_baseline(config, env)
-        budget = config.resolve_budget(6)
-        assert env.count == result.pulls_used <= budget, config
+        assert env.count == result.pulls_used <= result.budget == 7 * 6, config
 
 
 # --------------------------------------------------- deceiver-arm comparison

@@ -219,21 +219,18 @@ def test_run_command_partial_failure_exit_code(tmp_path, capsys):
         "tau": 0.5,
         "algorithms": [
             {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
-            {
-                "label": "strict",
-                "algorithm": "gensec",
-                "allocator": "g-optimal",
-                "estimator": "linear",
-                "enforce_design_budget": True,
-            },
+            # b=1 on 4 arms: sequential halving pulls 2 arms in round 1, so each "thin" cell fails
+            {"label": "thin", "algorithm": "gensec", "scheduler": "sequential_halving"},
         ],
-        "per_arm_budgets": [3],
+        "per_arm_budgets": [1],
         "seeds": [0, 1],
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 1
-    assert (tmp_path / "res" / "failures.json").exists()
+    with pytest.warns(UserWarning, match="below the active-set size"):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 1
+    failures = json.loads((tmp_path / "res" / "failures.json").read_text())
+    assert [(f["algorithm"], f["seed"]) for f in failures] == [("thin", 0), ("thin", 1)]
 
 
 def test_run_command_missing_config_is_configuration_error(tmp_path):

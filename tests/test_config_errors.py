@@ -61,6 +61,9 @@ FOUR = [row + [0.5] for row in THREE]
 SR = {"label": "s", "algorithm": "gensec", "scheduler": "sr"}
 SR_AT_ONE = "successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)"
 TWO_OBJECTIVES = "gensec and constrained uniform variants need exactly two objectives, got m=3"
+STRICT = {"label": "a", "algorithm": "gensec", "enforce_design_budget": True}
+FLOOR = "budget B={} violates the linear-pipeline bound B >= 45*d*ceil(log2 K) = {}"
+FEATURED = dict(INSTANCE, features=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])  # d = 2
 
 # (path into BASE, value put there, message); the path () replaces the config
 ROWS = [
@@ -394,6 +397,15 @@ ROWS = [
     ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2]), None),
     ((), dict(BASE, per_arm_budgets=[1]), None),
     ((), dict(BASE, algorithms=[dict(UNIFORM[0], scheduler="sr")], per_arm_budgets=[1]), None),
+    # the design-budget floor B >= 45*d*ceil(log2 K) of every (variant, K, b), with d = K for one-hot arms
+    (("algorithms", 0, "enforce_design_budget"), True, "variant 'a' at K=4, b=3: " + FLOOR.format(12, 360)),
+    ((), dict(BASE, algorithms=[STRICT], per_arm_budgets=[90], k_values=[4, 2]), None),
+    ((), dict(BASE, algorithms=[STRICT], per_arm_budgets=[90, 3]), "variant 'a' at K=4, b=3: " + FLOOR.format(12, 360)),
+    ((), dict(BASE, algorithms=[STRICT], per_arm_budgets=[45], k_values=[2, 4]), "variant 'a' at K=4, b=45: " + FLOOR.format(180, 360)),
+    ((), dict(BASE, algorithms=[{"enforce_design_budget": True}]), "variant 'gensec' at K=4, b=3: " + FLOOR.format(12, 360)),
+    ((), dict(BASE, environment={"kind": "gaussian", "instance": FEATURED}, algorithms=[STRICT]), "variant 'a' at K=4, b=3: " + FLOOR.format(12, 180)),
+    ((), dict(BASE, environment={"kind": "gaussian", "instance": FEATURED}, algorithms=[STRICT], per_arm_budgets=[45]), None),
+    ((), dict(BASE, algorithms=[dict(UNIFORM_CONSTRAINED[0], enforce_design_budget=True)]), None),
 ]
 
 

@@ -86,28 +86,28 @@ def test_pareto_mode_emits_hv_metrics():
     assert metrics == {"hv", "hv_recovery", "misidentified"}
 
 
+# K=4, b=1: sequential halving pulls 2 arms in round 1, so the sample mean of
+# arm 2 fails in every "thin" cell while the one-round uniform baseline runs
+_THIN = [
+    {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
+    {"label": "thin", "algorithm": "gensec", "scheduler": "sequential_halving"},
+]
+
+
 def test_cell_failures_are_recorded_and_sweep_continues():
-    config = _config(
-        algorithms=[
-            {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
-            # K=4, b=3 gives B=12 < 45*d*ceil(log2 K): the strict variant must fail
-            {
-                "label": "strict",
-                "algorithm": "gensec",
-                "allocator": "g-optimal",
-                "estimator": "linear",
-                "enforce_design_budget": True,
-            },
-        ],
-        per_arm_budgets=[3],
-        seeds=[0, 1],
-    )
-    outcome = run_experiment(config)
+    config = _config(algorithms=_THIN, per_arm_budgets=[1], seeds=[0, 1])
+    with pytest.warns(UserWarning, match="below the active-set size 4"):
+        outcome = run_experiment(config)
     assert not outcome.ok
-    assert len(outcome.failures) == 2
-    assert all(f["algorithm"] == "strict" for f in outcome.failures)
+    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == [("thin", 0), ("thin", 1)]
     assert {rec.algorithm for rec in outcome.records} == {"ok"}
-    assert all("45" in f["error"] for f in outcome.failures)
+    assert all(f["error"] == "EstimationError: round 1: active arm 2 has no observations" for f in outcome.failures)
+
+
+def test_a_variant_without_label_or_algorithm_is_labelled_by_the_algorithm_it_runs():
+    outcome = run_experiment(_config(algorithms=[{}], per_arm_budgets=[3], seeds=[0]))
+    assert outcome.ok
+    assert {(rec.run_id, rec.algorithm) for rec in outcome.records} == {("gensec-K4-b3-s0", "gensec")}
 
 
 def test_aggregate_worked_examples():
@@ -303,17 +303,8 @@ def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jo
 
 
 def test_a_clean_sweep_removes_the_failures_of_an_earlier_sweep_in_its_directory(tmp_path):
-    config = _config(
-        algorithms=[
-            {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
-            # K=4, b=3 gives B=12 < 45*d*ceil(log2 K): the strict variant fails
-            {"label": "strict", "algorithm": "gensec", "allocator": "g-optimal", "estimator": "linear",
-             "enforce_design_budget": True},
-        ],
-        per_arm_budgets=[3],
-        seeds=[0],
-    )
-    failed = write_outputs(tmp_path, run_experiment(config))
+    with pytest.warns(UserWarning):
+        failed = write_outputs(tmp_path, run_experiment(_config(algorithms=_THIN, per_arm_budgets=[1], seeds=[0])))
     assert failed["failures"].exists()
     clean = write_outputs(tmp_path, run_experiment(_config(per_arm_budgets=[3], seeds=[0])))
     assert "failures" not in clean
