@@ -44,7 +44,7 @@ from .estimators import (
     predict_linear,
 )
 from .gaps import _json_num, pareto_front, pareto_gap_report
-from .schedulers import SCHEDULER_NAMES, SUCCESSIVE_REJECTS, Schedule, make_schedule
+from .schedulers import SEQUENTIAL_HALVING, Schedule, make_schedule
 
 GENSEC = "gensec"
 GENPSI = "genpsi"
@@ -95,10 +95,13 @@ class RunConfig:
             raise ConfigurationError("constrained mode needs a threshold tau")
         ints = ("per_arm_budget", "seed", "mlp_hidden", "mlp_iters")
         reals = ("g_optimal_epsilon", "mlp_lambda", "mlp_step_size") + (("tau",) if self.mode == CONSTRAINED else ())
-        for name in ints + reals:
-            value = getattr(self, name)  # else a budget of 2.5 runs as a float, True as 1 and "0.5" ends in a TypeError
+        bools = ("enforce_design_budget", "redistribute_leftover")
+        for name in ints + reals + bools:
+            value = getattr(self, name)  # else a budget of 2.5 runs as a float, True as 1 and a flag "false" as true
             if name in ints and type(value) is not int:
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
+            if name in bools and type(value) is not bool:
+                raise ConfigurationError(f"{name} must be a bool, got {value!r}")
             if name in reals and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if self.mode == CONSTRAINED and not math.isfinite(self.tau):  # NaN would make every arm infeasible
@@ -107,8 +110,6 @@ class RunConfig:
             raise ConfigurationError("per-arm budget must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
         if self.allocator not in ("uniform", "g-optimal"):
             raise ConfigurationError(f"unknown allocator {self.allocator!r}")
         if self.estimator not in ("mean", "linear", "mlp"):
@@ -133,24 +134,27 @@ class RunConfig:
             raise ConfigurationError(
                 "uniform baseline runs with allocator 'uniform', estimator 'mean' and eliminator 'ege'"
             )
-        sr_at_one = self.per_arm_budget == 1 and SCHEDULER_NAMES[self.scheduler] == SUCCESSIVE_REJECTS
-        if sr_at_one and self.algorithm != UNIFORM:  # at B = K every round target is 0: round 1 pulls nothing
-            raise ConfigurationError("successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)")
 
     def schedule(self, n_arms: int, features: np.ndarray | None) -> Schedule:
         """The round plan over ``n_arms`` arms at B = per_arm_budget * K, for the
         loader and the round loop alike. The design-budget floor takes d from the
-        columns of ``features``, or d = K for one-hot arms (``features`` None)."""
+        columns of ``features``, or d = K for one-hot arms (``features`` None). Round 1
+        must pull once, and K times under the sample mean, which reads every arm from round 1 on."""
         budget = self.per_arm_budget * n_arms
         if self.algorithm == UNIFORM:
-            # single-phase successive rejects: spend B in round 1, keep one arm
+            # single-phase successive rejects: spend B >= K in round 1, keep one arm
             if n_arms < 2:
                 raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
             return Schedule(1, (budget,), (1,), budget)
         dim = (n_arms if features is None else np.shape(features)[1]) if self.enforce_design_budget else None
-        return make_schedule(
+        plan = make_schedule(
             self.scheduler, n_arms, budget, feature_dim=dim, redistribute_leftover=self.redistribute_leftover
         )
+        first, each = plan.pulls_per_round[0], self.estimator == "mean"
+        if first < (n_arms if each else 1):  # successive rejects at B = K plans 0, halving B // ceil(log2 K)
+            raise ConfigurationError(f"round 1 pulls {first} times, but the {self.estimator} estimator "
+                                     f"needs a pull of {'each' if each else 'one'} of the K={n_arms} arms")
+        return plan
 
 
 class RoundRecord(NamedTuple):
@@ -248,22 +252,16 @@ def eliminate_pareto(
 
 def theorem_bound(n_arms: int, dim: int, sigma: float, budget: int, difficulty: float) -> float:
     """Closed-form ceiling on the misidentification probability of the linear
-    halving pipeline; callers may clamp the raw value to [0, 1] for display."""
-    if n_arms < 2:
-        raise ConfigurationError("the bound needs K >= 2")
+    halving pipeline, read off the halving plan it bounds, which refuses K < 2 and a
+    B under the design-budget floor; callers may clamp the raw value to [0, 1] for display."""
     if sigma <= 0:
         raise ConfigurationError("the bound needs sigma > 0")
     if difficulty <= 0:
         raise ConfigurationError("the bound needs a positive hardness")
-    rounds = math.ceil(math.log2(n_arms))
-    floor = 45 * dim * rounds
-    if budget < floor:
-        raise ConfigurationError(
-            f"budget B={budget} violates the bound's precondition B >= 45*d*ceil(log2 K) = {floor}"
-        )
+    plan = make_schedule(SEQUENTIAL_HALVING, n_arms, budget, feature_dim=dim)
     rate = 1.0 / (6.0 * sigma**2)
-    exponent = -(rate / 4.0) * (budget // rounds) / (dim * difficulty)
-    return 48.0 * rounds * math.exp(exponent)
+    exponent = -(rate / 4.0) * plan.pulls_per_round[0] / (dim * difficulty)
+    return 48.0 * plan.n_rounds * math.exp(exponent)
 
 
 class _RoundRunner:
@@ -296,18 +294,11 @@ class _RoundRunner:
             active_feats, self.config.g_optimal_epsilon, active=sorted(active)
         )
         counts = round_design(n_pulls, design, 1.0 / 3.0, sorted(active), active_feats)
-        if self.config.estimator == "mean":
-            counts = self._cover_unpulled(counts)
+        if self.config.estimator == "mean" and not len(self.batch):
+            # the sample mean reads every arm from round 1 on, and the plan pulls K or more
+            # times in round 1, so a donor is left for each arm the design leaves out
+            cover_arms(counts.counts, sorted(counts.counts))
         return counts, counts.blocked_sequence()
-
-    def _cover_unpulled(self, counts: PullCounts) -> PullCounts:
-        """The sample mean needs a pull of every arm: ``cover_arms`` gives each
-        active arm with none so far one pull, in ascending order, while a donor
-        is left."""
-        pulled = self.batch.arm_totals()[1]
-        new = dict(counts.counts)
-        cover_arms(new, [arm for arm in sorted(new) if arm >= len(pulled) or not pulled[arm]])
-        return PullCounts(new)
 
     def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
         if sequence:
@@ -365,8 +356,9 @@ class _RoundRunner:
                 counts, sequence = self.allocate(self.plan.pulls_per_round[r - 1], active)
                 self.pull(sequence, r, self.plan.budget)
                 estimates = self.estimate(r, scope(active))
-            except MopxError as err:
-                raise type(err)(f"round {r}: {err}") from err
+            except MopxError as err:  # stamped in place, so the class and its attributes survive
+                err.args = (f"round {r}: {err}",)
+                raise
             active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
             rounds.append(RoundRecord(r, active, counts.counts, **fields))
         selected_arm, selected_set = answer(active)
@@ -398,6 +390,8 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
 
 def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     """Pareto-set elimination: returns the accepted arms plus the surviving front."""
+    if config.mode != PARETO:
+        raise ConfigurationError(f"the Pareto loop cannot run a {config.mode}-mode config")
     accepted: list[int] = []
     front: set[int] = set()
 

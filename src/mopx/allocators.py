@@ -89,6 +89,9 @@ class DesignConvergenceError(NumericalError):
         super().__init__(message)
         self.weights = weights
 
+    def __reduce__(self):  # the default rebuilds from args alone, which lack the weights
+        return type(self), (*self.args, self.weights)
+
 
 def allocate_uniform(n: int, active: list[int]) -> PullCounts:
     """Spread n pulls over the active arms, remainder going to the lowest indices."""

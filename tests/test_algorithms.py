@@ -18,7 +18,8 @@ from mopx.algorithms import (
     run_uniform_baseline,
     theorem_bound,
 )
-from mopx.allocators import PullCounts
+from mopx import allocators
+from mopx.allocators import DesignConvergenceError, PullCounts
 from mopx.core import ConfigurationError, EstimationError, Instance, RngStream
 from mopx.environments import (
     GaussianEnvironment,
@@ -127,13 +128,16 @@ def test_gensec_requires_tau_and_two_objectives():
         run_gensec(RunConfig(algorithm="gensec", tau=0.5, per_arm_budget=5), wide)
 
 
-def test_gensec_round_context_on_estimation_error():
-    # budget so small that round one cannot observe every arm
-    env = GaussianEnvironment(Instance(means=np.tile([[0.5, 0.5]], (16, 1)), sigma=0.0))
-    config = RunConfig(algorithm="gensec", tau=0.4, per_arm_budget=1)  # B = 16: n_r = 4 < K
-    with pytest.raises(Exception, match="round 1"):
-        with pytest.warns(UserWarning):
-            run_gensec(config, env)
+def test_gensec_round_context_keeps_the_error_class_and_its_attributes(monkeypatch):
+    # at one iteration, round 1's design over these features misses its target 1.1 * d = 2.2
+    features = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
+    env = GaussianEnvironment(Instance(means=np.tile([[0.5, 0.5]], (4, 1)), sigma=0.0, features=features))
+    monkeypatch.setattr(allocators, "MAX_DESIGN_ITERS", 1)
+    allocators._DESIGNS.clear()  # its key holds no cap
+    config = RunConfig(algorithm="gensec", tau=0.4, allocator="g-optimal", per_arm_budget=3)
+    with pytest.raises(DesignConvergenceError, match=r"^round 1: design solver did not reach objective 2\.2 ") as err:
+        run_gensec(config, env)
+    assert err.value.weights.objective_value == pytest.approx(8 / 3)
 
 
 # ------------------------------------------------------------- eliminations
@@ -432,17 +436,16 @@ def test_a_run_draws_the_mlp_start_once_and_one_pull_stream_per_round(monkeypatc
     assert run_genpsi(config, GaussianEnvironment(inst)).to_dict() == result.to_dict()
 
 
-def test_each_never_pulled_arm_takes_a_pull_from_the_largest_count_lowest_arm_first():
+def test_each_never_pulled_arm_takes_a_pull_from_the_largest_count_lowest_arm_first(monkeypatch):
     env = GaussianEnvironment(Instance(means=np.zeros((5, 2))))
-    runner = algorithms._RoundRunner(RunConfig(algorithm="genpsi", allocator="g-optimal", per_arm_budget=2), env)
-    cover = runner._cover_unpulled
-    assert cover(PullCounts({0: 3, 1: 0, 2: 3, 3: 0, 4: 1})).counts == {0: 2, 1: 1, 2: 2, 3: 1, 4: 1}
-    covered = {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
-    assert cover(PullCounts(covered)).counts == covered
-    runner.batch.extend([1], np.eye(5)[[1]], [[0.0, 0.0]], 1)  # arm 1 has a pull: it needs none
-    assert cover(PullCounts({0: 2, 1: 0, 2: 0, 3: 1, 4: 1})).counts == {0: 1, 1: 0, 2: 1, 3: 1, 4: 1}
-    # no count of 2 or more is left for arm 3: it stays unpulled and the estimate fails
-    assert cover(PullCounts({0: 2, 1: 0, 2: 0, 3: 0, 4: 1})).counts == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+    runner = algorithms._RoundRunner(RunConfig(algorithm="genpsi", allocator="g-optimal", per_arm_budget=3), env)
+    designs = iter([{0: 3, 1: 0, 2: 3, 3: 0, 4: 1}, {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 2, 1: 0, 2: 0, 3: 1, 4: 1}])
+    monkeypatch.setattr(algorithms, "round_design", lambda *args: PullCounts(next(designs)))
+    active = list(range(5))
+    assert runner.allocate(7, active)[0].counts == {0: 2, 1: 1, 2: 2, 3: 1, 4: 1}
+    assert runner.allocate(6, active)[0].counts == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+    runner.batch.extend(active, np.eye(5), np.zeros((5, 2)), 1)  # round 1 pulled every arm: none needs a pull
+    assert runner.allocate(4, active)[0].counts == {0: 2, 1: 0, 2: 0, 3: 1, 4: 1}
 
 
 def _g_optimal_mean_case(seed: int) -> tuple[RunConfig, LinearEnvironment]:
@@ -463,7 +466,7 @@ def test_g_optimal_mean_runs_pull_every_arm_the_design_leaves_out(monkeypatch):
         result = run_algorithm(*_g_optimal_mean_case(seed))
         assert min(result.rounds[0].pull_counts.values()) >= 1 and result.pulls_used <= result.budget
     # the designs alone leave an arm with no observation in most of these runs
-    monkeypatch.setattr(algorithms._RoundRunner, "_cover_unpulled", lambda self, counts: counts)
+    monkeypatch.setattr(algorithms, "cover_arms", lambda counts, needed: True)
     unpulled = 0
     for seed in range(40):
         try:

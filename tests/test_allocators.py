@@ -1,4 +1,5 @@
 import json
+import pickle
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -154,6 +155,18 @@ def test_g_optimal_non_convergence_carries_best_design():
     assert "within 1 iterations" in str(err.value)
     assert err.value.weights is not None
     assert err.value.weights.objective_value >= 3.0
+
+
+def test_design_convergence_error_survives_a_pickle_round_trip():
+    """A worker of a parallel sweep sends its cell's error to the parent pickled."""
+    feats = np.random.default_rng(3).normal(size=(6, 3))
+    with _iteration_cap(1), pytest.raises(DesignConvergenceError) as err:
+        solve_g_optimal(feats, 0.01)
+    err.value.args = (f"round 1: {err.value}",)
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is DesignConvergenceError
+    assert str(copy) == str(err.value) and str(copy).startswith("round 1: design solver did not reach")
+    assert copy.weights == err.value.weights
 
 
 def test_round_design_exact_floors():

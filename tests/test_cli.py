@@ -210,27 +210,32 @@ def test_g_optimal_mean_sweep_scores_every_cell_at_both_job_counts(tmp_path, cap
         outputs.append([(out / f).read_bytes() for f in ("summary.csv", "records.csv")])
     assert outputs[0] == outputs[1]
 
-def test_run_command_partial_failure_exit_code(tmp_path, capsys):
+def test_run_command_partial_failure_exit_code(tmp_path, monkeypatch, capsys):
     config = {
         "environment": {
             "kind": "gaussian",
-            "instance": {"means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7], [0.2, 0.2]], "sigma": 0.2},
+            "instance": {
+                "means": [[0.8, 0.6], [0.9, 0.4], [0.6, 0.7], [0.2, 0.2]],
+                "features": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+                "sigma": 0.2,
+            },
         },
         "tau": 0.5,
         "algorithms": [
             {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
-            # b=1 on 4 arms: sequential halving pulls 2 arms in round 1, so each "thin" cell fails
-            {"label": "thin", "algorithm": "gensec", "scheduler": "sequential_halving"},
+            # a design capped at one iteration misses its target over these features in round 1
+            {"label": "capped", "algorithm": "gensec", "allocator": "g-optimal"},
         ],
-        "per_arm_budgets": [1],
+        "per_arm_budgets": [3],
         "seeds": [0, 1],
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    with pytest.warns(UserWarning, match="below the active-set size"):
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 1
+    monkeypatch.setattr(allocators, "MAX_DESIGN_ITERS", 1)
+    allocators._DESIGNS.clear()  # its key holds no cap; a failed solve is not kept
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "res")]) == 1
     failures = json.loads((tmp_path / "res" / "failures.json").read_text())
-    assert [(f["algorithm"], f["seed"]) for f in failures] == [("thin", 0), ("thin", 1)]
+    assert [(f["algorithm"], f["seed"]) for f in failures] == [("capped", 0), ("capped", 1)]
 
 
 def test_run_command_missing_config_is_configuration_error(tmp_path):

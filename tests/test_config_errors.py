@@ -59,7 +59,7 @@ GENPSI = [{"label": "p", "algorithm": "genpsi"}]
 THREE = [[0.8, 0.6, 0.5], [0.9, 0.4, 0.5], [0.6, 0.7, 0.5], [0.3, 0.3, 0.5]]
 FOUR = [row + [0.5] for row in THREE]
 SR = {"label": "s", "algorithm": "gensec", "scheduler": "sr"}
-SR_AT_ONE = "successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)"
+ROUND_1 = "variant {!r} at K=4, b=1: round 1 pulls {} times, but the mean estimator needs a pull of each of the K=4 arms"
 TWO_OBJECTIVES = "gensec and constrained uniform variants need exactly two objectives, got m=3"
 STRICT = {"label": "a", "algorithm": "gensec", "enforce_design_budget": True}
 FLOOR = "budget B={} violates the linear-pipeline bound B >= 45*d*ceil(log2 K) = {}"
@@ -204,7 +204,7 @@ ROWS = [
     (*_alg("mlp.data_scope", 3), "config key 'mlp.data_scope' must be a JSON string, got 3"),
     # an algorithm entry: settings
     (*_alg("algorithm", "gensecc"), "unknown algorithm 'gensecc'"),
-    (*_alg("scheduler", "halving"), "unknown scheduler 'halving'"),
+    (*_alg("scheduler", "halving"), "variant 'a' at K=4, b=3: unknown scheduler kind 'halving'"),
     (*_alg("allocator", "greedy"), "unknown allocator 'greedy'"),
     (*_alg("estimator", "knn"), "unknown estimator 'knn'"),
     (*_alg("eliminator", "drop"), "unknown eliminator 'drop'"),
@@ -391,11 +391,15 @@ ROWS = [
     # Python's json reads NaN and Infinity; hypervolume refuses them in a reference
     ((), dict(BASE, algorithms=GENPSI, hv_reference=[math.nan, 0.0]), "pareto truth at K=4: reference must be finite"),
     ((), dict(BASE, algorithms=UNIFORM, hv_reference=[0.0, -math.inf]), "pareto truth at K=4: reference must be finite"),
-    # at B = K every successive-rejects round target is 0, so round 1 would pull nothing
-    ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2, 1]), SR_AT_ONE),
-    ((), dict(BASE, algorithms=[dict(SR, algorithm="genpsi", scheduler="successive_rejects")], per_arm_budgets=[1]), SR_AT_ONE),
+    # round 1 of the sample mean pulls every arm: at B = K every successive-rejects round target
+    # is 0, and halving pulls B // ceil(log2 K) = 2 of the 4 arms at b = 1
+    ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2, 1]), ROUND_1.format("s", 0)),
+    ((), dict(BASE, algorithms=[dict(SR, algorithm="genpsi", scheduler="successive_rejects")], per_arm_budgets=[1]), ROUND_1.format("s", 0)),
     ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2]), None),
-    ((), dict(BASE, per_arm_budgets=[1]), None),
+    ((), dict(BASE, per_arm_budgets=[1]), ROUND_1.format("a", 2)),
+    ((), dict(BASE, per_arm_budgets=[2]), None),
+    ((), dict(BASE, algorithms=[dict(BASE["algorithms"][0], estimator="linear")], per_arm_budgets=[1]), None),
+    ((), dict(BASE, algorithms=[dict(SR, estimator="mlp")], per_arm_budgets=[1]), "variant 's' at K=4, b=1: round 1 pulls 0 times, but the mlp estimator needs a pull of one of the K=4 arms"),
     ((), dict(BASE, algorithms=[dict(UNIFORM[0], scheduler="sr")], per_arm_budgets=[1]), None),
     # the design-budget floor B >= 45*d*ceil(log2 K) of every (variant, K, b), with d = K for one-hot arms
     (("algorithms", 0, "enforce_design_budget"), True, "variant 'a' at K=4, b=3: " + FLOOR.format(12, 360)),

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mopx.allocators as allocators
 import mopx.harness as harness
 from mopx.core import ConfigurationError
 from mopx.harness import (
@@ -86,22 +87,29 @@ def test_pareto_mode_emits_hv_metrics():
     assert metrics == {"hv", "hv_recovery", "misidentified"}
 
 
-# K=4, b=1: sequential halving pulls 2 arms in round 1, so the sample mean of
-# arm 2 fails in every "thin" cell while the one-round uniform baseline runs
-_THIN = [
+# with the design solver capped at one iteration, round 1's design over these
+# features misses its target, so every "capped" cell fails in round 1 while the
+# one-round uniform baseline runs
+_CAPPED = [
     {"label": "ok", "algorithm": "uniform", "mode": "constrained"},
-    {"label": "thin", "algorithm": "gensec", "scheduler": "sequential_halving"},
+    {"label": "capped", "algorithm": "gensec", "allocator": "g-optimal"},
 ]
+_FEATURED = {"kind": "gaussian", "instance": dict(INSTANCE, features=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])}
 
 
-def test_cell_failures_are_recorded_and_sweep_continues():
-    config = _config(algorithms=_THIN, per_arm_budgets=[1], seeds=[0, 1])
-    with pytest.warns(UserWarning, match="below the active-set size 4"):
-        outcome = run_experiment(config)
+@pytest.fixture
+def capped_design(monkeypatch):
+    monkeypatch.setattr(allocators, "MAX_DESIGN_ITERS", 1)
+    allocators._DESIGNS.clear()  # its key holds no cap; a failed solve is not kept
+
+
+def test_cell_failures_are_recorded_and_sweep_continues(capped_design):
+    outcome = run_experiment(_config(environment=_FEATURED, algorithms=_CAPPED, per_arm_budgets=[3], seeds=[0, 1]))
     assert not outcome.ok
-    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == [("thin", 0), ("thin", 1)]
+    assert [(f["algorithm"], f["seed"]) for f in outcome.failures] == [("capped", 0), ("capped", 1)]
     assert {rec.algorithm for rec in outcome.records} == {"ok"}
-    assert all(f["error"] == "EstimationError: round 1: active arm 2 has no observations" for f in outcome.failures)
+    error = "DesignConvergenceError: round 1: design solver did not reach objective 2.2 within 1 iterations (best 2.66667)"
+    assert all(f["error"] == error for f in outcome.failures)
 
 
 def test_a_variant_without_label_or_algorithm_is_labelled_by_the_algorithm_it_runs():
@@ -302,9 +310,8 @@ def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jo
     assert json.loads(paths["failures"].read_text()) == outcome.failures
 
 
-def test_a_clean_sweep_removes_the_failures_of_an_earlier_sweep_in_its_directory(tmp_path):
-    with pytest.warns(UserWarning):
-        failed = write_outputs(tmp_path, run_experiment(_config(algorithms=_THIN, per_arm_budgets=[1], seeds=[0])))
+def test_a_clean_sweep_removes_the_failures_of_an_earlier_sweep_in_its_directory(tmp_path, capped_design):
+    failed = write_outputs(tmp_path, run_experiment(_config(environment=_FEATURED, algorithms=_CAPPED, per_arm_budgets=[3], seeds=[0])))
     assert failed["failures"].exists()
     clean = write_outputs(tmp_path, run_experiment(_config(per_arm_budgets=[3], seeds=[0])))
     assert "failures" not in clean

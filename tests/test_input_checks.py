@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mopx.features as features
-from mopx.algorithms import RunConfig, eliminate_pareto, run_algorithm, theorem_bound
+from mopx.algorithms import RunConfig, eliminate_pareto, run_algorithm, run_genpsi, theorem_bound
 from mopx.allocators import DesignWeights, allocate_uniform, round_design, solve_g_optimal
 from mopx.core import (
     ConfigurationError,
@@ -44,6 +44,10 @@ def _genpsi_run_of_one_arm():
 
 def _gensec(**settings):
     return lambda: RunConfig(**{"algorithm": "gensec", "tau": 0.5, "per_arm_budget": 3, **settings})
+
+
+def _run(loop, **settings):
+    return lambda: loop(_gensec(**settings)(), GaussianEnvironment(Instance(MEANS, sigma=0.1)))
 
 
 CASES = {
@@ -83,10 +87,35 @@ CASES = {
     "run config with a negative seed": (_gensec(seed=-1), ConfigurationError, "seed must be non-negative, got -1"),
     "run config with fractional mlp iters": (_gensec(mlp_iters=2.5), ConfigurationError, "mlp_iters must be an int, got 2.5"),
     "run config with a boolean mlp hidden": (_gensec(mlp_hidden=True), ConfigurationError, "mlp_hidden must be an int, got True"),
-    "successive rejects at per-arm budget 1": (
-        _gensec(scheduler="successive_rejects", per_arm_budget=1),
+    "run config with a string enforce_design_budget": (
+        _gensec(enforce_design_budget="false"),
         ConfigurationError,
-        "successive rejects pulls nothing in round 1 at per-arm budget 1 (B = K)",
+        "enforce_design_budget must be a bool, got 'false'",
+    ),
+    "run config with an integer redistribute_leftover": (
+        _gensec(redistribute_leftover=1),
+        ConfigurationError,
+        "redistribute_leftover must be a bool, got 1",
+    ),
+    "successive rejects at per-arm budget 1": (
+        _run(run_algorithm, scheduler="successive_rejects", per_arm_budget=1),
+        ConfigurationError,
+        "round 1 pulls 0 times, but the mean estimator needs a pull of each of the K=3 arms",
+    ),
+    "successive rejects at per-arm budget 1 with a linear fit": (
+        _run(run_algorithm, scheduler="sr", per_arm_budget=1, estimator="linear"),
+        ConfigurationError,
+        "round 1 pulls 0 times, but the linear estimator needs a pull of one of the K=3 arms",
+    ),
+    "sequential halving of sample means below one pull per arm in round 1": (
+        _run(run_algorithm, per_arm_budget=1),
+        ConfigurationError,
+        "round 1 pulls 1 times, but the mean estimator needs a pull of each of the K=3 arms",
+    ),
+    "pareto loop with a constrained-mode config": (
+        _run(run_genpsi, per_arm_budget=5),
+        ConfigurationError,
+        "the Pareto loop cannot run a constrained-mode config",
     ),
     "genpsi run over one arm": (
         _genpsi_run_of_one_arm,
@@ -101,7 +130,17 @@ CASES = {
     "theorem bound with one arm": (
         lambda: theorem_bound(1, 2, 1.0, 1000, 1.0),
         ConfigurationError,
-        "the bound needs K >= 2",
+        "need K >= 2 arms to schedule, got K=1",
+    ),
+    "theorem bound below its design-budget floor": (
+        lambda: theorem_bound(8, 2, 1.0, 269, 25.0),
+        ConfigurationError,
+        "budget B=269 violates the linear-pipeline bound B >= 45*d*ceil(log2 K) = 270",
+    ),
+    "theorem bound over more arms than pulls": (
+        lambda: theorem_bound(600, 1, 1.0, 500, 1.0),
+        ConfigurationError,
+        "budget B=500 violates B >= K=600 (one pull per arm in round 1)",
     ),
     # allocators
     "uniform allocation of no pulls": (

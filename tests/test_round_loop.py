@@ -33,8 +33,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TIED = np.array([[0.75, 0.5], [0.5, 0.75], [0.75, 0.5], [0.25, 0.25], [0.5, 0.5]])
 
 DIGESTS = {
-    ("gensec", "constrained"): "ab26df9afe5767d9c855b4054a405acc4dceb4559475a58a470e4fcc26c8935c",
-    ("genpsi", "pareto"): "9ed559ba8e3cdb365ce9ba2a5b6292d4385abe88b6814174ab3eceaadbc7c0fd",
+    ("gensec", "constrained"): "7fc2f0cf47c44f3b1ca40b5f6a6268efbb81aecb1a391019f858cd1c66a2acad",
+    ("genpsi", "pareto"): "b6086830cf322a17b8cd625b9bf6964e06ebd96122c98bdf3bcab76d5823ca0a",
     ("uniform", "constrained"): "77d2a6b54489e55692b84a761e521fad36e972dd220728b7bb869a3a133baa28",
     ("uniform", "pareto"): "3f8421f3cc3ebd0307fab90109d811f7626b908e4ee82c11d425d7e8d75e8296",
 }
