@@ -242,12 +242,9 @@ def eliminate_pareto(
     """
     if len(active) <= keep:
         raise ConfigurationError(f"nothing to eliminate: |active|={len(active)} <= keep={keep}")
-    order = sorted(active, key=lambda a: (-gaps[a], a))
-    removed = order[: len(active) - keep]
-    accepted = [a for a in removed if a in front]
-    gone = set(removed)
-    next_active = sorted(a for a in active if a not in gone)
-    return next_active, accepted
+    order = sorted(sorted(active), key=gaps.__getitem__, reverse=True)  # stable: ties stay ascending
+    cut = len(active) - keep
+    return sorted(order[cut:]), [a for a in order[:cut] if a in front]
 
 
 def theorem_bound(n_arms: int, dim: int, sigma: float, budget: int, difficulty: float) -> float:

@@ -58,7 +58,7 @@ def _load_points(path: str) -> np.ndarray:
     rows = []
     first = 0  # line number of the first row, which fixes the row width
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"points file {path} is not UTF-8 text: {err}") from None
     for number, line in enumerate(text.splitlines(), start=1):

@@ -176,7 +176,7 @@ def _read_arm_csv(path: str | Path, kind: str, repeats: bool = True) -> tuple[li
     check rejects are read line by line, which also names the faulty line.
     """
     try:
-        with Path(path).open(newline="", encoding="utf-8") as handle:
+        with Path(path).open(newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"{kind} file {path} is not UTF-8 text: {err}") from None

@@ -83,7 +83,7 @@ def _check_means(means: np.ndarray, finite: bool = True) -> np.ndarray:
     mat = np.asarray(means, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 2:
         raise DomainError(f"means must be K x m with m >= 2, got shape {mat.shape}")
-    if finite and not np.all(np.isfinite(mat)):
+    if finite and not np.isfinite(mat).all():
         raise DomainError("means must be finite")
     return mat
 
@@ -113,7 +113,7 @@ def _pair_terms(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         small = reduce(np.minimum, diffs)
         large = -small  # np.minimum and np.maximum keep the same operand on ties
         # y dominates x: y >= x everywhere (small[x, y] >= 0) and y > x somewhere.
-        front = np.flatnonzero(~((small >= 0) & (small.T < 0)).any(axis=1))
+        front = (~((small >= 0) & (small.T < 0)).any(axis=1)).nonzero()[0]
         terms = (small, large, front)
         for array in terms:
             array.flags.writeable = False
@@ -148,7 +148,7 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     k = mat.shape[0]
     on_front = np.zeros(k, dtype=bool)
     on_front[pareto_front(mat)] = True
-    front, dominated = np.flatnonzero(on_front), np.flatnonzero(~on_front)
+    front, dominated = on_front.nonzero()[0], (~on_front).nonzero()[0]
     small, large, _ = _pair_terms(mat)  # computed by the pareto_front call above
 
     margins = small[dominated[:, None], front]
@@ -156,7 +156,7 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
 
     pair = large[front[:, None], front]
     pair = np.where(pair.T < pair, pair.T, pair)  # min(large[x, y], large[y, x])
-    np.fill_diagonal(pair, UNBOUNDED)  # so a singleton front gets delta_plus = inf
+    pair.flat[:: len(front) + 1] = UNBOUNDED  # the diagonal, so a singleton front gets delta_plus = inf
     delta_plus = _pick(pair, pair.argmin(axis=1))
     if len(dominated):
         route = large[dominated[:, None], front].T  # route[x, y] = large[y, x]

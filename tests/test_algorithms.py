@@ -159,6 +159,24 @@ def test_eliminate_pareto_rejects_dominated_arm():
     assert active == [0] and accepted == []  # arm 1 rejected for good
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eliminate_pareto_removes_in_the_order_of_the_tuple_key(data):
+    """Largest gap first, ties (-0.0 and 0.0 among them) lowest arm first,
+    whatever the order of ``active``."""
+    arms = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True))
+    active = data.draw(st.permutations(arms))
+    keep = data.draw(st.integers(0, len(active) - 1))
+    gaps = {a: data.draw(st.sampled_from([-0.0, 0.0, 0.25, 0.5, math.inf])) for a in arms}
+    front = set(data.draw(st.lists(st.sampled_from(arms), unique=True)))
+    order = sorted(active, key=lambda a: (-gaps[a], a))
+    removed = order[: len(active) - keep]
+    next_active, accepted = eliminate_pareto(list(active), keep, gaps, front)
+    assert accepted == [a for a in removed if a in front]
+    assert next_active == sorted(order[len(active) - keep :])
+    assert set(active) - set(next_active) == set(removed)
+
+
 # ------------------------------------------------------------------- genpsi
 
 

@@ -70,6 +70,15 @@ def test_hv_command(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(0.37)
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("header", [b"", b"obj_1,obj_2\n"])
+def test_hv_command_reads_a_points_file_with_a_byte_order_mark(tmp_path, capsys, mark, header):
+    path = tmp_path / "points.csv"
+    path.write_bytes(mark + header + b"0.8,0.2\n0.5,0.5\n")
+    assert main(["hv", "--points", str(path), "--ref", "0,0"]) == 0
+    assert capsys.readouterr() == ("0.31000000000000005\n", "")
+
+
 def test_features_command(tmp_path, capsys):
     emb = tmp_path / "emb.csv"
     emb.write_text("arm_id,e_1,e_2\n0,1.0,0.0\n1,-1.0,0.0\n2,0.0,0.0\n")

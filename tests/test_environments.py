@@ -219,6 +219,19 @@ def test_replay_csv_missing_arm(tmp_path):
         load_replay_csv(path)
 
 
+@pytest.mark.parametrize("kind", ["replay", "embedding"])
+@pytest.mark.parametrize("body", ["0,0.2,1.0\n1,0.9,0.5\n", '0,0.2,1.0\n"1", 0.9,0.5\r\n'])  # one-pass, per-line
+def test_arm_csv_reads_a_file_with_a_byte_order_mark_as_one_without(tmp_path, kind, body):
+    text = "arm_id,obj_1,obj_2\n" + body
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8", newline="")
+    (tmp_path / "marked.csv").write_text(text, encoding="utf-8-sig", newline="")
+    assert (tmp_path / "marked.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+    plain = environments._read_arm_csv(tmp_path / "plain.csv", kind)
+    marked = environments._read_arm_csv(tmp_path / "marked.csv", kind)
+    assert plain[0] == marked[0] == ["arm_id", "obj_1", "obj_2"]
+    assert plain[1].tobytes() == marked[1].tobytes() and plain[2].tolist() == marked[2].tolist()
+
+
 # Cell spellings: plain ones the one-pass parse reads, and ones only the
 # per-line reader reads or rejects.
 _PLAIN_ARMS = ("{}", "00{}", "+{}")
