@@ -8,7 +8,6 @@ by arm index is the global tie-break order used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -72,22 +71,13 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@lru_cache(maxsize=4096)
-def _philox_key(seed: int, path: tuple[int, ...]) -> np.ndarray:
-    """The read-only key ``Philox(SeedSequence(seed, spawn_key=path))`` derives."""
-    key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
-
-
 def reset_stream(gen: np.random.Generator, seed: int, path: tuple[int, ...]) -> np.random.Generator:
     """Return ``gen``, a Philox generator, reset to draw what ``RngStream(seed, path).generator()`` draws:
     a Philox stream is its key and a counter, here zero with an empty buffer and no half-used 32-bit draw.
-    The key is the one ``Philox(seq)`` derives; no ``SeedSequence``-fed ``Philox`` is built. Each
-    (seed, path) key is derived once per process and kept in a bounded cache that has no setting;
-    a worker process keeps its own, and no draw depends on what the cache holds."""
+    The key is the one ``Philox(seq)`` derives; no ``SeedSequence``-fed ``Philox`` is built."""
     zeros = np.zeros(4, dtype=np.uint64)
-    gen.bit_generator.state = {"state": {"counter": zeros, "key": _philox_key(seed, path)}, "buffer": zeros,
+    key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    gen.bit_generator.state = {"state": {"counter": zeros, "key": key}, "buffer": zeros,
                                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, "bit_generator": "Philox"}
     return gen
 

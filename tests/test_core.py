@@ -14,7 +14,6 @@ from mopx.core import (
     InstanceError,
     ObservationBatch,
     RngStream,
-    _philox_key,
     reset_stream,
 )
 from mopx.environments import GaussianEnvironment, random_linear_instance
@@ -113,40 +112,6 @@ def test_a_reset_generator_draws_what_a_fresh_one_draws(seed, path, other_seed, 
     assert reset_stream(gen, seed, path) is gen
     assert _draws(gen) == _draws(RngStream(seed, path).generator())
     assert _draws(reset_stream(gen, seed, path)) == _draws(RngStream(seed, path).generator())
-
-
-def _state(gen: np.random.Generator) -> dict:
-    """The Philox state of ``gen`` with its arrays as lists, for comparison."""
-    state = gen.bit_generator.state
-    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()}, "buffer": state["buffer"].tolist()}
-
-
-def test_a_cached_key_resets_to_the_state_and_draws_of_a_fresh_generator():
-    """Each (seed, path) is reset to many times, interleaved with the others,
-    as the rounds of the runs of a sweep do; every reset is a fresh stream."""
-    paths = [(0, r) for r in range(1, 51)] + [(1, 0)]
-    gen = RngStream(99).generator()
-    for _ in range(3):
-        for path in paths:
-            for seed in (0, 1, 7):
-                reset_stream(gen, seed, path)
-                fresh = RngStream(seed, path).generator()
-                assert _state(gen) == _state(fresh)
-                assert _draws(gen) == _draws(fresh)
-
-
-def test_the_key_cache_is_read_only_and_bounded():
-    key = _philox_key(7, (0, 1))
-    assert key is _philox_key(7, (0, 1)) and key.dtype == np.uint64
-    with pytest.raises(ValueError, match="read-only"):
-        key[0] = 0
-    bound = _philox_key.cache_info().maxsize
-    assert bound is not None
-    for r in range(bound + 10):
-        _philox_key(3, (2, r))
-    assert _philox_key.cache_info().currsize == bound
-    gen = RngStream(0).generator()
-    assert _draws(reset_stream(gen, 7, (0, 1))) == _draws(RngStream(7, (0, 1)).generator())
 
 
 def test_reward_mean_is_permutation_invariant():
