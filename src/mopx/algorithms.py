@@ -286,11 +286,9 @@ class _RoundRunner:
         if self.config.allocator == "uniform":
             counts = allocate_uniform(n_pulls, active)
             return counts, counts.round_robin_sequence()
-        active_feats = self.features[sorted(active)]
-        design = solve_g_optimal(
-            active_feats, self.config.g_optimal_epsilon, active=sorted(active)
-        )
-        counts = round_design(n_pulls, design, 1.0 / 3.0, sorted(active), active_feats)
+        active_feats = self.features[active]
+        design = solve_g_optimal(active_feats, self.config.g_optimal_epsilon, active=active)
+        counts = round_design(n_pulls, design, 1.0 / 3.0, active, active_feats)
         if self.config.estimator == "mean" and not len(self.batch):
             # the sample mean reads every arm from round 1 on, and the plan pulls K or more
             # times in round 1, so a donor is left for each arm the design leaves out
@@ -345,7 +343,9 @@ class _RoundRunner:
         """The elimination loop. Each round allocates over the active arms,
         pulls, and estimates every arm in ``scope(active)``; ``eliminate``
         returns the next active set plus its mode's ``RoundRecord`` fields,
-        and ``answer`` maps the final active set to (selected_arm, selected_set)."""
+        and ``answer`` maps the final active set to (selected_arm, selected_set).
+        The active set is ascending: it starts as every arm, and ``eliminate``
+        returns it sorted."""
         active = list(range(self.env.n_arms))
         rounds: list[RoundRecord] = []
         for r in range(1, self.plan.n_rounds + 1):

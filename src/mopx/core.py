@@ -144,12 +144,14 @@ class Instance:
 class ObservationBatch:
     """Append-only log of (arm, feature, reward, round) rows collected by a run.
 
-    Rows live in arrays that double their capacity when full, so a round is
-    written in one ``extend`` call and read back without a rebuild. The first
-    write fixes the feature and reward widths. The array properties are
-    read-only views of the rows written so far; later writes never change them.
+    Each ``extend`` call keeps its rows as one block: C-ordered copies of its
+    arms, features and rewards under its round index, so a caller that edits
+    its arrays after the write cannot change the log. The first write fixes the
+    feature and reward widths. The array properties join the blocks into new
+    read-only arrays; later writes never change them. ``round_slice`` reads
+    only the blocks of its round.
 
-    ``arm_totals`` keeps per-arm reward sums and pull counts, adding the rows
+    ``arm_totals`` keeps per-arm reward sums and pull counts, adding the blocks
     written since its last call: each sum starts at +0.0 and adds its rows in
     pull order, the order in which numpy's ``mean(axis=0)`` adds the rows of a
     C-ordered array with two or more columns, so ``sums[a] / counts[a]``
@@ -157,15 +159,12 @@ class ObservationBatch:
     """
 
     def __init__(self) -> None:
+        self._blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []  # (round, arms, features, rewards)
         self._size = 0
-        self._arms = np.empty(0, dtype=int)
-        self._features = np.empty((0, 0))
-        self._rewards = np.empty((0, 0))
-        self._rounds = np.empty(0, dtype=int)
         self._row_shapes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._sums = np.zeros((0, 0))
         self._counts = np.zeros(0, dtype=int)
-        self._totalled = 0  # rows already added into _sums and _counts
+        self._totalled = 0  # blocks already added into _sums and _counts
 
     def __len__(self) -> int:
         return self._size
@@ -177,9 +176,9 @@ class ObservationBatch:
     def extend(self, arms, features, rewards, round_index: int) -> None:
         """Write the rows of one round: ``arms`` (n), ``features`` (n x d) and
         ``rewards`` (n x m), in pull order."""
-        arms = np.asarray(arms, dtype=int)
-        features = np.asarray(features, dtype=float)
-        rewards = np.asarray(rewards, dtype=float)
+        arms = np.array(arms, dtype=int)
+        features = np.array(features, dtype=float, order="C")
+        rewards = np.array(rewards, dtype=float, order="C")
         if (arms.ndim, features.ndim, rewards.ndim) != (1, 2, 2) or not (
             len(arms) == len(features) == len(rewards)
         ):
@@ -201,70 +200,46 @@ class ObservationBatch:
             )
         if arms.min() < 0:
             raise DomainError(f"arm {int(arms.min())} is negative")
-        start, end = self._size, self._size + len(arms)
-        if end > len(self._arms):
-            self._grow(end)
-        self._arms[start:end] = arms
-        self._features[start:end] = features
-        self._rewards[start:end] = rewards
-        self._rounds[start:end] = round_index
-        self._size = end
+        self._blocks.append((int(round_index), arms, features, rewards))
+        self._size += len(arms)
 
-    def _grow(self, needed: int) -> None:
-        capacity = max(needed, 2 * len(self._arms), 16)
-        (dim,), (n_objectives,) = self._row_shapes
-        for name, shape in (
-            ("_arms", (capacity,)),
-            ("_features", (capacity, dim)),
-            ("_rewards", (capacity, n_objectives)),
-            ("_rounds", (capacity,)),
-        ):
-            old = getattr(self, name)
-            grown = np.empty(shape, dtype=old.dtype)
-            if self._size:
-                grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
-
-    def _view(self, rows: np.ndarray) -> np.ndarray:
-        view = rows[: self._size]
-        view.flags.writeable = False
-        return view
+    def _joined(self, column: int, empty: np.ndarray) -> np.ndarray:
+        joined = np.concatenate([block[column] for block in self._blocks]) if self._blocks else empty
+        joined.flags.writeable = False
+        return joined
 
     @property
     def arms(self) -> np.ndarray:
-        return self._view(self._arms)
+        return self._joined(1, np.empty(0, dtype=int))
 
     @property
     def features(self) -> np.ndarray:
-        return self._view(self._features)
+        return self._joined(2, np.empty((0, 0)))
 
     @property
     def rewards(self) -> np.ndarray:
-        return self._view(self._rewards)
+        return self._joined(3, np.empty((0, 0)))
 
     def arm_totals(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the per-arm reward sums (K x m) and pull counts (K) over
         every row written so far. K is one past the largest arm written; arms
         never pulled have zero counts."""
-        start, end = self._totalled, self._size
-        if end > start:
-            arms = self._arms[start:end]
+        for _, arms, _, rewards in self._blocks[self._totalled:]:
             missing = int(arms.max()) + 1 - len(self._counts)
             if missing > 0:
                 self._sums = np.concatenate([self._sums, np.zeros((missing, self._sums.shape[1]))])
                 self._counts = np.concatenate([self._counts, np.zeros(missing, dtype=int)])
-            np.add.at(self._sums, arms, self._rewards[start:end])
+            np.add.at(self._sums, arms, rewards)
             self._counts += np.bincount(arms, minlength=len(self._counts))
-            self._totalled = end
+        self._totalled = len(self._blocks)
         return self._sums.copy(), self._counts.copy()
 
     def round_slice(self, round_index: int) -> "ObservationBatch":
-        """New batch containing only the rows of one round."""
-        n = self._size
-        rows = self._rounds[:n] == round_index
-        arms, features, rewards = self._arms[:n], self._features[:n], self._rewards[:n]
+        """New batch holding the blocks written under one round."""
         out = ObservationBatch()
-        out.extend(arms[rows], features[rows], rewards[rows], round_index)
+        for block_round, arms, features, rewards in self._blocks:
+            if block_round == round_index:
+                out.extend(arms, features, rewards, round_index)
         return out
 
 

@@ -257,7 +257,7 @@ def load_replay_csv(path: str | Path, brevity: tuple[float, float] | None = None
 def load_instance_json(path: str | Path) -> Instance:
     """Read an instance from JSON: {K, m, sigma, means, features?, theta?}."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as err:
         raise ConfigurationError(f"instance file {path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):

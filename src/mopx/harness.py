@@ -285,7 +285,7 @@ def experiment_config_from_dict(data: dict, base_dir: Path | None = None) -> Exp
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
         raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
     if isinstance(data, dict) and isinstance(data.get("out_dir"), str):  # relative to the config, like its paths

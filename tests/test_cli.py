@@ -79,6 +79,22 @@ def test_hv_command_reads_a_points_file_with_a_byte_order_mark(tmp_path, capsys,
     assert capsys.readouterr() == ("0.31000000000000005\n", "")
 
 
+def test_run_command_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    for name in ("regression_config.json", "replay_small.csv"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+    out = tmp_path / "golden"
+    assert main(["run", "--config", str(tmp_path / "regression_config.json"), "--out", str(out)]) == 0
+    for name in ("summary.csv", "records.csv"):
+        assert (out / name).read_bytes() == (FIXTURES / f"golden_{name}").read_bytes()
+
+
+def test_gaps_command_reads_an_instance_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "linear_gopt_instance.json").read_bytes())
+    assert main(["gaps", "--instance", str(path)]) == 0
+    assert capsys.readouterr() == ((FIXTURES / "linear_gopt_gaps.json").read_text(), "")
+
+
 def test_features_command(tmp_path, capsys):
     emb = tmp_path / "emb.csv"
     emb.write_text("arm_id,e_1,e_2\n0,1.0,0.0\n1,-1.0,0.0\n2,0.0,0.0\n")

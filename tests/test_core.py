@@ -168,7 +168,7 @@ def test_observation_batch_arrays_cannot_write_into_the_log():
             view[0] = 7
     for totals in batch.arm_totals():  # copies: writing into them leaves the log's totals
         totals[0] = 7
-    for _ in range(40):  # outgrow the first capacity: earlier views keep their rows
+    for _ in range(40):  # later writes: the arrays read before them keep their rows
         batch.append(1, [2.0], [0.5, 0.6], 2)
     for got, want in zip(views, before):
         assert np.array_equal(got, want)
@@ -177,6 +177,34 @@ def test_observation_batch_arrays_cannot_write_into_the_log():
     ]
     sums, counts = batch.arm_totals()
     assert counts.tolist()[:2] == [1, 41] and sums[0].tolist() == [0.1, 0.2]
+
+
+def test_observation_batch_keeps_no_array_its_writer_can_edit():
+    """Editing the arrays of a write after it changes none of the log's arrays,
+    totals or round slices."""
+
+    def written():
+        arms, features, rewards = np.array([0, 1]), np.array([[1.0], [0.5]]), np.array([[0.1, 0.2], [0.3, 0.4]])
+        return arms, features, rewards, np.array([2.0]), np.array([0.5, 0.6])
+
+    def log(arms, features, rewards, feature, reward):
+        batch = ObservationBatch()
+        batch.extend(arms, features, rewards, 1)
+        batch.append(1, feature, reward, 2)
+        return batch
+
+    def report(batch):
+        arrays = [batch.arms, batch.features, batch.rewards, *batch.arm_totals()]
+        for r in (1, 2):
+            sliced = batch.round_slice(r)
+            arrays += [sliced.arms, sliced.features, sliced.rewards]
+        return [(a.shape, a.tobytes()) for a in arrays]
+
+    arrays = written()
+    batch = log(*arrays)
+    for array in arrays:
+        array[...] = 7
+    assert report(batch) == report(log(*written()))
 
 
 _SHAPES = "a write needs n arms, n x d features and n x m rewards, got shapes "
