@@ -43,7 +43,7 @@ from .estimators import (
     mlp_predict,
     predict_linear,
 )
-from .gaps import _json_num, pareto_front, pareto_gap_report
+from .gaps import _check_means, _json_num, pareto_front, pareto_gap_report
 from .schedulers import SEQUENTIAL_HALVING, Schedule, make_schedule
 
 GENSEC = "gensec"
@@ -222,8 +222,8 @@ class RunResult:
 def rank_constrained(estimates: MeanEstimates, tau: float) -> list[int]:
     """Strict total order: empirically feasible arms (mu2 > tau) by decreasing
     primary estimate, then infeasible arms by decreasing constraint estimate;
-    all ties break toward the lower arm index."""
-    arms, rows = estimates.arms, estimates.matrix.tolist()
+    all ties break toward the lower arm index. Refuses NaN and inf estimates, as the Pareto rule does."""
+    arms, rows = estimates.arms, _check_means(estimates.matrix).tolist()
     feasible = sorted((i for i, v in enumerate(rows) if v[1] > tau), key=lambda i: (-rows[i][0], arms[i]))
     infeasible = sorted((i for i, v in enumerate(rows) if v[1] <= tau), key=lambda i: (-rows[i][1], arms[i]))
     return [arms[i] for i in feasible + infeasible]
@@ -295,15 +295,15 @@ class _RoundRunner:
             cover_arms(counts.counts, sorted(counts.counts))
         return counts, counts.blocked_sequence()
 
-    def pull(self, sequence: list[int], round_index: int, budget: int) -> None:
+    def pull(self, sequence: list[int], round_index: int) -> None:
         if sequence:
             arms = np.array(sequence, dtype=int)
             rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
             self.batch.extend(arms, self.features[arms], rewards, round_index)
         self.pulls_used += len(sequence)
-        if self.pulls_used > budget:
+        if self.pulls_used > self.plan.budget:
             raise ConfigurationError(
-                f"round {round_index} overspent the budget: {self.pulls_used} > {budget}"
+                f"round {round_index} overspent the budget: {self.pulls_used} > {self.plan.budget}"
             )
 
     def estimate(self, round_index: int, arms: list[int]) -> MeanEstimates:
@@ -317,8 +317,7 @@ class _RoundRunner:
         if cfg.estimator == "mean":
             estimates = estimate_sample_mean(data, arms)
         elif cfg.estimator == "linear":
-            fit = fit_linear(data)
-            estimates = predict_linear(fit, self.features[arms], arms=arms)
+            estimates = predict_linear(fit_linear(data), self.features[arms], arms=arms)
         else:
             params = mlp_fit(
                 data,
@@ -351,12 +350,12 @@ class _RoundRunner:
         for r in range(1, self.plan.n_rounds + 1):
             try:
                 counts, sequence = self.allocate(self.plan.pulls_per_round[r - 1], active)
-                self.pull(sequence, r, self.plan.budget)
+                self.pull(sequence, r)
                 estimates = self.estimate(r, scope(active))
+                active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
             except MopxError as err:  # stamped in place, so the class and its attributes survive
                 err.args = (f"round {r}: {err}",)
                 raise
-            active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
             rounds.append(RoundRecord(r, active, counts.counts, **fields))
         selected_arm, selected_set = answer(active)
         return RunResult(

@@ -18,7 +18,7 @@ import numpy as np
 from .core import ConfigurationError, MopxError
 from .environments import load_instance_json
 from .features import load_embeddings_csv, pca_reduce, write_features_csv
-from .gaps import constrained_gap_report, hardness, pareto_gap_report
+from .gaps import _json_num, constrained_gap_report, hardness, pareto_gap_report
 from .harness import load_experiment_config, run_experiment, write_outputs
 from .metrics import hypervolume
 from .schedulers import SCHEDULER_NAMES, make_schedule
@@ -47,7 +47,7 @@ def _cmd_gaps(args) -> int:
     if args.tau is not None:
         report = constrained_gap_report(instance.means, args.tau)
         payload = report.to_dict()
-        payload["hardness"] = hardness(instance.means, args.tau)
+        payload["hardness"] = _json_num(hardness(instance.means, args.tau))
     else:
         payload = pareto_gap_report(instance.means).to_dict()
     print(json.dumps(payload, indent=2))

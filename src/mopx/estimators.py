@@ -139,17 +139,8 @@ def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEsti
     return MeanEstimates(arms, means)
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    """Least-squares fit of one round: coefficient matrix plus its Gram pair."""
-
-    theta_hat: np.ndarray  # d x m
-    gram: np.ndarray  # d x d
-    gram_pinv: np.ndarray  # d x d
-
-
-def fit_linear(round_batch: ObservationBatch) -> LinearFit:
-    """Fit theta from a single round's rows only.
+def fit_linear(round_batch: ObservationBatch) -> np.ndarray:
+    """The d x m least-squares coefficients theta_hat of a single round's rows only.
 
     The basis for the restricted inverse is selected from the features of the
     distinct arms pulled this round, scanned in ascending arm index.
@@ -161,15 +152,13 @@ def fit_linear(round_batch: ObservationBatch) -> LinearFit:
     gram = design.T @ design
 
     _, first_rows = np.unique(round_batch.arms, return_index=True)  # each arm's first row
-    pinv = pseudo_inverse(gram, design[first_rows])
-    theta = pinv @ design.T @ outcomes
-    return LinearFit(theta_hat=theta, gram=gram, gram_pinv=pinv)
+    return pseudo_inverse(gram, design[first_rows]) @ design.T @ outcomes
 
 
-def predict_linear(fit: LinearFit, features: np.ndarray, arms: list[int] | None = None) -> MeanEstimates:
+def predict_linear(theta_hat: np.ndarray, features: np.ndarray, arms: list[int] | None = None) -> MeanEstimates:
     """Predicted means ``phi(x)^T theta_hat`` for the feature rows of the ascending ``arms`` (default 0..k-1)."""
     feats = np.asarray(features, dtype=float)
-    return MeanEstimates(list(range(len(feats))) if arms is None else list(arms), feats @ fit.theta_hat)
+    return MeanEstimates(list(range(len(feats))) if arms is None else list(arms), feats @ theta_hat)
 
 
 @dataclass(frozen=True)

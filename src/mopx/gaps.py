@@ -78,12 +78,12 @@ def _json_num(value: float) -> float | str:
     return "inf" if math.isinf(value) else float(value)
 
 
-def _check_means(means: np.ndarray, finite: bool = True) -> np.ndarray:
-    """``means`` as a K x m matrix; ``finite=False`` leaves the NaN/inf scan to ``_pair_terms``."""
+def _check_means(means: np.ndarray) -> np.ndarray:
+    """``means`` as a finite K x m float matrix with m >= 2."""
     mat = np.asarray(means, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 2:
         raise DomainError(f"means must be K x m with m >= 2, got shape {mat.shape}")
-    if finite and not np.isfinite(mat).all():
+    if not np.isfinite(mat).all():
         raise DomainError("means must be finite")
     return mat
 
@@ -129,7 +129,7 @@ def _pick(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def pareto_front(means: np.ndarray) -> list[int]:
     """Indices of the non-dominated arms; equal vectors never dominate each other."""
-    return _pair_terms(_check_means(means, finite=False))[2].tolist()
+    return _pair_terms(np.asarray(means, dtype=float))[2].tolist()
 
 
 def pareto_gap_report(means: np.ndarray) -> GapReport:
@@ -144,10 +144,10 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     ``max`` do (``argmin``/``argmax`` pick the lowest index), which fixes the
     sign of zero gaps on exact ties.
     """
-    mat = _check_means(means, finite=False)
-    k = mat.shape[0]
-    on_front = np.zeros(k, dtype=bool)
-    on_front[pareto_front(mat)] = True
+    mat = np.asarray(means, dtype=float)
+    front = pareto_front(mat)  # refuses a matrix that is not K x m before its shape is read
+    on_front = np.zeros(mat.shape[0], dtype=bool)
+    on_front[front] = True
     front, dominated = on_front.nonzero()[0], (~on_front).nonzero()[0]
     small, large, _ = _pair_terms(mat)  # computed by the pareto_front call above
 
@@ -165,7 +165,7 @@ def pareto_gap_report(means: np.ndarray) -> GapReport:
     else:
         delta_minus = np.full(len(front), UNBOUNDED)
 
-    gap = np.empty(k)
+    gap = np.empty(mat.shape[0])
     gap[dominated] = dominated_gap
     gap[front] = np.where(delta_minus < delta_plus, delta_minus, delta_plus)
 
@@ -223,7 +223,8 @@ def constrained_gap_report(means: np.ndarray, tau: float) -> GapReport:
 
 
 def hardness(means: np.ndarray, tau: float) -> float:
-    """max over non-optimal arms of 1 / gap^2; infinite-gap arms contribute zero."""
+    """max over non-optimal arms of 1 / gap^2. An arm whose gap^2 overflows, or whose gap is
+    infinite, adds zero; one whose gap^2 underflows to zero makes it infinite."""
     mat = _check_means(means)
     if mat.shape[0] < 2:
         raise DomainError("hardness needs K >= 2 arms")
@@ -234,5 +235,10 @@ def hardness(means: np.ndarray, tau: float) -> float:
             continue
         if gap == 0.0:
             raise InstanceError(f"arm {arm} has zero constrained gap; hardness is undefined")
-        worst = max(worst, 1.0 / gap**2)
+        try:
+            worst = max(worst, 1.0 / gap**2)
+        except OverflowError:
+            continue
+        except ZeroDivisionError:
+            worst = math.inf
     return worst

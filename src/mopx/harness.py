@@ -328,7 +328,7 @@ def cell_metrics(
     selected = sorted(result.selected_set)
     ref = np.zeros(true_means.shape[1]) if reference is None else np.asarray(reference, dtype=float)
     volume = hypervolume(true_means[selected], ref) if selected else 0.0
-    recovery = hv_recovery(selected, front, true_means, ref)
+    recovery = hv_recovery(selected, true_means, ref)
     return [
         ("hv", volume),
         ("hv_recovery", recovery),

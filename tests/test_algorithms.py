@@ -20,7 +20,7 @@ from mopx.algorithms import (
 )
 from mopx import allocators
 from mopx.allocators import DesignConvergenceError, PullCounts
-from mopx.core import ConfigurationError, EstimationError, Instance, RngStream
+from mopx.core import ConfigurationError, DomainError, EstimationError, Instance, RngStream
 from mopx.environments import (
     GaussianEnvironment,
     LinearEnvironment,
@@ -71,6 +71,25 @@ def test_rank_constrained_all_infeasible_orders_by_constraint():
 def test_rank_constrained_boundary_is_infeasible():
     estimates = MeanEstimates([0, 1], np.array([[0.9, 0.5], [0.1, 0.6]]))
     assert rank_constrained(estimates, 0.5) == [1, 0]  # mu2 == tau counts as infeasible
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_constrained_refuses_non_finite_estimates(bad):
+    for row in range(2):
+        matrix = RANK_MEANS.copy()
+        matrix[row + 1, row] = bad
+        with pytest.raises(DomainError, match="^means must be finite$"):
+            rank_constrained(MeanEstimates([0, 1, 2, 3], matrix), 0.5)
+
+
+@pytest.mark.parametrize("algorithm, tau", [("genpsi", None), ("gensec", 1.25e308)])
+def test_both_rules_refuse_overflowing_estimates_in_the_round_that_made_them(algorithm, tau):
+    # three pulls of a mean near the float maximum sum to inf, so every sample mean is inf
+    means = np.array([[1.5e308, 1.2e308], [1.0e308, 1.4e308], [1.3e308, 1.3e308], [1.2e308, 1.1e308]])
+    env = GaussianEnvironment(Instance(means=means, sigma=0.1))
+    config = RunConfig(algorithm=algorithm, tau=tau, scheduler="sequential_halving", per_arm_budget=6)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="^round 1: means must be finite$"):
+        run_algorithm(config, env)
 
 
 # ------------------------------------------------------------------- gensec

@@ -63,6 +63,34 @@ def test_gaps_command_serialises_inf_as_string(tmp_path, capsys):
     assert '"inf"' in out
 
 
+@pytest.mark.parametrize(
+    "means, tau, expected",
+    [
+        ([[1e-160, 1.0], [0.0, 1.0]], "0.5", "inf"),
+        ([[1e-200, 1.0], [0.0, 1.0]], "0.5", "inf"),
+        ([[1.5e308, 1.2e308], [1.0e308, 1.4e308]], "3e307", 0.0),
+    ],
+)
+def test_gaps_command_prints_hardness_at_the_edges_of_the_float_range_as_json(tmp_path, capsys, means, tau, expected):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"means": means}))
+    assert main(["gaps", "--instance", str(path), "--tau", tau]) == 0
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    assert json.loads(capsys.readouterr().out, parse_constant=refuse)["hardness"] == expected
+
+
+@pytest.mark.parametrize(
+    "means, tau", [([[1e-200, 1.0], [0.0, 1.0]], 0.5), ([[1.5e308, 1.2e308], [1.0e308, 1.4e308]], 3e307)]
+)
+def test_a_constrained_truth_at_the_edges_of_the_float_range_loads(means, tau):
+    instance = {"means": means, "sigma": 0.1}
+    data = {"environment": {"kind": "gaussian", "instance": instance}, "tau": tau, "algorithms": [{"algorithm": "gensec"}]}
+    assert harness.experiment_config_from_dict(data).tau == tau
+
+
 def test_hv_command(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("obj_1,obj_2\n0.8,0.2\n0.5,0.5\n0.2,0.8\n")

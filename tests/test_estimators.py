@@ -202,8 +202,7 @@ def test_observation_log_matches_list_built_log_and_fits_its_round_slices():
             fits = []
             for log in (got, want):
                 try:
-                    fit = fit_linear(log)
-                    fits.append([v.tobytes() for v in (fit.theta_hat, fit.gram, fit.gram_pinv)])
+                    fits.append(fit_linear(log).tobytes())
                 except (EstimationError, NumericalError) as err:
                     fits.append(str(err))
             assert fits[0] == fits[1]
@@ -372,8 +371,7 @@ def test_fit_linear_matches_np_linalg_cond_form_bit_for_bit(monkeypatch):
     )
     for batch, fit in zip(batches, fits):
         expected = fit_linear(batch)
-        for name in ("theta_hat", "gram", "gram_pinv"):
-            assert getattr(fit, name).tobytes() == getattr(expected, name).tobytes()
+        assert (fit.dtype, fit.shape, fit.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
 
 
 def test_basis_selection_scans_ascending_with_tolerance():
@@ -387,14 +385,12 @@ def test_basis_selection_scans_ascending_with_tolerance():
 
 def test_fit_linear_reduces_to_sample_mean_in_1d():
     batch = _batch([(0, [1.0], [0.4, 0.0]), (0, [1.0], [0.6, 0.0])])
-    fit = fit_linear(batch)
-    assert fit.theta_hat[0, 0] == pytest.approx(0.5)
+    assert fit_linear(batch)[0, 0] == pytest.approx(0.5)
 
 
 def test_fit_linear_identity_design_recovers_rows():
     batch = _batch([(0, [1.0, 0.0], [0.3, 0.1]), (1, [0.0, 1.0], [0.7, 0.9])])
-    fit = fit_linear(batch)
-    assert np.allclose(fit.theta_hat, [[0.3, 0.1], [0.7, 0.9]])
+    assert np.allclose(fit_linear(batch), [[0.3, 0.1], [0.7, 0.9]])
 
 
 def test_fit_linear_span_restricted_prediction():

@@ -276,10 +276,25 @@ def test_hardness_oracle_equivalence():
         done += 1
 
 
+@pytest.mark.parametrize(
+    "means, tau, expected",
+    [  # the square of the gap is subnormal, underflows to zero, overflows
+        ([[1e-160, 1.0], [0.0, 1.0]], 0.5, math.inf),
+        ([[1e-200, 1.0], [0.0, 1.0]], 0.5, math.inf),
+        ([[1.5e308, 1.2e308], [1.0e308, 1.4e308]], 3e307, 0.0),
+    ],
+)
+def test_hardness_at_the_edges_of_the_float_range(means, tau, expected):
+    assert hardness(means, tau) == expected
+
+
 def test_hardness_degenerate_zero_gap():
     # a second arm tied with the optimum has zero gap
     with pytest.raises(InstanceError):
         hardness([[0.8, 0.6], [0.8, 0.6]], 0.5)
+    # also after an arm whose gap squared underflows
+    with pytest.raises(InstanceError, match="arm 2 has zero constrained gap"):
+        hardness([[1e-200, 1.0], [0.0, 1.0], [1e-200, 1.0]], 0.5)
 
 
 # ------------------------------------------- column form vs per-arm entries

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_hv_grid, oracle_hv_monte_carlo
+from oracles import oracle_front, oracle_hv_grid, oracle_hv_monte_carlo
 from mopx.core import MetricError, UnsupportedDimensionError
 from mopx.metrics import hv_recovery, hypervolume, soft_constrained_reward
 
@@ -123,14 +123,14 @@ TRUE_MEANS = np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8], [0.4, 0.4]])
 
 
 def test_recovery_identity_is_hundred_percent():
-    assert hv_recovery([0, 1, 2], [0, 1, 2], TRUE_MEANS) == pytest.approx(100.0)
+    assert hv_recovery([0, 1, 2], TRUE_MEANS) == pytest.approx(100.0)
 
 
 def test_recovery_ratio_arithmetic():
     # dropping the middle point leaves 0.8*0.2 + 0.2*0.6 = 0.28 of 0.37
-    got = hv_recovery([0, 2], [0, 1, 2], TRUE_MEANS)
+    got = hv_recovery([0, 2], TRUE_MEANS)
     assert got == pytest.approx(100.0 * 0.28 / 0.37)
-    assert hv_recovery([0, 2, 3], [0, 1, 2], TRUE_MEANS) >= got  # extra arms never hurt
+    assert hv_recovery([0, 2, 3], TRUE_MEANS) >= got  # extra arms never hurt
 
 
 def test_recovery_subset_cannot_exceed_hundred():
@@ -141,12 +141,25 @@ def test_recovery_subset_cannot_exceed_hundred():
         means = rng.uniform(0.05, 1.0, size=(7, 2))
         front = pareto_front(means)
         subset = front[: max(1, len(front) - 1)]
-        assert hv_recovery(subset, front, means) <= 100.0 + 1e-9
+        assert hv_recovery(subset, means) <= 100.0 + 1e-9
 
 
-def test_recovery_validates_front_and_truth():
-    with pytest.raises(MetricError):
-        hv_recovery([0], [0, 3], TRUE_MEANS)  # not the true front
+def test_recovery_scores_against_the_oracle_front_of_the_truth():
+    # arms 1 and 2 and arms 0 and 4 are duplicates, arms 3 and 6 are dominated
+    means = np.array([[0.8, 0.2], [0.5, 0.5], [0.5, 0.5], [0.4, 0.4], [0.8, 0.2], [0.2, 0.8], [0.1, 0.7]])
+    assert oracle_front(means) == [0, 1, 2, 4, 5]
+    rng = np.random.default_rng(11)
+    cases = [(means, est) for est in ([0, 1, 2, 4, 5], [1, 5], [3, 6], [4, 3, 4])]
+    for _ in range(40):  # coarse grids, so duplicate and dominated arms are common
+        truth = rng.integers(1, 4, size=(int(rng.integers(2, 9)), int(rng.integers(2, 4)))) / 4.0
+        cases.append((truth, rng.choice(len(truth), size=int(rng.integers(1, len(truth) + 1))).tolist()))
+    for truth, est in cases:
+        ref = np.zeros(truth.shape[1])
+        expected = 100.0 * hypervolume(truth[sorted(set(est))], ref) / hypervolume(truth[oracle_front(truth)], ref)
+        assert hv_recovery(est, truth) == expected
+
+
+def test_recovery_validates_truth():
     degenerate = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(MetricError):
-        hv_recovery([0], [0, 1], degenerate)
+        hv_recovery([0], degenerate)
