@@ -128,6 +128,9 @@ class RunConfig:
             raise ConfigurationError(f"mlp step_size must be > 0, got {self.mlp_step_size!r}")
         if not self.mlp_lambda >= 0:
             raise ConfigurationError(f"mlp lambda must be >= 0, got {self.mlp_lambda!r}")
+        for name in ("mlp_step_size", "mlp_lambda"):  # json reads 1e999 as inf, which would fail every MLP fit
+            if getattr(self, name) == math.inf:
+                raise ConfigurationError(f"mlp {name[4:]} must be finite, got inf")
         if self.algorithm == UNIFORM and (
             self.allocator != "uniform" or self.estimator != "mean" or self.eliminator != "ege"
         ):
@@ -274,15 +277,9 @@ class _RoundRunner:
         self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
         self.pulls_used = 0
         self.mlp_state: MlpParams | None = None
-        self._round_scoped = config.estimator == "linear" or (
-            config.estimator == "mlp" and config.mlp_data_scope == "round"
-        )
-        self._cached: MeanEstimates | None = None
+        self._warm_mlp = config.estimator == "mlp" and config.mlp_data_scope == "cumulative"
 
     def allocate(self, n_pulls: int, active: list[int]) -> tuple[PullCounts, list[int]]:
-        if n_pulls == 0:
-            # successive-rejects rounds whose cumulative target did not grow
-            return PullCounts(counts={}), []
         if self.config.allocator == "uniform":
             counts = allocate_uniform(n_pulls, active)
             return counts, counts.round_robin_sequence()
@@ -296,10 +293,9 @@ class _RoundRunner:
         return counts, counts.blocked_sequence()
 
     def pull(self, sequence: list[int], round_index: int) -> None:
-        if sequence:
-            arms = np.array(sequence, dtype=int)
-            rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
-            self.batch.extend(arms, self.features[arms], rewards, round_index)
+        arms = np.array(sequence, dtype=int)
+        rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
+        self.batch.extend(arms, self.features[arms], rewards, round_index)
         self.pulls_used += len(sequence)
         if self.pulls_used > self.plan.budget:
             raise ConfigurationError(
@@ -308,30 +304,21 @@ class _RoundRunner:
 
     def estimate(self, round_index: int, arms: list[int]) -> MeanEstimates:
         cfg = self.config
-        data = self.batch
-        if self._round_scoped:
-            data = self.batch.round_slice(round_index)
-            if len(data) == 0:
-                # no new pulls this round (round 1 always has some): carry the previous round's estimates
-                return MeanEstimates(arms, np.array([self._cached[a] for a in arms]))
         if cfg.estimator == "mean":
-            estimates = estimate_sample_mean(data, arms)
-        elif cfg.estimator == "linear":
-            estimates = predict_linear(fit_linear(data), self.features[arms], arms=arms)
-        else:
-            params = mlp_fit(
-                data,
-                cfg.mlp_lambda,
-                hidden=cfg.mlp_hidden,
-                iters=cfg.mlp_iters,
-                step_size=cfg.mlp_step_size,
-                init=self.mlp_state,
-                rng=reset_stream(self.gen, cfg.seed, (_MLP_DRAWS, 0)) if self.mlp_state is None else None,
-            )
-            self.mlp_state = params
-            estimates = mlp_predict(params, self.features[arms], arms=arms)
-        self._cached = estimates
-        return estimates
+            return estimate_sample_mean(self.batch, arms)
+        data = self.batch if self._warm_mlp else self.batch.round_slice(round_index)
+        if cfg.estimator == "linear":
+            return predict_linear(fit_linear(data), self.features[arms], arms=arms)
+        self.mlp_state = mlp_fit(
+            data,
+            cfg.mlp_lambda,
+            hidden=cfg.mlp_hidden,
+            iters=cfg.mlp_iters,
+            step_size=cfg.mlp_step_size,
+            init=self.mlp_state,
+            rng=reset_stream(self.gen, cfg.seed, (_MLP_DRAWS, 0)) if self.mlp_state is None else None,
+        )
+        return mlp_predict(self.mlp_state, self.features[arms], arms=arms)
 
     def run(
         self,
@@ -344,19 +331,28 @@ class _RoundRunner:
         returns the next active set plus its mode's ``RoundRecord`` fields,
         and ``answer`` maps the final active set to (selected_arm, selected_set).
         The active set is ascending: it starts as every arm, and ``eliminate``
-        returns it sorted."""
+        returns it sorted, so the scope only shrinks. A round the plan gives no
+        pulls (successive rejects, when the cumulative target does not grow)
+        adds no rows: it reads the scope's rows off the last estimate, except
+        that the warm-started cumulative MLP refits. Round 1 always pulls."""
         active = list(range(self.env.n_arms))
         rounds: list[RoundRecord] = []
         for r in range(1, self.plan.n_rounds + 1):
+            arms, counts = scope(active), {}
             try:
-                counts, sequence = self.allocate(self.plan.pulls_per_round[r - 1], active)
-                self.pull(sequence, r)
-                estimates = self.estimate(r, scope(active))
+                if n_pulls := self.plan.pulls_per_round[r - 1]:
+                    pulls, sequence = self.allocate(n_pulls, active)
+                    self.pull(sequence, r)
+                    estimates, counts = self.estimate(r, arms), pulls.counts
+                elif self._warm_mlp:
+                    estimates = self.estimate(r, arms)
+                else:
+                    estimates = MeanEstimates(arms, estimates.matrix[np.searchsorted(estimates.arms, arms)])
                 active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
             except MopxError as err:  # stamped in place, so the class and its attributes survive
                 err.args = (f"round {r}: {err}",)
                 raise
-            rounds.append(RoundRecord(r, active, counts.counts, **fields))
+            rounds.append(RoundRecord(r, active, counts, **fields))
         selected_arm, selected_set = answer(active)
         return RunResult(
             algorithm=self.config.algorithm,

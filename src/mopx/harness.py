@@ -432,7 +432,12 @@ def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:
         n = len(values)
         mean = float(np.mean(values))
         if n >= 2:
-            half = Z_95 * float(np.std(values, ddof=1)) / np.sqrt(n)
+            spread = float(np.std(values, ddof=1))
+            if spread == 0.0 and min(values) != max(values):  # the squared deviations underflowed
+                deviations = np.subtract(values, mean)
+                scale = float(np.abs(deviations).max())
+                spread = scale * float(np.std(deviations / scale, ddof=1))
+            half = Z_95 * spread / np.sqrt(n)
         else:
             half = None
         rows.append(

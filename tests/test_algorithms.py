@@ -26,7 +26,7 @@ from mopx.environments import (
     LinearEnvironment,
     random_linear_instance,
 )
-from mopx.estimators import MeanEstimates
+from mopx.estimators import MeanEstimates, estimate_sample_mean
 from mopx.gaps import pareto_front, pareto_gap_report
 
 # spec'd ranking example: P, R, S, Q at tau = 0.5
@@ -471,6 +471,74 @@ def test_a_run_draws_the_mlp_start_once_and_one_pull_stream_per_round(monkeypatc
     assert paths == [(0, 1), (1, 0)] + [(0, r) for r in rounds[1:]]
     monkeypatch.undo()
     assert run_genpsi(config, GaussianEnvironment(inst)).to_dict() == result.to_dict()
+
+
+def _idle_round_case(algorithm: str = "genpsi", **settings) -> tuple[RunConfig, LinearEnvironment, list[int]]:
+    """Successive rejects at K = 8, b = 3, whose plan gives rounds 3-5 no pulls,
+    with the 1-based indices of the rounds that pull."""
+    inst = random_linear_instance(np.random.default_rng(4), 8, 3, sigma=0.3)
+    tau = float(np.median(inst.means[:, 1])) if algorithm == "gensec" else None
+    config = RunConfig(algorithm=algorithm, scheduler="successive_rejects", per_arm_budget=3, tau=tau, **settings)
+    plan = config.schedule(8, inst.features).pulls_per_round
+    assert 0 in plan
+    return config, LinearEnvironment(inst), [r for r, n in enumerate(plan, 1) if n]
+
+
+@pytest.mark.parametrize(
+    "allocator, estimator, scope",
+    [
+        ("uniform", "mean", "cumulative"),
+        ("g-optimal", "mean", "cumulative"),
+        ("uniform", "linear", "cumulative"),
+        ("g-optimal", "linear", "cumulative"),
+        ("uniform", "mlp", "round"),
+        ("uniform", "mlp", "cumulative"),
+    ],
+)
+def test_a_round_with_no_pulls_allocates_nothing_and_refits_only_the_warm_mlp(monkeypatch, allocator, estimator, scope):
+    calls = {name: 0 for name in ("allocate_uniform", "round_design", "estimate_sample_mean", "fit_linear", "mlp_fit")}
+
+    def counted(name):
+        inner = getattr(algorithms, name)
+        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or inner(*args, **kwargs)
+
+    for name in calls:
+        monkeypatch.setattr(algorithms, name, counted(name))
+    config, env, pulling = _idle_round_case(allocator=allocator, estimator=estimator, mlp_data_scope=scope, mlp_iters=5)
+    result = run_algorithm(config, env)
+    allocate = "allocate_uniform" if allocator == "uniform" else "round_design"
+    fit = {"mean": "estimate_sample_mean", "linear": "fit_linear", "mlp": "mlp_fit"}[estimator]
+    refits_idle = estimator == "mlp" and scope == "cumulative"
+    assert calls[allocate] == len(pulling)
+    assert calls[fit] == (len(result.rounds) if refits_idle else len(pulling))
+    assert sum(calls.values()) == calls[allocate] + calls[fit]
+    assert [record.round for record in result.rounds if record.pull_counts] == pulling
+    assert all(record.pull_counts == {} for record in result.rounds if record.round not in pulling)
+
+
+@pytest.mark.parametrize("algorithm", ["gensec", "genpsi"])
+def test_a_round_with_no_pulls_carries_the_sample_means_bit_for_bit(monkeypatch, algorithm):
+    """The only estimates the loop builds itself are the carried ones; each
+    equals a fresh sample mean over the batch as it stands in that round."""
+    batches, carried = [], []
+
+    class RecordedBatch(algorithms.ObservationBatch):
+        def __init__(self):
+            super().__init__()
+            batches.append(self)
+
+    def carry(arms, matrix):
+        carried.append((MeanEstimates(arms, matrix), estimate_sample_mean(batches[-1], arms)))
+        return carried[-1][0]
+
+    monkeypatch.setattr(algorithms, "ObservationBatch", RecordedBatch)
+    monkeypatch.setattr(algorithms, "MeanEstimates", carry)
+    config, env, pulling = _idle_round_case(algorithm)
+    result = run_algorithm(config, env)
+    assert len(carried) == len(result.rounds) - len(pulling)
+    for estimates, fresh in carried:
+        assert estimates.arms == fresh.arms
+        assert estimates.matrix.tobytes() == fresh.matrix.tobytes()
 
 
 def test_each_never_pulled_arm_takes_a_pull_from_the_largest_count_lowest_arm_first(monkeypatch):

@@ -307,6 +307,9 @@ ROWS = [
     (*_alg("mlp.step_size", 0), "mlp step_size must be > 0, got 0.0"),
     (*_alg("mlp.step_size", -1.0), "mlp step_size must be > 0, got -1.0"),
     (*_alg("mlp.lambda", -1), "mlp lambda must be >= 0, got -1.0"),
+    # json reads 1e999 as inf, which every MLP fit's loss would then be
+    (*_alg("mlp.lambda", math.inf), "mlp lambda must be finite, got inf"),
+    (*_alg("mlp.step_size", math.inf), "mlp step_size must be finite, got inf"),
     (
         ("environment",),
         _replay(path="cells.csv"),

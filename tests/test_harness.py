@@ -135,6 +135,18 @@ def test_aggregate_worked_examples():
     assert single.ci_half_width is None and single.n_seeds == 1
 
 
+def test_aggregate_half_width_survives_seeds_that_differ_by_less_than_the_squares_hold():
+    # soft_reward reads 0.0, 1e-200 and 1e-200 over these seeds: its squared deviations underflow
+    instance = {"means": [[1e-200, 1.0], [0.0, 1.0]], "sigma": 0.1}
+    config = _config(environment={"kind": "gaussian", "instance": instance}, algorithms=[{"algorithm": "gensec"}],
+                     k_values=[2], per_arm_budgets=[4], seeds=[0, 1, 2])
+    records = run_experiment(config).records
+    assert sorted(rec.value for rec in records if rec.metric == "soft_reward") == [0.0, 1e-200, 1e-200]
+    rows = {row.metric: row for row in aggregate(records)}
+    assert rows["soft_reward"].ci_half_width > 0.0
+    assert rows["soft_reward"].ci_half_width == pytest.approx(1e-200 * rows["soft_reward_norm"].ci_half_width, rel=1e-12)
+
+
 def test_aggregate_is_permutation_invariant():
     rng = np.random.default_rng(0)
     records = [

@@ -163,3 +163,18 @@ def test_recovery_validates_truth():
     degenerate = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(MetricError):
         hv_recovery([0], degenerate)
+
+
+@pytest.mark.parametrize(
+    "estimated, truth, message",
+    [
+        ([0], 0.5, r"true means must be a K x m matrix, got shape \(\)"),
+        ([0], [0.5, 0.2], r"true means must be a K x m matrix, got shape \(2,\)"),
+        ([0, 4], TRUE_MEANS, r"estimated arms must lie in \[0, 4\), got \[0, 4\]"),
+        ([-1], TRUE_MEANS, r"estimated arms must lie in \[0, 4\), got \[-1\]"),  # not read as arm 3
+    ],
+    ids=["scalar-truth", "vector-truth", "arm-K", "negative-arm"],
+)
+def test_recovery_refuses_a_truth_that_is_no_matrix_and_arms_outside_it(estimated, truth, message):
+    with pytest.raises(MetricError, match=message):
+        hv_recovery(estimated, truth)
