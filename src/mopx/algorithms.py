@@ -20,6 +20,7 @@ shadowing later decisions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -104,7 +105,8 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be a bool, got {value!r}")
             if name in reals and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        if self.mode == CONSTRAINED and not math.isfinite(self.tau):  # NaN would make every arm infeasible
+        # a NaN tau makes every arm infeasible; abs(x) <= max is False for NaN, inf and ints past the float range
+        if self.mode == CONSTRAINED and not abs(self.tau) <= sys.float_info.max:
             raise ConfigurationError(f"tau must be finite, got {self.tau}")
         if self.per_arm_budget < 1:
             raise ConfigurationError("per-arm budget must be >= 1")
@@ -129,8 +131,8 @@ class RunConfig:
         if not self.mlp_lambda >= 0:
             raise ConfigurationError(f"mlp lambda must be >= 0, got {self.mlp_lambda!r}")
         for name in ("mlp_step_size", "mlp_lambda"):  # json reads 1e999 as inf, which would fail every MLP fit
-            if getattr(self, name) == math.inf:
-                raise ConfigurationError(f"mlp {name[4:]} must be finite, got inf")
+            if not abs(value := getattr(self, name)) <= sys.float_info.max:
+                raise ConfigurationError(f"mlp {name[4:]} must be finite, got {value}")
         if self.algorithm == UNIFORM and (
             self.allocator != "uniform" or self.estimator != "mean" or self.eliminator != "ege"
         ):
@@ -275,7 +277,6 @@ class _RoundRunner:
         self.features = np.eye(env.n_arms) if feats is None else np.asarray(feats, dtype=float)
         self.batch = ObservationBatch()
         self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
-        self.pulls_used = 0
         self.mlp_state: MlpParams | None = None
         self._warm_mlp = config.estimator == "mlp" and config.mlp_data_scope == "cumulative"
 
@@ -296,10 +297,9 @@ class _RoundRunner:
         arms = np.array(sequence, dtype=int)
         rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
         self.batch.extend(arms, self.features[arms], rewards, round_index)
-        self.pulls_used += len(sequence)
-        if self.pulls_used > self.plan.budget:
+        if len(self.batch) > self.plan.budget:
             raise ConfigurationError(
-                f"round {round_index} overspent the budget: {self.pulls_used} > {self.plan.budget}"
+                f"round {round_index} overspent the budget: {len(self.batch)} > {self.plan.budget}"
             )
 
     def estimate(self, round_index: int, arms: list[int]) -> MeanEstimates:
@@ -358,7 +358,7 @@ class _RoundRunner:
             algorithm=self.config.algorithm,
             selected_arm=selected_arm,
             selected_set=selected_set,
-            pulls_used=self.pulls_used,
+            pulls_used=len(self.batch),
             budget=self.plan.budget,
             rounds=tuple(rounds),
         )

@@ -71,15 +71,14 @@ class PullCounts:
 class DesignWeights:
     """Simplex weights over the active arms with the achieved worst-case leverage.
 
-    ``basis`` holds the feature-basis row indices the solver selected, so that
-    ``round_design`` need not scan the same rows again; hand-built designs
-    leave it ``None``.
+    ``basis`` holds the feature-basis row indices the solver selected, which
+    ``round_design`` covers as given, without a scan of its own.
     """
 
     weights: dict[int, float]
     objective_value: float
+    basis: tuple[int, ...] = field(repr=False)
     trace: tuple[float, ...] = field(default=(), repr=False)
-    basis: tuple[int, ...] | None = field(default=None, repr=False)
 
 
 class DesignConvergenceError(NumericalError):
@@ -148,7 +147,7 @@ def solve_g_optimal(
     else:
         _DESIGNS.move_to_end(key)
     # a fresh weight map per call, so a caller's edits never reach the cache
-    return DesignWeights(dict(design.weights), design.objective_value, design.trace, design.basis)
+    return DesignWeights(dict(design.weights), design.objective_value, design.basis, design.trace)
 
 
 def _mirror_descent(feats: np.ndarray, epsilon: float, arms: tuple[int, ...]) -> DesignWeights:
@@ -221,11 +220,9 @@ def round_design(
 
     Largest-remainder apportionment of ``n * w_i`` (fractional ties to the
     lowest index), followed by a ``cover_arms`` pass that gives every arm of
-    the greedily selected feature basis at least one pull. The basis is the
-    one ``weights`` carries from the solver, or a fresh scan of ``features``
-    when it carries none; one row of ``features`` and one weight per active
-    arm are required. ``kappa`` is validated against (0, 1/3] and otherwise
-    ignored.
+    the feature basis ``weights`` carries at least one pull. One row of
+    ``features`` and one weight per active arm are required. ``kappa`` is
+    validated against (0, 1/3] and otherwise ignored.
     """
     if not (0.0 < kappa <= 1.0 / 3.0):
         raise ConfigurationError(f"kappa must be in (0, 1/3], got {kappa}")
@@ -238,9 +235,7 @@ def round_design(
             f"{len(features)} rows, {len(arms)} active arms and {len(weights.weights)} weights"
         )
     basis = weights.basis
-    if basis is None:
-        basis = select_independent_basis(np.asarray(features, dtype=float))
-    elif not all(0 <= b < len(arms) for b in basis):
+    if not all(0 <= b < len(arms) for b in basis):
         raise DomainError(
             f"design basis {list(basis)} indexes rows outside the {len(arms)} active arms"
         )

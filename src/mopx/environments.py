@@ -231,9 +231,10 @@ def _read_arm_lines(text: str, path: str | Path, kind: str, repeats: bool) -> tu
         per_arm.setdefault(arm, []).append(values)
     if not per_arm:
         raise ConfigurationError(f"{kind} file {path} holds no records")
-    missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
-    if missing:
-        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}")
+    if n_missing := max(per_arm) + 1 - len(per_arm):  # the first ten lie below len(per_arm) + 10
+        missing = [a for a in range(min(max(per_arm) + 1, len(per_arm) + 10)) if a not in per_arm][:10]
+        more = f" and {n_missing - 10} more" if n_missing > 10 else ""
+        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}{more}")
     rows = [row for a in range(len(per_arm)) for row in per_arm[a]]
     lengths = np.array([len(per_arm[a]) for a in range(len(per_arm))])
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header) - 1), lengths
@@ -296,16 +297,3 @@ def instance_from_dict(data: dict) -> Instance:
 def _leaves(value) -> list:
     """The non-list items of nested JSON lists, in reading order."""
     return [leaf for item in value for leaf in _leaves(item)] if type(value) is list else [value]
-
-
-def random_linear_instance(
-    rng: np.random.Generator,
-    n_arms: int,
-    dim: int,
-    n_objectives: int = 2,
-    sigma: float = 0.5,
-) -> Instance:
-    """Linear-reward instance with unit-scaled random features."""
-    features = rng.normal(size=(n_arms, dim)) / np.sqrt(dim)
-    theta = rng.normal(size=(dim, n_objectives))
-    return Instance(means=features @ theta, sigma=sigma, features=features, theta=theta)

@@ -327,7 +327,7 @@ def cell_metrics(
     front = pareto_front(true_means)
     selected = sorted(result.selected_set)
     ref = np.zeros(true_means.shape[1]) if reference is None else np.asarray(reference, dtype=float)
-    volume = hypervolume(true_means[selected], ref) if selected else 0.0
+    volume = hypervolume(true_means[selected], ref)
     recovery = hv_recovery(selected, true_means, ref)
     return [
         ("hv", volume),

@@ -82,17 +82,19 @@ def soft_constrained_reward(
 
 def hv_recovery(estimated_set, true_means, reference=None) -> float:
     """Percent of the hypervolume of the Pareto front of ``true_means`` covered
-    by the estimated set, with both sets scored at the true means."""
+    by the estimated set, with both sets scored at the true means. Arms are
+    Python or numpy integers in [0, K); a bool, float or string is refused."""
     means = np.asarray(true_means, dtype=float)
     if means.ndim != 2:
         raise MetricError(f"true means must be a K x m matrix, got shape {means.shape}")
-    estimated = sorted(set(estimated_set))
+    arms = list(estimated_set)
+    if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool) for a in arms):  # True indexes as a mask
+        raise MetricError(f"estimated arms must be integers, got {arms}")
+    estimated = sorted(set(arms))
     if estimated and not 0 <= estimated[0] <= estimated[-1] < len(means):  # -1 would index the last arm
         raise MetricError(f"estimated arms must lie in [0, {len(means)}), got {estimated}")
     ref = np.zeros(means.shape[1]) if reference is None else np.asarray(reference, dtype=float)
     truth = hypervolume(means[pareto_front(means)], ref)
     if truth == 0.0:
         raise MetricError("ground-truth hypervolume is zero; recovery is undefined")
-    if not estimated:
-        return 0.0
     return 100.0 * hypervolume(means[estimated], ref) / truth

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mopx.core import ConfigurationError, EstimationError, NumericalError
+from mopx.core import ConfigurationError, EstimationError, Instance, NumericalError
 from mopx.estimators import MlpParams, mlp_init, select_independent_basis
 
 
@@ -498,7 +498,25 @@ def reference_read_arm_csv(path: str | Path, kind: str, repeats: bool = True) ->
             per_arm.setdefault(arm, []).append(values)
     if not per_arm:
         raise ConfigurationError(f"{kind} file {path} holds no records")
-    missing = [a for a in range(max(per_arm) + 1) if a not in per_arm]
+    n_missing = max(per_arm) + 1 - len(per_arm)
+    missing = [a for a in range(min(max(per_arm) + 1, len(per_arm) + 10)) if a not in per_arm][:10]
     if missing:
-        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}")
+        more = f" and {n_missing - 10} more" if n_missing > 10 else ""
+        raise ConfigurationError(f"{kind} file {path} is missing records for arms {missing}{more}")
     return header, [per_arm[a] for a in range(len(per_arm))]
+
+
+# ------------------------------------------------------ instance generator
+
+
+def random_linear_instance(
+    rng: np.random.Generator,
+    n_arms: int,
+    dim: int,
+    n_objectives: int = 2,
+    sigma: float = 0.5,
+) -> Instance:
+    """Linear-reward instance with unit-scaled random features."""
+    features = rng.normal(size=(n_arms, dim)) / np.sqrt(dim)
+    theta = rng.normal(size=(dim, n_objectives))
+    return Instance(means=features @ theta, sigma=sigma, features=features, theta=theta)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ege_transcript_zero_noise, oracle_front
+from oracles import ege_transcript_zero_noise, oracle_front, random_linear_instance
 from mopx import algorithms
 from mopx.algorithms import (
     RunConfig,
@@ -21,11 +21,7 @@ from mopx.algorithms import (
 from mopx import allocators
 from mopx.allocators import DesignConvergenceError, PullCounts
 from mopx.core import ConfigurationError, DomainError, EstimationError, Instance, RngStream
-from mopx.environments import (
-    GaussianEnvironment,
-    LinearEnvironment,
-    random_linear_instance,
-)
+from mopx.environments import GaussianEnvironment, LinearEnvironment
 from mopx.estimators import MeanEstimates, estimate_sample_mean
 from mopx.gaps import pareto_front, pareto_gap_report
 

@@ -172,7 +172,7 @@ def test_design_convergence_error_survives_a_pickle_round_trip():
 def test_round_design_exact_floors():
     from mopx.allocators import DesignWeights
 
-    design = DesignWeights(weights={0: 0.5, 1: 0.3, 2: 0.2}, objective_value=1.0)
+    design = DesignWeights(weights={0: 0.5, 1: 0.3, 2: 0.2}, objective_value=1.0, basis=(0, 1, 2))
     counts = round_design(10, design, 1 / 3, [0, 1, 2], np.eye(3))
     assert counts.counts == {0: 5, 1: 3, 2: 2}
 
@@ -180,7 +180,7 @@ def test_round_design_exact_floors():
 def test_round_design_largest_remainder_tie_breaks_low_index():
     from mopx.allocators import DesignWeights
 
-    design = DesignWeights(weights={0: 0.55, 1: 0.25, 2: 0.20}, objective_value=1.0)
+    design = DesignWeights(weights={0: 0.55, 1: 0.25, 2: 0.20}, objective_value=1.0, basis=(0, 1, 2))
     counts = round_design(10, design, 1 / 3, [0, 1, 2], np.eye(3))
     assert counts.counts == {0: 6, 1: 2, 2: 2}
 
@@ -188,7 +188,7 @@ def test_round_design_largest_remainder_tie_breaks_low_index():
 def test_round_design_covers_feature_basis():
     from mopx.allocators import DesignWeights
 
-    design = DesignWeights(weights={0: 1.0, 1: 0.0}, objective_value=1.0)
+    design = DesignWeights(weights={0: 1.0, 1: 0.0}, objective_value=1.0, basis=(0, 1))
     counts = round_design(5, design, 1 / 3, [0, 1], np.eye(2))
     assert counts.counts == {0: 4, 1: 1}
 
@@ -196,7 +196,7 @@ def test_round_design_covers_feature_basis():
 def test_round_design_validates_kappa():
     from mopx.allocators import DesignWeights
 
-    design = DesignWeights(weights={0: 1.0}, objective_value=1.0)
+    design = DesignWeights(weights={0: 1.0}, objective_value=1.0, basis=(0,))
     for bad in (0.0, 0.34, -0.1, 1.0):
         with pytest.raises(ConfigurationError):
             round_design(5, design, bad, [0], np.eye(1))
@@ -333,20 +333,13 @@ def test_design_cache_key_includes_layout_and_epsilon_type():
 # ----------------------------------------------------------- carried basis
 
 
-def _round(n, design, arms, feats):
-    try:
-        return round_design(n, design, 1 / 3, arms, feats).counts
-    except ConfigurationError as err:
-        return f"ConfigurationError: {err}"
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["random", "grid", "rank_deficient"]),
     epsilon=st.sampled_from([0.05, 0.1, 0.3]),
 )
-def test_designs_carry_the_basis_and_round_as_without_it(seed, kind, epsilon):
+def test_designs_carry_the_basis_of_their_features(seed, kind, epsilon):
     feats = _design_features(seed, kind)
     basis = tuple(select_independent_basis(feats))
     allocators._DESIGNS.clear()
@@ -359,13 +352,11 @@ def test_designs_carry_the_basis_and_round_as_without_it(seed, kind, epsilon):
         return
     cached = solve_g_optimal(feats, epsilon)
     assert fresh.basis == cached.basis == basis
-    bare = DesignWeights(dict(fresh.weights), fresh.objective_value)
-    assert bare.basis is None
-    arms = list(range(len(feats)))
-    rng = np.random.default_rng(seed)
-    budgets = {1, len(basis), len(feats), *rng.integers(1, 6 * len(feats) + 2, size=4).tolist()}
-    for n in sorted(budgets):
-        assert _round(n, cached, arms, feats) == _round(n, bare, arms, feats)
+
+
+def test_a_design_without_a_basis_is_refused():
+    with pytest.raises(TypeError, match="basis"):
+        DesignWeights({0: 0.5, 1: 0.5}, 1.0)
 
 
 def test_g_optimal_round_scans_its_features_once(monkeypatch):
@@ -380,8 +371,6 @@ def test_g_optimal_round_scans_its_features_once(monkeypatch):
     assert len(scans) == 1  # the solve's scan; round_design reuses it
     round_design(40, solve_g_optimal(feats, 0.1), 1 / 3, arms, feats)  # memo hit
     assert len(scans) == 1
-    round_design(40, DesignWeights(dict(design.weights), design.objective_value), 1 / 3, arms, feats)
-    assert len(scans) == 2  # a hand-built design is scanned
 
 
 def test_round_design_rejects_a_design_of_other_rows():
@@ -398,7 +387,7 @@ def test_round_design_rejects_a_design_of_other_rows():
         "got 3 rows, 3 active arms and 4 weights"
     )
     with pytest.raises(DomainError) as err:
-        round_design(4, DesignWeights(dict(weights), 1.0), 1 / 3, [0, 1, 2, 3], feats[:3])
+        round_design(4, carried, 1 / 3, [0, 1, 2, 3], feats[:3])
     assert str(err.value) == (
         "round_design needs one feature row and one design weight per active arm, "
         "got 3 rows, 4 active arms and 4 weights"

@@ -142,6 +142,8 @@ def test_features_command(tmp_path, capsys):
         ("0,1.0,0.0\n-1,0.0,1.0\n1,0.5,0.5\n", "line 3 has a negative arm_id -1"),
         ("0,1.0,0.0\n1,0.0,1.0\n1,0.5,0.5\n", "line 4 repeats arm_id 1"),
         ("0,1.0,0.0\n2,0.0,1.0\n", "is missing records for arms [1]"),
+        ("0,1.0,0.0\n11,0.0,1.0\n", "is missing records for arms [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+        ("0,1.0,0.0\n12,0.0,1.0\n", "is missing records for arms [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more"),
         ("0,1.0,nan\n1,0.0,1.0\n", "line 2 holds a value that is not finite: '0,1.0,nan'"),
         ("0,1.0,0.0\n1,-inf,1.0\n", "line 3 holds a value that is not finite: '1,-inf,1.0'"),
         ("0,1.0,0.0\n1,1e400,1.0\n", "line 3 holds a value that is not finite: '1,1e400,1.0'"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_linear_instance
 from mopx.core import (
     ConfigurationError,
     DomainError,
@@ -16,7 +17,7 @@ from mopx.core import (
     RngStream,
     reset_stream,
 )
-from mopx.environments import GaussianEnvironment, random_linear_instance
+from mopx.environments import GaussianEnvironment
 
 
 def test_zero_noise_pull_is_exact():
@@ -43,7 +44,7 @@ def test_pull_out_of_range_arm():
 _SUBPROCESS_SNIPPET = """
 import json
 from mopx.core import Instance, RngStream
-from mopx.environments import GaussianEnvironment, random_linear_instance
+from mopx.environments import GaussianEnvironment
 env = GaussianEnvironment(Instance(means=[[0.3, 0.7], [0.1, 0.2]], sigma=0.8))
 gen = RngStream(99, (4, 2)).generator()
 rows = [env.pull(t % 2, gen).tolist() for t in range(50)]

@@ -1,4 +1,5 @@
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_read_arm_csv
+from oracles import random_linear_instance, reference_read_arm_csv
 from mopx import environments
 from mopx.core import ConfigurationError, DomainError, Instance, RngStream
 from mopx.environments import (
@@ -18,7 +19,6 @@ from mopx.environments import (
     instance_from_dict,
     load_instance_json,
     load_replay_csv,
-    random_linear_instance,
 )
 from mopx.harness import EnvironmentSource, environment_source_from_dict
 
@@ -302,6 +302,7 @@ def _split_read(path, kind, repeats):
 @example(text='arm_id,"obj_1",obj_2\n0,0.5,0.25\n', repeats=True)
 @example(text="arm_id,e_1\re_2,e_3\n0,0.5,0.25\n", repeats=True)
 @example(text="arm_id,e_\x001\n0,0.5\n", repeats=True)
+@example(text="arm_id,e_1\n0,0.5\n2,0.25\n40,0\n", repeats=True)
 def test_arm_csv_reader_matches_the_per_line_reader(text, repeats):
     """Same header and arrays bit for bit, or the same error text, as the
     per-line reader it replaces, on plain and odd files alike."""
@@ -339,6 +340,18 @@ def test_a_respelled_file_is_read_from_disk_once(monkeypatch, tmp_path):
     table = load_replay_csv(path)
     assert opened == [path]
     assert table.rows.tolist() == [[0.5, 0.25], [0.75, 0.5]]
+
+
+def test_a_far_arm_id_is_refused_at_once(tmp_path):
+    """Neither the time nor the message grows with the largest arm_id."""
+    path = tmp_path / "replay.csv"
+    path.write_text("arm_id,obj_1,obj_2\n0,0.5,0.5\n1000000000000,0.5,0.5\n")
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError) as raised:
+        load_replay_csv(path)
+    assert time.perf_counter() - start < 1.0
+    assert str(raised.value).endswith("[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999999999989 more")
+    assert len(str(raised.value).encode()) < 500
 
 
 def test_instance_json_round_trip(tmp_path):

@@ -12,12 +12,13 @@ from oracles import (
     ListBatch,
     finite_difference_mlp_grad,
     oracle_sample_mean,
+    random_linear_instance,
     reference_mlp_fit,
     reference_restricted_inverse,
 )
 from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
-from mopx.environments import LinearEnvironment, random_linear_instance
+from mopx.environments import LinearEnvironment
 from mopx.estimators import (
     MlpParams,
     estimate_sample_mean,

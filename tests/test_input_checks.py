@@ -60,6 +60,11 @@ CASES = {
     "constrained run config with a NaN tau": (_gensec(tau=np.nan), ConfigurationError, "tau must be finite, got nan"),
     "constrained run config with an infinite tau": (_gensec(tau=np.inf), ConfigurationError, "tau must be finite, got inf"),
     "constrained run config with a tau of -inf": (_gensec(tau=-np.inf), ConfigurationError, "tau must be finite, got -inf"),
+    "constrained run config with an int tau past the float range": (
+        _gensec(tau=10**400),
+        ConfigurationError,
+        f"tau must be finite, got {10**400}",
+    ),
     "run config with a fractional per-arm budget": (
         _gensec(per_arm_budget=2.5),
         ConfigurationError,
@@ -82,6 +87,16 @@ CASES = {
         _gensec(mlp_step_size=None),
         ConfigurationError,
         "mlp_step_size must be a real number, got None",
+    ),
+    "run config with an int mlp lambda past the float range": (
+        _gensec(mlp_lambda=10**400),
+        ConfigurationError,
+        f"mlp lambda must be finite, got {10**400}",
+    ),
+    "run config with an int mlp step size past the float range": (
+        _gensec(mlp_step_size=10**400),
+        ConfigurationError,
+        f"mlp step_size must be finite, got {10**400}",
     ),
     "run config with a fractional seed": (_gensec(seed=1.5), ConfigurationError, "seed must be an int, got 1.5"),
     "run config with a negative seed": (_gensec(seed=-1), ConfigurationError, "seed must be non-negative, got -1"),
@@ -149,7 +164,7 @@ CASES = {
         "need at least one pull, got n=0",
     ),
     "rounded design of no pulls": (
-        lambda: round_design(0, DesignWeights({0: 0.5, 1: 0.5}, 2.0), 1 / 3, [0, 1], np.eye(2)),
+        lambda: round_design(0, DesignWeights({0: 0.5, 1: 0.5}, 2.0, (0, 1)), 1 / 3, [0, 1], np.eye(2)),
         DomainError,
         "need at least one pull, got n=0",
     ),

@@ -172,9 +172,30 @@ def test_recovery_validates_truth():
         ([0], [0.5, 0.2], r"true means must be a K x m matrix, got shape \(2,\)"),
         ([0, 4], TRUE_MEANS, r"estimated arms must lie in \[0, 4\), got \[0, 4\]"),
         ([-1], TRUE_MEANS, r"estimated arms must lie in \[0, 4\), got \[-1\]"),  # not read as arm 3
+        # refused before numpy reads them as a bad index or a boolean mask
+        ([1.5], TRUE_MEANS, r"estimated arms must be integers, got \[1\.5\]"),
+        ([1.0], TRUE_MEANS, r"estimated arms must be integers, got \[1\.0\]"),
+        ([True], TRUE_MEANS, r"estimated arms must be integers, got \[True\]"),
+        ([np.True_], TRUE_MEANS, r"estimated arms must be integers, got \[(np\.True_|True)\]"),
+        ([0, "2"], TRUE_MEANS, r"estimated arms must be integers, got \[0, '2'\]"),
     ],
-    ids=["scalar-truth", "vector-truth", "arm-K", "negative-arm"],
+    ids=[
+        "scalar-truth", "vector-truth", "arm-K", "negative-arm", "fraction", "whole-float", "bool", "numpy-bool", "string"
+    ],
 )
 def test_recovery_refuses_a_truth_that_is_no_matrix_and_arms_outside_it(estimated, truth, message):
     with pytest.raises(MetricError, match=message):
         hv_recovery(estimated, truth)
+
+
+def test_recovery_scores_python_and_numpy_ints_alike():
+    truth = TRUE_MEANS[:3]
+    assert hv_recovery([1], truth) == pytest.approx(100.0 * 0.25 / 0.37)
+    for arms in ([np.int64(1)], [np.int32(1)], np.array([1]), (1,)):
+        assert hv_recovery(arms, truth) == hv_recovery([1], truth)
+
+
+def test_recovery_of_no_arms_is_zero():
+    assert hv_recovery([], TRUE_MEANS) == 0.0
+    with pytest.raises(MetricError, match="ground-truth hypervolume is zero"):  # the truth is still checked
+        hv_recovery([], np.zeros((2, 2)))

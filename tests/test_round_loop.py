@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import random_linear_instance
 from mopx import algorithms, allocators
 from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import Instance
@@ -23,7 +24,6 @@ from mopx.environments import (
     LinearEnvironment,
     ReplayEnvironment,
     load_replay_csv,
-    random_linear_instance,
 )
 from mopx.harness import load_experiment_config, run_experiment, write_outputs
 
