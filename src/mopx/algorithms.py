@@ -150,7 +150,7 @@ class RunConfig:
             # single-phase successive rejects: spend B >= K in round 1, keep one arm
             if n_arms < 2:
                 raise ConfigurationError(f"need K >= 2 arms to schedule, got K={n_arms}")
-            return Schedule(1, (budget,), (1,), budget)
+            return Schedule((budget,), (1,), budget)
         dim = (n_arms if features is None else np.shape(features)[1]) if self.enforce_design_budget else None
         plan = make_schedule(
             self.scheduler, n_arms, budget, feature_dim=dim, redistribute_leftover=self.redistribute_leftover
@@ -160,6 +160,22 @@ class RunConfig:
             raise ConfigurationError(f"round 1 pulls {first} times, but the {self.estimator} estimator "
                                      f"needs a pull of {'each' if each else 'one'} of the K={n_arms} arms")
         return plan
+
+
+def unseen_arm_causes(config: RunConfig, plan: Schedule, featureless: bool) -> list[str]:
+    """Why a linear or MLP fit on one-hot arms must predict an arm it has no row of, read off config and plan."""
+    if not featureless or config.estimator == "mean":
+        return []
+    active = (plan.budget // config.per_arm_budget, *plan.keep_counts)  # round 1 has all K = B / b arms
+    thin = [r for r, (n, k) in enumerate(zip(plan.pulls_per_round, active), 1) if 0 < n < k]
+    causes = []
+    if config.allocator == "uniform" and thin:
+        causes.append(f"uniform allocation pulls fewer times than there are active arms in rounds {thin}")
+    if config.algorithm == GENPSI and config.eliminator == "ege" and plan.n_rounds > 1 and (
+        config.estimator == "linear" or config.mlp_data_scope == "round"
+    ):
+        causes.append("EGE keeps accepted arms in scope, and a round-scoped fit has no rows of theirs")
+    return causes
 
 
 class RoundRecord(NamedTuple):

@@ -194,8 +194,9 @@ class _MlpWorkspace:
 
     ``flat`` is a new float64 vector holding ``params`` in the layout of
     ``MlpParams`` (w1, b1, w2, b2), updated in place by a fit, so its block
-    views ``params`` and their transposes are built once. Parameter-sized
-    buffers share that layout; ``views`` reshapes one into the four blocks.
+    views ``params`` are built once. Parameter-sized buffers share that
+    layout; ``views`` reshapes one into the four blocks. The two n x h arrays
+    ``pre`` and ``act`` end an evaluation as the ReLU mask and hidden gradient.
     """
 
     def __init__(self, n: int, params: MlpParams):
@@ -206,22 +207,14 @@ class _MlpWorkspace:
         self.blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
         self.flat = np.concatenate([params.w1, params.b1, params.w2, params.b2], axis=None, dtype=float)
         self.params = self.views(self.flat)
-        self.w1_t = self.params.w1.T
-        self.w2_t = self.params.w2.T
         self.pre = np.empty((n, hidden))
         self.act = np.empty((n, hidden))
-        self.mask = np.empty((n, hidden))
-        self.d_hidden = np.empty((n, hidden))
-        self.d_hidden_t = self.d_hidden.T
         self.err = np.empty((n, n_objectives))
         self.d_out = np.empty((n, n_objectives))
-        self.d_out_t = self.d_out.T
         self.grad = np.empty(ends[-1])
         self.grads = self.views(self.grad)
-        self.squares = np.empty(ends[-1])
+        self.squares = np.empty(ends[-1])  # then the regulariser's gradient
         self.square_blocks = [self.squares[s] for s in self.blocks]
-        self.reg = np.empty(ends[-1])
-        self.regs = self.views(self.reg)
 
     def views(self, flat: np.ndarray) -> MlpParams:
         return MlpParams(*(flat[s].reshape(shape) for s, shape in zip(self.blocks, self.shapes)))
@@ -237,10 +230,10 @@ def _mlp_loss(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorksp
     n = feats.shape[0]
     params = ws.params
     pre, act, err, d_out = ws.pre, ws.act, ws.err, ws.d_out
-    np.matmul(feats, ws.w1_t, out=pre)
+    np.matmul(feats, params.w1.T, out=pre)
     np.add(pre, params.b1, out=pre)
     np.maximum(pre, 0.0, out=act)
-    np.matmul(act, ws.w2_t, out=err)
+    np.matmul(act, params.w2.T, out=err)
     np.add(err, params.b2, out=err)
     np.subtract(err, targets, out=err)
 
@@ -255,27 +248,23 @@ def _mlp_loss(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorksp
 def _mlp_loss_grad(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace) -> float:
     """Loss at ``ws.flat``; the gradient is written into ``ws.grad``.
 
-    The ReLU mask is multiplied in as 1.0/0.0, so every bit equals the
-    per-array computation.
+    The ReLU mask is multiplied in as 1.0/0.0 and the regulariser added last,
+    so every bit equals the per-array computation.
     """
     n = feats.shape[0]
-    grads, reg = ws.grads, ws.regs
+    grads, pre, act, d_out = ws.grads, ws.pre, ws.act, ws.d_out
     loss = _mlp_loss(feats, targets, lam, ws)
-    pre, act, err, d_out, d_hidden = ws.pre, ws.act, ws.err, ws.d_out, ws.d_hidden
-    np.multiply(err, 2.0, out=d_out)
+    np.multiply(ws.err, 2.0, out=d_out)
     np.divide(d_out, n, out=d_out)
-    np.multiply(ws.flat, 2.0 * lam, out=ws.reg)
-    np.matmul(ws.d_out_t, act, out=grads.w2)
-    np.add(grads.w2, reg.w2, out=grads.w2)
+    np.multiply(ws.flat, 2.0 * lam, out=ws.squares)
+    np.matmul(d_out.T, act, out=grads.w2)
     np.add.reduce(d_out, axis=0, out=grads.b2)
-    np.add(grads.b2, reg.b2, out=grads.b2)
-    np.matmul(d_out, ws.params.w2, out=d_hidden)
-    np.greater(pre, 0.0, out=ws.mask)
-    np.multiply(d_hidden, ws.mask, out=d_hidden)
-    np.matmul(ws.d_hidden_t, feats, out=grads.w1)
-    np.add(grads.w1, reg.w1, out=grads.w1)
-    np.add.reduce(d_hidden, axis=0, out=grads.b1)
-    np.add(grads.b1, reg.b1, out=grads.b1)
+    np.matmul(d_out, ws.params.w2, out=act)
+    np.greater(pre, 0.0, out=pre)
+    np.multiply(act, pre, out=act)
+    np.matmul(act.T, feats, out=grads.w1)
+    np.add.reduce(act, axis=0, out=grads.b1)
+    np.add(ws.grad, ws.squares, out=ws.grad)
     return loss
 
 
@@ -314,9 +303,9 @@ def mlp_fit(
     iterate, the final one included, is returned. The returned parameters are
     views of a vector of their own, allocated by this fit.
 
-    Adam runs element by element on one flat parameter vector, updated in
-    place, and every iteration's loss and gradient go into one workspace
-    allocated per fit.
+    Adam is the per-array update of Kingma & Ba (2015), run over one flat
+    parameter vector, and every iteration's loss and gradient go into one
+    workspace allocated per fit.
     """
     if len(batch) == 0:
         raise EstimationError("cannot fit on an empty batch")
@@ -342,10 +331,7 @@ def mlp_fit(
     ws = _MlpWorkspace(feats.shape[0], init)
     flat, grad = ws.flat, ws.grad
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    first = np.zeros_like(flat)
-    second = np.zeros_like(flat)
-    m_hat = np.empty_like(flat)  # also holds the terms of the update on their way
-    v_hat = np.empty_like(flat)
+    first = second = 0.0
 
     best_loss = np.inf
     best = flat.copy()  # the lowest-loss iterate; init until a loss is finite
@@ -356,23 +342,11 @@ def mlp_fit(
         if loss < best_loss:
             best_loss = loss
             best[...] = flat
-        # first = beta1 * first + (1 - beta1) * grad, and so on: the same
-        # operations on the same operands in the same order, written in place
-        np.multiply(first, beta1, out=first)
-        np.multiply(1 - beta1, grad, out=m_hat)
-        np.add(first, m_hat, out=first)
-        np.multiply(second, beta2, out=second)
-        np.square(grad, out=v_hat)  # grad**2
-        np.multiply(1 - beta2, v_hat, out=v_hat)
-        np.add(second, v_hat, out=second)
-        np.divide(first, 1 - beta1 ** (it + 1), out=m_hat)
-        np.divide(second, 1 - beta2 ** (it + 1), out=v_hat)
-        # flat - step_size * m_hat / (np.sqrt(v_hat) + eps)
-        np.multiply(step_size, m_hat, out=m_hat)
-        np.sqrt(v_hat, out=v_hat)
-        np.add(v_hat, eps, out=v_hat)
-        np.divide(m_hat, v_hat, out=m_hat)
-        np.subtract(flat, m_hat, out=flat)
+        first = beta1 * first + (1 - beta1) * grad
+        second = beta2 * second + (1 - beta2) * grad**2
+        m_hat = first / (1 - beta1 ** (it + 1))
+        v_hat = second / (1 - beta2 ** (it + 1))
+        flat -= step_size * m_hat / (np.sqrt(v_hat) + eps)
 
     final_loss = _mlp_loss(feats, targets, lam, ws)
     if math.isfinite(final_loss) and final_loss < best_loss:

@@ -12,6 +12,7 @@ format (rows = method, columns = per-arm budget).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algorithms import CONSTRAINED, GENPSI, PARETO, UNIFORM, RunConfig, RunResult, run_algorithm
+from .algorithms import CONSTRAINED, GENPSI, PARETO, UNIFORM, RunConfig, RunResult, run_algorithm, unseen_arm_causes
 from .core import ConfigurationError, Environment, Instance, InstanceError, MetricError
 from .environments import (
     GaussianEnvironment,
@@ -220,9 +221,12 @@ class ExperimentConfig:
             modes.add(run_cfg.mode)
             for k in self.k_values:
                 try:
-                    run_cfg.schedule(k, feats)
+                    plan = run_cfg.schedule(k, feats)
                 except ConfigurationError as err:
                     raise ConfigurationError(f"variant {_label(variant)!r} at K={k}, b={b}: {err}") from None
+                if causes := unseen_arm_causes(run_cfg, plan, feats is None):
+                    warnings.warn(f"variant {_label(variant)!r} at K={k}, b={b} scores arms without features "
+                                  f"from no rows of their own: {'; '.join(causes)}", UserWarning)
         # labels name summary rows and run ids, and a repeated grid entry would run
         # one cell twice and count it as two seeds, so no list may repeat an entry
         labels = [_label(variant) for variant in self.algorithms]
@@ -396,7 +400,8 @@ def _run_parallel(cells: list, jobs: int) -> list[list[MetricRecord] | Exception
     A worker that dies breaks its pool and every cell still pending in it.
     Those cells run again in a one-worker pool, which runs them in order, so
     the first cell to break it is the one that crashed: its answer is that
-    error, and the cells after it go back to a ``jobs``-wide pool.
+    error, and the cells after it go back to a ``jobs``-wide pool. No pool
+    starts more workers than it has cells.
     """
     from concurrent.futures import ProcessPoolExecutor, process  # here: serial sweeps never load them
 
@@ -404,7 +409,7 @@ def _run_parallel(cells: list, jobs: int) -> list[list[MetricRecord] | Exception
     pending, workers = list(range(len(cells))), jobs
     while pending:
         broken = []  # (cell index, error) in submission order
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
             futures = [(i, pool.submit(_execute_cell, cells[i])) for i in pending]
             for i, future in futures:
                 err = future.exception()

@@ -27,7 +27,6 @@ SCHEDULER_NAMES = {
 class Schedule:
     """Round plan: R rounds, per-round pull budgets n_r and keep counts l_r."""
 
-    n_rounds: int
     pulls_per_round: tuple[int, ...]
     keep_counts: tuple[int, ...]
     budget: int
@@ -35,8 +34,8 @@ class Schedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pulls_per_round", tuple(int(n) for n in self.pulls_per_round))
         object.__setattr__(self, "keep_counts", tuple(int(l) for l in self.keep_counts))
-        if len(self.pulls_per_round) != self.n_rounds or len(self.keep_counts) != self.n_rounds:
-            raise ConfigurationError("pulls_per_round and keep_counts must have length R")
+        if len(self.keep_counts) != len(self.pulls_per_round):
+            raise ConfigurationError("pulls_per_round and keep_counts must have the same length R")
         if sum(self.pulls_per_round) > self.budget:
             raise ConfigurationError(
                 f"schedule spends {sum(self.pulls_per_round)} pulls, over budget {self.budget}"
@@ -46,6 +45,10 @@ class Schedule:
         # strict decrease guarantees every round eliminates at least one arm
         if any(nxt >= cur for cur, nxt in zip(self.keep_counts, self.keep_counts[1:])):
             raise ConfigurationError("keep counts must be strictly decreasing")
+
+    @property
+    def n_rounds(self) -> int:
+        return len(self.pulls_per_round)
 
     def to_dict(self) -> dict:
         return {
@@ -114,4 +117,4 @@ def make_schedule(
 
     if redistribute_leftover:
         pulls[-1] += budget - sum(pulls)
-    return Schedule(n_rounds=n_rounds, pulls_per_round=tuple(pulls), keep_counts=tuple(keeps), budget=budget)
+    return Schedule(pulls_per_round=tuple(pulls), keep_counts=tuple(keeps), budget=budget)

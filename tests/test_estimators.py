@@ -14,6 +14,7 @@ from oracles import (
     oracle_sample_mean,
     random_linear_instance,
     reference_mlp_fit,
+    reference_mlp_loss_grad,
     reference_restricted_inverse,
 )
 from mopx.algorithms import RunConfig, run_algorithm
@@ -652,6 +653,23 @@ def test_mlp_fit_matches_reference_above_128_kib_hidden_buffers():
     _assert_fit_matches_reference(batch, 1e-4, 3, warm_iters=60, hidden=30, iters=60)
 
 
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 0.3])
+@pytest.mark.parametrize("n", [1, 17, 640])
+@pytest.mark.parametrize("hidden", [1, 30])
+def test_mlp_loss_grad_matches_per_array_reference_bit_for_bit(grid, lam, n, hidden):
+    batch = _random_batch(n + hidden, n, 4, 2, grid)
+    params = mlp_init(4, 2, hidden, np.random.default_rng(n))
+    if grid:  # quarter-integer weights on half-integer features hit ReLU inputs of exactly 0
+        params = MlpParams(*(np.round(4 * v) / 4 for v in vars(params).values()))
+    loss, grads = mlp_loss_grad(params, batch, lam)
+    want_loss, want_grads = reference_mlp_loss_grad(
+        params.w1, params.b1, params.w2, params.b2, batch.features, batch.rewards, lam
+    )
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert _mlp_bytes(grads) == [g.tobytes() for g in want_grads]
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "rows, step_size, message",
@@ -690,7 +708,7 @@ def test_warm_started_fit_leaves_the_first_fit_and_its_init_untouched():
 
 @pytest.mark.parametrize("iters", [0, 1, 60])
 @pytest.mark.parametrize("rows", [1, 2, 17, 128, 640])
-def test_in_place_adam_matches_the_reference_fit(iters, rows):
+def test_flat_adam_matches_the_reference_fit(iters, rows):
     batch = _random_batch(rows, rows, 4, 2)
     got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), iters=iters)
     want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), iters=iters)

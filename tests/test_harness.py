@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,23 @@ def test_parallel_jobs_match_serial(tmp_path):
     serial = run_experiment(config, jobs=1)
     parallel = run_experiment(config, jobs=2)
     assert serial.records == parallel.records
+
+
+def test_a_pool_starts_no_more_workers_than_it_has_cells(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    csr = {"label": "csr", "algorithm": "gensec", "scheduler": "successive_rejects"}
+    config = _config(algorithms=[csr], per_arm_budgets=[3], seeds=[1, 2])
+    assert run_experiment(config, jobs=4).records == run_experiment(config).records
+    assert sizes == [2]
 
 
 def test_pareto_mode_emits_hv_metrics():
@@ -320,6 +338,38 @@ def test_crashing_cell_is_recorded_and_sweep_continues(monkeypatch, tmp_path, jo
     ]
     paths = write_outputs(tmp_path, outcome)
     assert json.loads(paths["failures"].read_text()) == outcome.failures
+
+
+# on the four featureless arms of INSTANCE, halving over 2 rounds: at b=1 round 1
+# pulls 2 times over 4 active arms; at b=6 every round pulls 12 times
+_THIN = {"label": "thin", "algorithm": "gensec", "estimator": "linear"}
+_ACCEPTING = {"label": "accepting", "algorithm": "genpsi", "estimator": "mlp", "mlp": {"data_scope": "round"}}
+
+
+def _load_warnings(**overrides):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _config(**overrides)
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+@pytest.mark.parametrize(
+    "variant, b, cause",
+    [
+        (_THIN, 1, "uniform allocation pulls fewer times than there are active arms in rounds [1]"),
+        (_ACCEPTING, 6, "EGE keeps accepted arms in scope, and a round-scoped fit has no rows of theirs"),
+    ],
+)
+def test_a_fit_that_scores_featureless_arms_from_no_rows_warns_once_at_load(variant, b, cause):
+    got = _load_warnings(algorithms=[variant], per_arm_budgets=[b])
+    assert got == [f"variant {variant['label']!r} at K=4, b={b} scores arms without features from no rows of their own: {cause}"]
+
+
+@pytest.mark.parametrize("variant, b", [(_THIN, 1), (_ACCEPTING, 6)])
+def test_featured_arms_and_sample_means_load_without_warning(variant, b):
+    assert _load_warnings(environment=_FEATURED, algorithms=[variant], per_arm_budgets=[b]) == []
+    mean = {key: value for key, value in variant.items() if key != "mlp"} | {"estimator": "mean"}
+    assert _load_warnings(algorithms=[mean], per_arm_budgets=[6]) == []
 
 
 def test_a_clean_sweep_removes_the_failures_of_an_earlier_sweep_in_its_directory(tmp_path, capped_design):

@@ -300,23 +300,23 @@ CASES = {
         "points must be finite",
     ),
     # schedulers
-    "schedule with fewer rounds than R": (
-        lambda: Schedule(2, (4,), (1,), 10),
+    "schedule with more keep counts than pull rounds": (
+        lambda: Schedule((4,), (2, 1), 10),
         ConfigurationError,
-        "pulls_per_round and keep_counts must have length R",
+        "pulls_per_round and keep_counts must have the same length R",
     ),
     "schedule over its budget": (
-        lambda: Schedule(1, (11,), (1,), 10),
+        lambda: Schedule((11,), (1,), 10),
         ConfigurationError,
         "schedule spends 11 pulls, over budget 10",
     ),
     "schedule that keeps no arm": (
-        lambda: Schedule(2, (4, 4), (1, 0), 10),
+        lambda: Schedule((4, 4), (1, 0), 10),
         ConfigurationError,
         "keep counts must be >= 1",
     ),
     "schedule whose keep counts do not fall": (
-        lambda: Schedule(2, (4, 4), (2, 2), 10),
+        lambda: Schedule((4, 4), (2, 2), 10),
         ConfigurationError,
         "keep counts must be strictly decreasing",
     ),
