@@ -301,7 +301,7 @@ class _RoundRunner:
             counts = allocate_uniform(n_pulls, active)
             return counts, counts.round_robin_sequence()
         active_feats = self.features[active]
-        design = solve_g_optimal(active_feats, self.config.g_optimal_epsilon, active=active)
+        design = solve_g_optimal(active_feats, self.config.g_optimal_epsilon)
         counts = round_design(n_pulls, design, 1.0 / 3.0, active, active_feats)
         if self.config.estimator == "mean" and not len(self.batch):
             # the sample mean reads every arm from round 1 on, and the plan pulls K or more

@@ -8,10 +8,10 @@ rounding step turns simplex weights into integer pull counts by largest
 remainder, then forces one pull onto every arm of the greedily selected
 feature basis so the round's design matrix spans the active feature space.
 
-A design depends only on the active feature rows, so successful solves are
-memoised in a small per-process LRU cache keyed on the exact feature bytes and
-layout, ``epsilon`` and the active arm ids. A hit returns the same bits a
-fresh solve would; failed solves are not cached and raise again.
+A design is a function of the active feature rows alone, so successful solves
+are memoised in a small per-process LRU cache keyed on the exact feature bytes
+and layout and ``epsilon``. A hit returns the cached frozen design itself, the
+bits a fresh solve would give; failed solves are not cached and raise again.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ class PullCounts:
 
 @dataclass(frozen=True)
 class DesignWeights:
-    """Simplex weights over the active arms with the achieved worst-case leverage.
+    """Simplex weights in feature-row order with the achieved worst-case leverage.
 
     ``basis`` holds the feature-basis row indices the solver selected, which
     ``round_design`` covers as given, without a scan of its own.
     """
 
-    weights: dict[int, float]
+    weights: tuple[float, ...]
     objective_value: float
     basis: tuple[int, ...] = field(repr=False)
     trace: tuple[float, ...] = field(default=(), repr=False)
@@ -98,7 +98,7 @@ def allocate_uniform(n: int, active: list[int]) -> PullCounts:
         raise DomainError("cannot allocate pulls over an empty active set")
     if n < 1:
         raise DomainError(f"need at least one pull, got n={n}")
-    ordered = sorted(active)
+    ordered = _sorted_arms(active)
     base, rem = divmod(n, len(ordered))
     if n < len(ordered):
         warnings.warn(
@@ -114,16 +114,10 @@ def allocate_uniform(n: int, active: list[int]) -> PullCounts:
 _DESIGNS: OrderedDict[tuple, DesignWeights] = OrderedDict()
 
 
-def solve_g_optimal(
-    features: np.ndarray,
-    epsilon: float,
-    *,
-    active: list[int] | None = None,
-) -> DesignWeights:
+def solve_g_optimal(features: np.ndarray, epsilon: float) -> DesignWeights:
     """Minimise the worst-case leverage over the simplex to within (1+epsilon).
 
-    ``features`` holds one row per active arm, in ascending arm index; ``active``
-    supplies the arm ids for the returned weight map (defaults to row numbers).
+    ``features`` holds one row per active arm; the weights follow its rows.
     Raises DesignConvergenceError (carrying the best design) if the target
     objective (1+epsilon)*d_act is not reached within ``MAX_DESIGN_ITERS`` iterations.
     Repeated calls with the same inputs are answered from the design cache.
@@ -133,24 +127,20 @@ def solve_g_optimal(
         raise DomainError(f"features must be a non-empty 2-D array, got shape {feats.shape}")
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-    arms = tuple(range(feats.shape[0])) if active is None else tuple(sorted(active))
-    if len(arms) != feats.shape[0]:
-        raise DomainError("active arm list must match the feature rows")
     # matmul rounding can depend on memory layout, so the strides are part of the key
-    key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon), arms)
+    key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon))
     design = _DESIGNS.get(key)
     if design is None:
-        design = _mirror_descent(feats, epsilon, arms)  # errors are not cached
+        design = _mirror_descent(feats, epsilon)  # errors are not cached
         _DESIGNS[key] = design
         if len(_DESIGNS) > DESIGN_CACHE_SIZE:
             _DESIGNS.popitem(last=False)
     else:
         _DESIGNS.move_to_end(key)
-    # a fresh weight map per call, so a caller's edits never reach the cache
-    return DesignWeights(dict(design.weights), design.objective_value, design.basis, design.trace)
+    return design
 
 
-def _mirror_descent(feats: np.ndarray, epsilon: float, arms: tuple[int, ...]) -> DesignWeights:
+def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
     basis = select_independent_basis(feats)
     d_act = len(basis)
     if d_act < 1:
@@ -195,7 +185,7 @@ def _mirror_descent(feats: np.ndarray, epsilon: float, arms: tuple[int, ...]) ->
         w = w / w.sum()
 
     weights = DesignWeights(
-        weights={arm: float(best_w[i]) for i, arm in enumerate(arms)},
+        weights=tuple(best_w.tolist()),
         objective_value=best_obj,
         trace=tuple(trace),
         basis=tuple(basis),
@@ -220,15 +210,15 @@ def round_design(
 
     Largest-remainder apportionment of ``n * w_i`` (fractional ties to the
     lowest index), followed by a ``cover_arms`` pass that gives every arm of
-    the feature basis ``weights`` carries at least one pull. One row of
-    ``features`` and one weight per active arm are required. ``kappa`` is
-    validated against (0, 1/3] and otherwise ignored.
+    the feature basis ``weights`` carries at least one pull. Row i of
+    ``features`` and weight i belong to the i-th lowest of the distinct
+    ``active`` arms. ``kappa`` is validated against (0, 1/3] and otherwise ignored.
     """
     if not (0.0 < kappa <= 1.0 / 3.0):
         raise ConfigurationError(f"kappa must be in (0, 1/3], got {kappa}")
     if n < 1:
         raise DomainError(f"need at least one pull, got n={n}")
-    arms = sorted(active)
+    arms = _sorted_arms(active)
     if not len(features) == len(arms) == len(weights.weights):
         raise DomainError(
             f"round_design needs one feature row and one design weight per active arm, got "
@@ -243,18 +233,23 @@ def round_design(
         raise ConfigurationError(
             f"round budget n={n} cannot cover the {len(basis)}-arm feature basis"
         )
-    raw = n * np.array([weights.weights[a] for a in arms], dtype=float)
-    floors = np.floor(raw).astype(int)
-    remainder = n - int(floors.sum())
-    # ties on the fractional part go to the lowest arm index
-    order = sorted(range(len(arms)), key=lambda i: (-(raw[i] - floors[i]), arms[i]))
-    counts = floors.copy()
-    for i in order[:remainder]:
-        counts[i] += 1
+    raw = n * np.array(weights.weights, dtype=float)
+    counts = np.floor(raw).astype(int)
+    # the rest go to the largest fractional parts; stable, so ties go to the lowest row and arm
+    largest = np.argsort(counts - raw, kind="stable")
+    counts[largest[: n - int(counts.sum())]] += 1
     pulls = dict(zip(arms, counts.tolist()))
     if not cover_arms(pulls, [arms[b] for b in basis]):
         raise ConfigurationError("budget too small to keep the feature basis covered")
     return PullCounts(counts=pulls)
+
+
+def _sorted_arms(active: list[int]) -> list[int]:
+    """The active arm ids in ascending order; a repeated id would lose its pulls."""
+    arms = sorted(active)
+    if repeated := sorted({a for a, b in zip(arms, arms[1:]) if a == b}):
+        raise DomainError(f"active arms must be distinct, repeated: {repeated}")
+    return arms
 
 
 def cover_arms(counts: dict[int, int], needed: list[int]) -> bool:

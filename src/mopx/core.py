@@ -106,6 +106,8 @@ class Instance:
             raise InstanceError("means must be finite")
         if self.sigma < 0:
             raise InstanceError("sigma must be >= 0")
+        if not np.isfinite(self.sigma):  # NaN passes the check above
+            raise InstanceError(f"sigma must be finite, got {self.sigma}")
         if self.features is not None:
             feats = np.asarray(self.features, dtype=float)
             object.__setattr__(self, "features", feats)

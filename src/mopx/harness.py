@@ -215,7 +215,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"k_values entry {k} is outside [2, {table.n_arms}] (the arm count)")
         # every RunConfig and round-plan error raises here, at load; of the seeds only the least can fail its check
         feats = getattr(table, "features", None)  # a plan reads only their column count d
-        modes = set()
+        modes, unseen = set(), []  # unseen-arm warnings wait for the last check, so a refused config only errs
         for variant, b in product(self.algorithms, self.per_arm_budgets):
             run_cfg = _run_config(variant, self.tau, b, min(self.seeds))
             modes.add(run_cfg.mode)
@@ -225,8 +225,8 @@ class ExperimentConfig:
                 except ConfigurationError as err:
                     raise ConfigurationError(f"variant {_label(variant)!r} at K={k}, b={b}: {err}") from None
                 if causes := unseen_arm_causes(run_cfg, plan, feats is None):
-                    warnings.warn(f"variant {_label(variant)!r} at K={k}, b={b} scores arms without features "
-                                  f"from no rows of their own: {'; '.join(causes)}", UserWarning)
+                    unseen.append(f"variant {_label(variant)!r} at K={k}, b={b} scores arms without features "
+                                  f"from no rows of their own: {'; '.join(causes)}")
         # labels name summary rows and run ids, and a repeated grid entry would run
         # one cell twice and count it as two seeds, so no list may repeat an entry
         labels = [_label(variant) for variant in self.algorithms]
@@ -245,6 +245,8 @@ class ExperimentConfig:
                 _check_constrained_truth(truth, self.tau, k)
             if PARETO in modes:
                 _check_pareto_truth(truth, self.hv_reference, k)
+        for message in unseen:
+            warnings.warn(message, UserWarning)
 
     def cells(self) -> list[tuple[dict, int, int, int]]:
         return list(product(self.algorithms, self.k_values, self.per_arm_budgets, self.seeds))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 from contextlib import contextmanager
@@ -92,8 +93,7 @@ def test_blocked_sequence_matches_count_interval_rule():
 
 def test_g_optimal_orthonormal_features():
     design = solve_g_optimal(np.eye(3), 0.1)
-    w = np.array([design.weights[a] for a in range(3)])
-    assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
+    assert np.allclose(design.weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
     assert design.objective_value == pytest.approx(3.0, abs=1e-6)
 
 
@@ -134,8 +134,8 @@ def test_g_optimal_bounds_on_random_instances():
             feats[1] = feats[0]
         d_act = len(select_independent_basis(feats))
         design = solve_g_optimal(feats, 0.1)
-        w = np.array([design.weights[a] for a in range(k)])
-        assert abs(w.sum() - 1.0) < 1e-9
+        assert len(design.weights) == k
+        assert abs(sum(design.weights) - 1.0) < 1e-9
         assert design.objective_value <= 1.1 * d_act + 1e-9
         assert design.objective_value >= d_act - 1e-9  # worst leverage is at least the rank
 
@@ -170,33 +170,25 @@ def test_design_convergence_error_survives_a_pickle_round_trip():
 
 
 def test_round_design_exact_floors():
-    from mopx.allocators import DesignWeights
-
-    design = DesignWeights(weights={0: 0.5, 1: 0.3, 2: 0.2}, objective_value=1.0, basis=(0, 1, 2))
+    design = DesignWeights(weights=(0.5, 0.3, 0.2), objective_value=1.0, basis=(0, 1, 2))
     counts = round_design(10, design, 1 / 3, [0, 1, 2], np.eye(3))
     assert counts.counts == {0: 5, 1: 3, 2: 2}
 
 
 def test_round_design_largest_remainder_tie_breaks_low_index():
-    from mopx.allocators import DesignWeights
-
-    design = DesignWeights(weights={0: 0.55, 1: 0.25, 2: 0.20}, objective_value=1.0, basis=(0, 1, 2))
+    design = DesignWeights(weights=(0.55, 0.25, 0.20), objective_value=1.0, basis=(0, 1, 2))
     counts = round_design(10, design, 1 / 3, [0, 1, 2], np.eye(3))
     assert counts.counts == {0: 6, 1: 2, 2: 2}
 
 
 def test_round_design_covers_feature_basis():
-    from mopx.allocators import DesignWeights
-
-    design = DesignWeights(weights={0: 1.0, 1: 0.0}, objective_value=1.0, basis=(0, 1))
+    design = DesignWeights(weights=(1.0, 0.0), objective_value=1.0, basis=(0, 1))
     counts = round_design(5, design, 1 / 3, [0, 1], np.eye(2))
     assert counts.counts == {0: 4, 1: 1}
 
 
 def test_round_design_validates_kappa():
-    from mopx.allocators import DesignWeights
-
-    design = DesignWeights(weights={0: 1.0}, objective_value=1.0, basis=(0,))
+    design = DesignWeights(weights=(1.0,), objective_value=1.0, basis=(0,))
     for bad in (0.0, 0.34, -0.1, 1.0):
         with pytest.raises(ConfigurationError):
             round_design(5, design, bad, [0], np.eye(1))
@@ -213,9 +205,8 @@ def test_round_design_budget_and_linfty_deviation():
         n = int(rng.integers(max(45 * d_act, k), 400))
         counts = round_design(n, design, 1 / 3, list(range(k)), feats)
         assert counts.total == n
-        w = np.array([design.weights[a] for a in range(k)])
         got = np.array([counts.counts[a] for a in range(k)], dtype=float)
-        assert np.max(np.abs(got - n * w)) < 1.0 + d_act
+        assert np.max(np.abs(got - n * np.array(design.weights))) < 1.0 + d_act
         for b in select_independent_basis(feats):
             assert counts.counts[b] >= 1
 
@@ -235,10 +226,10 @@ def _design_features(seed: int, kind: str) -> np.ndarray:
     return rng.normal(size=(k, d))
 
 
-def _solve(feats, epsilon, active=None):
+def _solve(feats, epsilon):
     """(weights, objective, trace) or the error's class, text and carried design."""
     try:
-        design = solve_g_optimal(feats, epsilon, active=active)
+        design = solve_g_optimal(feats, epsilon)
     except (DesignConvergenceError, NumericalError, DomainError) as err:
         carried = getattr(err, "weights", None)
         return type(err), str(err), None if carried is None else (carried.weights, carried.trace)
@@ -253,17 +244,13 @@ def _solve(feats, epsilon, active=None):
 )
 def test_cached_design_equals_fresh_solve(seed, kind, epsilon):
     feats = _design_features(seed, kind)
-    ids = sorted(np.random.default_rng(seed).choice(1000, size=len(feats), replace=False).tolist())
     allocators._DESIGNS.clear()
     fresh = _solve(feats, epsilon)
-    fresh_ids = _solve(feats, epsilon, active=ids)
     allocators._DESIGNS.clear()
-    fresh_ids_alone = _solve(feats, epsilon, active=ids)
-    # hits: the same rows under either id list, in either order
-    assert _solve(feats, epsilon, active=ids) == fresh_ids == fresh_ids_alone
+    fresh_again = _solve(feats, epsilon)
+    # hits: the same array, and a copy of its rows
+    assert _solve(feats, epsilon) == fresh == fresh_again
     assert _solve(feats.copy(), epsilon) == fresh
-    if isinstance(fresh[0], dict):
-        assert list(fresh_ids[0].values()) == list(fresh[0].values())
     # a hit after eviction re-solves to the same bits
     for i in range(DESIGN_CACHE_SIZE):
         solve_g_optimal(np.eye(2) * (i + 2), 0.1)
@@ -279,7 +266,7 @@ def test_g_optimal_matches_untrimmed_mirror_descent():
         allocators._DESIGNS.clear()
         design = solve_g_optimal(feats, 0.1)
         best_w, best_obj, trace = reference_mirror_descent(feats, 0.1)
-        assert list(design.weights.values()) == best_w.tolist()
+        assert design.weights == tuple(best_w.tolist())
         assert design.objective_value == best_obj
         assert design.trace == trace
 
@@ -308,17 +295,35 @@ def test_numerical_error_is_raised_again_every_call():
     assert not allocators._DESIGNS
 
 
-def test_repeat_call_does_not_mutate_cached_weights():
+def test_a_memo_hit_returns_the_cached_frozen_design():
     feats = np.random.default_rng(9).normal(size=(8, 3))
     allocators._DESIGNS.clear()
     first = solve_g_optimal(feats, 0.1)
-    expected = dict(first.weights)
-    first.weights[0] = 99.0  # a caller editing its copy
-    second = solve_g_optimal(feats, 0.1)
-    third = solve_g_optimal(feats, 0.1)
-    assert second.weights == expected == third.weights
-    assert second.weights is not third.weights
+    assert solve_g_optimal(feats, 0.1) is first is solve_g_optimal(feats.copy(), 0.1)
     assert len(allocators._DESIGNS) == 1
+    # nothing a caller holds can be edited, so the cache needs no copy
+    assert type(first.weights) is tuple and len(first.weights) == 8
+    with pytest.raises(TypeError):
+        first.weights[0] = 99.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.weights = (1.0,) * 8
+
+
+def test_equal_rows_of_other_arms_share_one_solve(monkeypatch):
+    calls = []
+    descend = allocators._mirror_descent
+    monkeypatch.setattr(allocators, "_mirror_descent", lambda *a: calls.append(1) or descend(*a))
+    feats = np.random.default_rng(10).normal(size=(12, 3))
+    feats[[6, 8, 11]] = feats[[1, 4, 5]]  # arms 6, 8 and 11 repeat the rows of arms 1, 4 and 5
+    allocators._DESIGNS.clear()
+    low = solve_g_optimal(feats[[1, 4, 5]], 0.1)
+    high = solve_g_optimal(feats[[6, 8, 11]], 0.1)
+    assert high is low and len(calls) == 1
+    # one design serves both arm sets; the rounding labels its counts by arm
+    counts = round_design(30, low, 1 / 3, [1, 4, 5], feats[[1, 4, 5]]).counts
+    assert round_design(30, high, 1 / 3, [6, 8, 11], feats[[6, 8, 11]]).counts == dict(
+        zip([6, 8, 11], counts.values())
+    )
 
 
 def test_design_cache_key_includes_layout_and_epsilon_type():
@@ -356,7 +361,7 @@ def test_designs_carry_the_basis_of_their_features(seed, kind, epsilon):
 
 def test_a_design_without_a_basis_is_refused():
     with pytest.raises(TypeError, match="basis"):
-        DesignWeights({0: 0.5, 1: 0.5}, 1.0)
+        DesignWeights((0.5, 0.5), 1.0)
 
 
 def test_g_optimal_round_scans_its_features_once(monkeypatch):
@@ -376,8 +381,8 @@ def test_g_optimal_round_scans_its_features_once(monkeypatch):
 def test_round_design_rejects_a_design_of_other_rows():
     # basis 0, 2, 3; the example of a design solved on other rows
     feats = np.array([[1.0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    weights = {0: 0.5, 1: 0.5, 2: 0.0, 3: 0.0}
-    carried = DesignWeights(dict(weights), 1.0, basis=(0, 1))
+    weights = (0.5, 0.5, 0.0, 0.0)
+    carried = DesignWeights(weights, 1.0, basis=(0, 1))
     # rows and weights agree and the basis is in range: rounded as given, not detected
     assert round_design(4, carried, 1 / 3, [0, 1, 2, 3], feats).counts == {0: 2, 1: 2, 2: 0, 3: 0}
     with pytest.raises(DomainError) as err:
@@ -393,7 +398,7 @@ def test_round_design_rejects_a_design_of_other_rows():
         "got 3 rows, 4 active arms and 4 weights"
     )
     for basis in ((0, 4), (-1, 2)):
-        design = DesignWeights(dict(weights), 1.0, basis=basis)
+        design = DesignWeights(weights, 1.0, basis=basis)
         with pytest.raises(DomainError) as err:
             round_design(4, design, 1 / 3, [0, 1, 2, 3], feats)
         assert str(err.value) == (
@@ -439,7 +444,7 @@ def _solve_or_error(solve, feats):
     try:
         return solve(feats)
     except DesignConvergenceError as err:
-        return list(err.weights.weights.values()), err.weights.objective_value, err.weights.trace
+        return list(err.weights.weights), err.weights.objective_value, err.weights.trace
     except (NumericalError, DomainError) as err:
         return f"{type(err).__name__}: {err}"
 
@@ -447,7 +452,7 @@ def _solve_or_error(solve, feats):
 def _library_solve(feats):
     with _iteration_cap(600):
         design = solve_g_optimal(feats, 0.1)
-    return list(design.weights.values()), design.objective_value, design.trace
+    return list(design.weights), design.objective_value, design.trace
 
 
 def _reference_solve(feats):
@@ -489,6 +494,6 @@ def test_pseudo_inverse_runs_once_per_fresh_solve(monkeypatch):
     design = solve_g_optimal(feats, 0.1)
     assert len(calls) == 1 and len(svds) == len(design.trace) > 1
     best_w, best_obj, trace = reference_mirror_descent(feats, 0.1)
-    assert (list(design.weights.values()), design.objective_value, design.trace) == (
+    assert (list(design.weights), design.objective_value, design.trace) == (
         best_w.tolist(), best_obj, trace
     )

@@ -133,6 +133,9 @@ ROWS = [
     (("environment", "instance", "K"), 3, "declared K=3 but means has 4 rows"),
     (("environment", "instance", "m"), 3, "declared m=3 but means has 2 columns"),
     (("environment", "instance", "sigma"), -1, "sigma must be >= 0"),
+    # json reads NaN as nan and 1e999 as inf; either would fail every noisy cell at its first fit
+    (("environment", "instance", "sigma"), float("nan"), "sigma must be finite, got nan"),
+    (("environment", "instance", "sigma"), float("inf"), "sigma must be finite, got inf"),
     (("environment", "instance", "means"), [[0.1], [0.2], [0.3], [0.4]], "declared m=2 but means has 1 columns"),
     (("environment",), _replay(), None),
     # without brevity every recorded mu2 is 0.0, so no arm is feasible at tau=0.5

@@ -365,6 +365,30 @@ def test_a_fit_that_scores_featureless_arms_from_no_rows_warns_once_at_load(vari
     assert got == [f"variant {variant['label']!r} at K=4, b={b} scores arms without features from no rows of their own: {cause}"]
 
 
+def test_a_grid_warns_once_per_flagged_variant_k_and_b():
+    got = _load_warnings(algorithms=[_THIN, _ACCEPTING], per_arm_budgets=[1, 6], k_values=[3, 4])
+    assert [message.partition(" scores ")[0] for message in got] == [
+        "variant 'thin' at K=3, b=1",
+        "variant 'thin' at K=4, b=1",
+        "variant 'accepting' at K=3, b=1",
+        "variant 'accepting' at K=4, b=1",
+        "variant 'accepting' at K=3, b=6",
+        "variant 'accepting' at K=4, b=6",
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [({"seeds": [0, 0]}, "seeds must be distinct, repeated: [0]"), ({"tau": 0.0}, "need tau > 0, got 0.0")],
+)
+def test_a_refused_config_prints_its_error_and_no_load_warning(overrides, error):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ConfigurationError) as err:
+        warnings.simplefilter("always")
+        _config(algorithms=[_THIN], per_arm_budgets=[1], **overrides)
+    assert str(err.value).endswith(error)
+    assert caught == []
+
+
 @pytest.mark.parametrize("variant, b", [(_THIN, 1), (_ACCEPTING, 6)])
 def test_featured_arms_and_sample_means_load_without_warning(variant, b):
     assert _load_warnings(environment=_FEATURED, algorithms=[variant], per_arm_budgets=[b]) == []

@@ -163,20 +163,25 @@ CASES = {
         DomainError,
         "need at least one pull, got n=0",
     ),
+    "uniform allocation over a repeated arm": (
+        lambda: allocate_uniform(4, [1, 1]),
+        DomainError,
+        "active arms must be distinct, repeated: [1]",
+    ),
     "rounded design of no pulls": (
-        lambda: round_design(0, DesignWeights({0: 0.5, 1: 0.5}, 2.0, (0, 1)), 1 / 3, [0, 1], np.eye(2)),
+        lambda: round_design(0, DesignWeights((0.5, 0.5), 2.0, (0, 1)), 1 / 3, [0, 1], np.eye(2)),
         DomainError,
         "need at least one pull, got n=0",
+    ),
+    "rounded design over a repeated arm": (
+        lambda: round_design(4, DesignWeights((0.5, 0.5), 2.0, (0, 1)), 1 / 3, [1, 1], np.eye(2)),
+        DomainError,
+        "active arms must be distinct, repeated: [1]",
     ),
     "design over a feature vector": (
         lambda: solve_g_optimal(np.ones(3), 0.1),
         DomainError,
         "features must be a non-empty 2-D array, got shape (3,)",
-    ),
-    "design with an active list of the wrong length": (
-        lambda: solve_g_optimal(np.eye(2), 0.1, active=[0]),
-        DomainError,
-        "active arm list must match the feature rows",
     ),
     "design over zero features": (
         lambda: solve_g_optimal(np.zeros((3, 2)), 0.1),
