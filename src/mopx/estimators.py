@@ -245,11 +245,21 @@ def _mlp_loss(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorksp
     return float(add(d_out, axis=None) / n + lam * norm)
 
 
+def _row_sums(x: np.ndarray, out: np.ndarray) -> None:
+    """``np.add.reduce(x, axis=0, out=out)`` for a C-ordered ``x``: einsum adds the rows in the same order in one
+    inner loop, not one per row, but raises no overflow warning. One column keeps the (pairwise) reduction."""
+    if x.shape[1] == 1:
+        np.add.reduce(x, axis=0, out=out)
+    else:
+        np.einsum("ij->j", x, out=out)
+
+
 def _mlp_loss_grad(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpWorkspace) -> float:
     """Loss at ``ws.flat``; the gradient is written into ``ws.grad``.
 
-    The ReLU mask is multiplied in as 1.0/0.0 and the regulariser added last,
-    so every bit equals the per-array computation.
+    The ReLU mask is multiplied in as 1.0/0.0, the regulariser added last and the bias
+    gradients' columns summed in row order in one pass (one column pairwise, as
+    ``.sum(axis=0)`` does), so every bit equals the per-array computation.
     """
     n = feats.shape[0]
     grads, pre, act, d_out = ws.grads, ws.pre, ws.act, ws.d_out
@@ -258,19 +268,27 @@ def _mlp_loss_grad(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpW
     np.divide(d_out, n, out=d_out)
     np.multiply(ws.flat, 2.0 * lam, out=ws.squares)
     np.matmul(d_out.T, act, out=grads.w2)
-    np.add.reduce(d_out, axis=0, out=grads.b2)
+    _row_sums(d_out, grads.b2)
     np.matmul(d_out, ws.params.w2, out=act)
     np.greater(pre, 0.0, out=pre)
     np.multiply(act, pre, out=act)
     np.matmul(act.T, feats, out=grads.w1)
-    np.add.reduce(act, axis=0, out=grads.b1)
+    _row_sums(act, grads.b1)
     np.add(ws.grad, ws.squares, out=ws.grad)
     return loss
 
 
-def mlp_loss_grad(
-    params: MlpParams, batch: ObservationBatch, lam: float
-) -> tuple[float, MlpParams]:
+def _check_mlp_shapes(params: MlpParams, name: str, hidden: int, dim: int, m: int) -> None:
+    """``ConfigurationError`` unless ``params`` fit ``hidden`` units, ``dim`` features and ``m`` rewards."""
+    for field, want in zip(("w1", "b1", "w2", "b2"), ((hidden, dim), (hidden,), (m, hidden), (m,))):
+        if (got := getattr(params, field).shape) != want:
+            raise ConfigurationError(
+                f"{name} {field} has shape {got}, but hidden={hidden} and a batch of "
+                f"{dim} features and {m} rewards need {want}"
+            )
+
+
+def mlp_loss_grad(params: MlpParams, batch: ObservationBatch, lam: float) -> tuple[float, MlpParams]:
     """Mean squared prediction error plus lam * squared norm of all parameters.
 
     Returns the loss and its exact gradient (same shapes as the parameters);
@@ -280,9 +298,10 @@ def mlp_loss_grad(
         raise EstimationError("regularisation weight must be >= 0")
     if len(batch) == 0:
         raise EstimationError("cannot evaluate the loss on an empty batch")
+    feats, targets = batch.features, batch.rewards
+    _check_mlp_shapes(params, "params", params.w1.shape[0], feats.shape[1], targets.shape[1])
     ws = _MlpWorkspace(len(batch), params)
-    loss = _mlp_loss_grad(batch.features, batch.rewards, lam, ws)
-    return loss, ws.grads
+    return _mlp_loss_grad(feats, targets, lam, ws), ws.grads
 
 
 def mlp_fit(
@@ -315,16 +334,7 @@ def mlp_fit(
         if rng is None:
             raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
         init = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
-    for name, want in zip(
-        ("w1", "b1", "w2", "b2"),
-        ((hidden, feats.shape[1]), (hidden,), (targets.shape[1], hidden), (targets.shape[1],)),
-    ):
-        got = getattr(init, name).shape
-        if got != want:
-            raise ConfigurationError(
-                f"init {name} has shape {got}, but hidden={hidden} and a batch of "
-                f"{feats.shape[1]} features and {targets.shape[1]} rewards need {want}"
-            )
+    _check_mlp_shapes(init, "init", hidden, feats.shape[1], targets.shape[1])
     if lam < 0:
         raise EstimationError("regularisation weight must be >= 0")
 

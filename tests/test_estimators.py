@@ -715,6 +715,66 @@ def test_flat_adam_matches_the_reference_fit(iters, rows):
     assert _mlp_bytes(got) == _mlp_bytes(want)
 
 
+@pytest.mark.parametrize("hidden", [1, 30])
+def test_halving_fit_sequence_matches_chained_reference_fits(hidden):
+    """The fits a cumulative-scope MLP run makes under sequential halving on
+    K=32 arms of d=4 with a 640-pull budget: 128 pulls per round over 32, 16,
+    8, 4 and 2 arms, each fit warm-started from the last over every row so far."""
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(32, 4)) / 2.0
+    theta = rng.normal(size=(4, 2))
+    order = rng.permutation(32)
+    batch = ObservationBatch()
+    got = want = None
+    for round_index, n_active in enumerate((32, 16, 8, 4, 2), start=1):
+        arms = np.resize(order[:n_active], 128)
+        rewards = table[arms] @ theta + 0.5 * rng.normal(size=(128, 2))
+        batch.extend(arms, table[arms], rewards, round_index)
+        # the rng draws the first fit's weights; the later fits start from the last
+        got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(0), hidden=hidden, iters=60, init=got)
+        want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(0), hidden=hidden, iters=60, init=want)
+        assert len(batch) == 128 * round_index
+        assert _mlp_bytes(got) == _mlp_bytes(want), f"fit {round_index}"
+
+
+_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    width=st.sampled_from([1, 2, 3, 30, 31, 64]),
+    kind=st.sampled_from(["normal", "half-integer", "subnormal"]),
+    special_share=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3000, width=64, kind="normal", special_share=0.0, seed=0)  # far past the 8,192-element buffer
+@example(n=129, width=64, kind="half-integer", special_share=0.05, seed=1)  # just past it
+@example(n=1000, width=1, kind="normal", special_share=0.0, seed=2)  # pairwise, not row by row
+def test_row_sums_equal_the_row_by_row_reduction(n, width, kind, special_share, seed):
+    """``_row_sums`` adds each column's rows in the order ``np.add.reduce(x, axis=0)``
+    does, so every sum, signed zero, infinity and NaN position is the same bytes.
+
+    Every NaN is compared as one NaN: where a NaN meets a NaN of the other sign
+    (on x86, ``inf - inf`` gives -nan), the one an addition keeps depends on its
+    operand order, not the sum order; and a NaN gradient makes the next loss
+    NaN, so no fit returns it.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, width))
+    if kind == "half-integer":  # exact ties, exact zeros and -0.0
+        x = np.round(2 * x) / 2
+    elif kind == "subnormal":
+        x *= 1e-310
+    mask = rng.random(x.shape) < special_share
+    x[mask] = rng.choice(_SUM_SPECIALS, size=int(mask.sum()))
+    got = np.empty(width)
+    with np.errstate(invalid="ignore"):
+        estimators._row_sums(x, got)
+        want = np.add.reduce(x, axis=0)
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_without_iterations_returns_init_when_its_loss_is_not_finite():
     batch = _batch([(0, [0.5, -1.0], [1e200, -1e200]), (1, [0.2, 0.3], [1e200, 1e200])])

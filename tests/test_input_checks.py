@@ -246,10 +246,25 @@ CASES = {
         EstimationError,
         "regularisation weight must be >= 0",
     ),
+    "mlp loss with parameters for another feature width": (
+        lambda: mlp_loss_grad(mlp_init(3, 2, 4, np.random.default_rng(0)), _batch(), 0.1),
+        ConfigurationError,
+        "params w1 has shape (4, 3), but hidden=4 and a batch of 2 features and 2 rewards need (4, 2)",
+    ),
+    "mlp loss with parameters for another reward width": (
+        lambda: mlp_loss_grad(mlp_init(2, 1, 3, np.random.default_rng(0)), _batch(), 0.1),
+        ConfigurationError,
+        "params w2 has shape (1, 3), but hidden=3 and a batch of 2 features and 2 rewards need (2, 3)",
+    ),
     "mlp fit with a negative lambda": (
         lambda: mlp_fit(_batch(), -1.0, rng=np.random.default_rng(0), hidden=3, iters=1),
         EstimationError,
         "regularisation weight must be >= 0",
+    ),
+    "mlp fit warm-started from parameters for another feature width": (
+        lambda: mlp_fit(_batch(), 0.1, init=mlp_init(3, 2, 4, np.random.default_rng(0)), hidden=4, iters=1),
+        ConfigurationError,
+        "init w1 has shape (4, 3), but hidden=4 and a batch of 2 features and 2 rewards need (4, 2)",
     ),
     # features
     "jacobi on a non-square matrix": (
