@@ -3,10 +3,10 @@
 These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
-meaningful. The exceptions are the untrimmed mirror-descent reference, the
-per-array MLP fit, the list-built observation log, the per-line CSV reader and
-the two-pass pair terms, which keep the library's own arithmetic so that the
-library must match them bit for bit.
+meaningful. The exceptions are the untrimmed mirror-descent reference and its
+row-by-row basis scan, the per-array MLP fit, the list-built observation log,
+the per-line CSV reader and the two-pass pair terms, which keep the library's
+own arithmetic so that the library must match them bit for bit.
 """
 
 import csv
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from mopx.core import ConfigurationError, EstimationError, Instance, NumericalError
-from mopx.estimators import MlpParams, mlp_init, select_independent_basis
+from mopx.estimators import BASIS_RESIDUAL_TOL, MlpParams, mlp_init
 
 
 # ----------------------------------------------------- list-built row log
@@ -239,6 +239,22 @@ def frank_wolfe_design(features, tol=1e-6, max_iters=200_000):
 # per-call overhead; it must still reproduce these bit for bit.
 
 
+def reference_independent_basis(features):
+    """The Gram-Schmidt basis scan, one row at a time over every row."""
+    feats = np.asarray(features, dtype=float)
+    basis = []
+    ortho = []
+    for i, row in enumerate(feats):
+        residual = row.copy()
+        for q in ortho:
+            residual -= (q @ residual) * q
+        norm = math.sqrt(float(residual @ residual))  # what np.linalg.norm computes
+        if norm > BASIS_RESIDUAL_TOL:
+            basis.append(i)
+            ortho.append(residual / norm)
+    return basis
+
+
 def reference_restricted_inverse(gram, features, basis):
     feats = np.asarray(features, dtype=float)
     phi = feats[basis].T
@@ -254,7 +270,7 @@ def reference_restricted_inverse(gram, features, basis):
 def reference_mirror_descent(features, epsilon, max_iters=5000):
     """Returns (best weights, best objective, trace) of the untrimmed loop."""
     feats = np.asarray(features, dtype=float)
-    basis = select_independent_basis(feats)
+    basis = reference_independent_basis(feats)
     target = (1.0 + epsilon) * len(basis)
     k = feats.shape[0]
     w = np.full(k, 1.0 / k)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     finite_difference_mlp_grad,
     oracle_sample_mean,
     random_linear_instance,
+    reference_independent_basis,
     reference_mlp_fit,
     reference_mlp_loss_grad,
     reference_restricted_inverse,
@@ -21,6 +23,7 @@ from mopx.algorithms import RunConfig, run_algorithm
 from mopx.core import ConfigurationError, EstimationError, NumericalError, ObservationBatch
 from mopx.environments import LinearEnvironment
 from mopx.estimators import (
+    BASIS_RESIDUAL_TOL,
     MlpParams,
     estimate_sample_mean,
     fit_linear,
@@ -380,6 +383,112 @@ def test_basis_selection_scans_ascending_with_tolerance():
     feats = np.array([[1.0, 0.0], [1.0 + 1e-12, 0.0], [0.0, 2.0]])
     assert select_independent_basis(feats) == [0, 2]
     assert select_independent_basis(np.zeros((3, 2))) == []
+
+
+def _scan_rows(kind: str, rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    """Feature rows of one kind; ``k`` and ``d`` are the sizes drawn for it."""
+    if kind == "full_rank":
+        return rng.normal(size=(k, d))
+    if kind == "multiple_columns":  # each column a multiple of an earlier one, or fresh
+        feats = rng.normal(size=(k, d))
+        for j in range(1, d):
+            if rng.random() < 0.6:
+                feats[:, j] = rng.choice([2.0, -0.5, 3.0, rng.normal()]) * feats[:, int(rng.integers(0, j))]
+        return feats
+    if kind == "repeats_zeros_one_hots":  # rows drawn with repeats from a small pool
+        pool = np.vstack([rng.normal(size=(3, d)), np.zeros((1, d)), np.eye(d)])
+        return pool[rng.integers(0, len(pool), size=k)]
+    if kind == "scaled":  # each row scaled by 1e-12 to 1e8
+        return rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-12.0, 8.0, size=(k, 1))
+    if kind == "conditioned":  # a basis of condition up to 1e10, then combinations of it
+        q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        basis = (q1 * np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, 10.0), d)) @ q2
+        return np.vstack([basis, rng.normal(size=(k, d)) @ basis])[:k]
+    if kind == "near_tolerance":  # a rank-r span plus offsets of 0.5 to 2 tolerances outside it
+        rank = int(rng.integers(0, d))
+        span = rng.normal(size=(rank, d))
+        outside = np.linalg.qr(np.hstack([span.T, rng.normal(size=(d, d - rank))]))[0][:, rank:]
+        offsets = rng.normal(size=(k, d - rank))
+        offsets *= rng.uniform(0.5, 2.0, size=(k, 1)) * BASIS_RESIDUAL_TOL / np.linalg.norm(offsets, axis=1, keepdims=True)
+        return np.vstack([span, rng.normal(size=(k, rank)) @ span + offsets @ outside.T])
+    # non-finite entries, or rows whose squares overflow, among ordinary rows
+    feats = rng.normal(size=(k, d))
+    for _ in range(int(rng.integers(1, 4))):
+        feats[rng.integers(0, k), rng.integers(0, d)] = rng.choice([np.inf, -np.inf, np.nan, 1e200, 1e160])
+    return feats
+
+
+def _scan_outcome(scan, feats) -> tuple:
+    """The basis and the warnings (class and text) one scan gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = scan(feats)
+    return basis, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 200),
+    d=st.integers(1, 8),
+    kind=st.sampled_from(
+        ["full_rank", "multiple_columns", "repeats_zeros_one_hots", "scaled", "conditioned", "near_tolerance", "non_finite"]
+    ),
+)
+@example(seed=0, k=107, d=3, kind="scaled")  # fails when rows are skipped without the bound
+@example(seed=0, k=30, d=1, kind="near_tolerance")
+def test_basis_scan_matches_the_row_by_row_reference(seed, k, d, kind):
+    feats = _scan_rows(kind, np.random.default_rng(seed), k, d)
+    assert _scan_outcome(select_independent_basis, feats) == _scan_outcome(reference_independent_basis, feats)
+
+
+def test_near_tolerance_rows_fall_on_both_sides_of_the_tolerance():
+    """The ``near_tolerance`` kind lets some offset rows join and keeps others out."""
+    joined = skipped = 0
+    for seed in range(20):
+        feats = _scan_rows("near_tolerance", np.random.default_rng(seed), 12, 6)
+        rank = len(feats) - 12
+        extra = [i for i in reference_independent_basis(feats) if i >= rank]
+        joined += len(extra)
+        skipped += 12 - len(extra)
+    assert joined > 0 and skipped > 0
+
+
+def _inverse_outcome(inverse, a) -> tuple:
+    try:
+        inv = inverse(a)
+    except np.linalg.LinAlgError as err:
+        return type(err), str(err)
+    return inv.dtype, inv.shape, inv.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    kind=st.sampled_from(["random", "ill_conditioned", "signed_zeros", "subnormal", "singular", "nan", "inf"]),
+)
+def test_direct_inverse_matches_np_linalg_inv(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    if kind == "ill_conditioned":
+        a = _rotated_gram(seed, d, rng.uniform(6.0, 20.0), rng.uniform(-100.0, 100.0))
+    elif kind == "signed_zeros":  # each zero takes its entry's sign
+        a[rng.random((d, d)) < 0.5] *= 0.0
+    elif kind == "subnormal":
+        a *= rng.choice([1e-300, 1e-310, 5e-324])
+    elif kind == "singular":  # a repeated column, or all zeros
+        if d == 1 or rng.random() < 0.3:
+            a[:] = 0.0
+        else:
+            i, j = rng.choice(d, size=2, replace=False)
+            a[:, j] = a[:, i]
+    elif kind in ("nan", "inf"):
+        a[rng.integers(0, d), rng.integers(0, d)] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _inverse_outcome(estimators._inverse, a) == _inverse_outcome(np.linalg.inv, a)
 
 
 # ------------------------------------------------------------ linear fit

@@ -22,7 +22,7 @@ from mopx.core import (
     ObservationBatch,
 )
 from mopx.environments import GaussianEnvironment, ReplayTable, load_replay_csv
-from mopx.estimators import mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse
+from mopx.estimators import mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse, select_independent_basis
 from mopx.features import jacobi_eigh, pca_reduce
 from mopx.gaps import constrained_gap_report, hardness, pareto_front
 from mopx.metrics import hypervolume
@@ -241,6 +241,21 @@ CASES = {
         NumericalError,
         "all active features are numerically zero",
     ),
+    "basis of one feature row": (
+        lambda: select_independent_basis(np.ones(3)),
+        EstimationError,
+        "features must be a 2-D array, got shape (3,)",
+    ),
+    "basis of a stack of feature matrices": (
+        lambda: select_independent_basis(np.ones((2, 3, 2))),
+        EstimationError,
+        "features must be a 2-D array, got shape (2, 3, 2)",
+    ),
+    "basis of a scalar": (
+        lambda: select_independent_basis(1.0),
+        EstimationError,
+        "features must be a 2-D array, got shape ()",
+    ),
     "mlp loss with a negative lambda": (
         lambda: mlp_loss_grad(mlp_init(2, 2, 3, np.random.default_rng(0)), _batch(), -1.0),
         EstimationError,
@@ -349,6 +364,11 @@ def test_each_input_check_raises_its_message(call, kind, message):
         call()
     assert type(raised.value) is kind
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+def test_a_basis_of_no_rows_or_no_columns_is_empty(shape):
+    assert select_independent_basis(np.ones(shape)) == []
 
 
 def test_a_pareto_run_config_reads_no_tau():
