@@ -29,6 +29,7 @@ import numpy as np
 from .allocators import PullCounts, allocate_uniform, cover_arms, round_design, solve_g_optimal
 from .core import (
     ConfigurationError,
+    DomainError,
     Environment,
     MopxError,
     ObservationBatch,
@@ -243,8 +244,11 @@ class RunResult:
 def rank_constrained(estimates: MeanEstimates, tau: float) -> list[int]:
     """Strict total order: empirically feasible arms (mu2 > tau) by decreasing
     primary estimate, then infeasible arms by decreasing constraint estimate;
-    all ties break toward the lower arm index. Refuses NaN and inf estimates, as the Pareto rule does."""
+    all ties break toward the lower arm index. Refuses NaN and inf estimates, as the Pareto rule
+    does, and a NaN or inf ``tau``, which no comparison would order the arms by."""
     arms, rows = estimates.arms, _check_means(estimates.matrix).tolist()
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau}")
     feasible = sorted((i for i, v in enumerate(rows) if v[1] > tau), key=lambda i: (-rows[i][0], arms[i]))
     infeasible = sorted((i for i, v in enumerate(rows) if v[1] <= tau), key=lambda i: (-rows[i][1], arms[i]))
     return [arms[i] for i in feasible + infeasible]

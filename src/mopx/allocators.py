@@ -22,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .core import ConfigurationError, DomainError, NumericalError
 from .estimators import _restricted_inverse, pseudo_inverse, select_independent_basis
@@ -151,12 +152,15 @@ def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
     feats_t = feats.T
     basis_rows = feats[basis]
     phi = basis_rows.T  # d x d_act, as pseudo_inverse builds it
+    # per-solve work arrays; each iteration writes them with out= and a direct
+    # C einsum, skipping numpy's Python dispatch, in the reference's operation order
+    rows, gram, sq = np.empty_like(feats), np.empty((feats.shape[1],) * 2), np.empty(k)
     w = np.full(k, 1.0 / k)
     best_w = w
     best_obj = np.inf
     trace: list[float] = []
     for it in range(MAX_DESIGN_ITERS):
-        gram = feats_t @ (w[:, None] * feats)
+        np.matmul(feats_t, np.multiply(w[:, None], feats, out=rows), out=gram)
         # the first iteration validates through pseudo_inverse; the rest reuse
         # its basis matrix and skip the checks that cannot change within a solve;
         # the basis rows alone scan to the same basis, all of them in order
@@ -164,25 +168,24 @@ def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
             pinv = _restricted_inverse(gram, phi)
         else:
             pinv = pseudo_inverse(gram, basis_rows)
-        lev = np.einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
+        lev = c_einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
         star = int(lev.argmax())
         obj = float(lev[star])
         if obj < best_obj:
             best_obj = obj
-            best_w = w  # w is rebound below, never written in place
+            best_w = w  # each iteration makes a new w; only that one is written in place
         trace.append(best_obj)
         if best_obj <= target:
             break
         # the subgradient of lev[star] in w is -sq, so w moves along exp(step * sq)
         cross = feats @ (pinv @ feats[star])
-        sq = cross * cross
-        scale = float(sq.max())
+        scale = float(np.maximum.reduce(np.multiply(cross, cross, out=sq)))
         if scale <= 0.0:
             break
         # 1/sqrt(t) decay; a constant step oscillates without reaching the target
         step = 0.5 / (scale * math.sqrt(it + 1.0))
-        w = w * np.exp(step * sq)
-        w = w / w.sum()
+        w = w * np.exp(np.multiply(step, sq, out=sq), out=sq)
+        w /= np.add.reduce(w)
 
     weights = DesignWeights(
         weights=tuple(best_w.tolist()),

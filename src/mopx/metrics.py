@@ -69,14 +69,18 @@ def soft_constrained_reward(
 ) -> tuple[float, float | None]:
     """Primary reward of the returned arm if its constraint value clears 0.9 tau,
     else zero; optionally normalised by the best feasible arm's primary reward."""
-    if tau <= 0:
+    if not tau > 0:  # NaN fails every comparison
         raise MetricError(f"soft constrained reward needs tau > 0, got {tau}")
+    if tau == np.inf:
+        raise MetricError(f"soft constrained reward needs a finite tau, got {tau}")
     mu = np.asarray(mu_selected, dtype=float)
     raw = float(mu[0]) if mu[1] >= 0.9 * tau else 0.0
     if mu1_star is None:
         return raw, None
     if mu1_star <= 0:
         raise MetricError(f"cannot normalise by a non-positive optimum {mu1_star}")
+    if not mu1_star < np.inf:  # NaN fails every comparison
+        raise MetricError(f"cannot normalise by a non-finite optimum {mu1_star}")
     return raw, raw / mu1_star
 
 

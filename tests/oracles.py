@@ -4,9 +4,10 @@ These deliberately avoid the library's code paths (scalar loops instead of
 vectorised numpy, numpy.linalg.pinv instead of the restricted inverse, a
 Frank-Wolfe design solver instead of mirror descent) so that agreement is
 meaningful. The exceptions are the untrimmed mirror-descent reference and its
-row-by-row basis scan, the per-array MLP fit, the list-built observation log,
-the per-line CSV reader and the two-pass pair terms, which keep the library's
-own arithmetic so that the library must match them bit for bit.
+row-by-row basis scan, the scalar design rounding, the per-array MLP fit, the
+list-built observation log, the per-line CSV reader and the two-pass pair
+terms, which keep the library's own arithmetic so that the library must match
+them bit for bit.
 """
 
 import csv
@@ -298,6 +299,36 @@ def reference_mirror_descent(features, epsilon, max_iters=5000):
         w = w * np.exp(-step * subgrad)
         w = w / w.sum()
     return best_w, best_obj, tuple(trace)
+
+
+# ---------------------------------------------- design rounding, scalar form
+
+
+def reference_round_design(n, weights, basis, active):
+    """Pull counts of the arms ``sorted(active)``, row i to the i-th lowest,
+    from design ``weights`` in plain Python: the float shares ``n * w_i``, their
+    exact floors, one more pull to each of the ``n - sum(floors)`` largest
+    remainders (ties to the lowest row), then, for each zero-count ``basis``
+    row in the order given, one pull from the largest count of at least 2
+    (ties to the lowest row). Raises ConfigurationError if n < len(basis) or
+    no such count is left."""
+    if n < len(basis):
+        raise ConfigurationError(f"round budget n={n} cannot cover the {len(basis)}-arm feature basis")
+    shares = [n * w for w in weights]
+    counts = [math.floor(share) for share in shares]
+    by_remainder = sorted(range(len(shares)), key=lambda i: (-(shares[i] - counts[i]), i))
+    for i in by_remainder[: n - sum(counts)]:
+        counts[i] += 1
+    for row in basis:
+        if counts[row] >= 1:
+            continue
+        donors = [i for i, count in enumerate(counts) if count >= 2]
+        if not donors:
+            raise ConfigurationError("budget too small to keep the feature basis covered")
+        donor = max(donors, key=lambda i: (counts[i], -i))
+        counts[donor] -= 1
+        counts[row] += 1
+    return dict(zip(sorted(active), counts))
 
 
 # ------------------------------------------------ MLP fit, per-array form

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mopx.allocators as allocators
-from oracles import frank_wolfe_design, reference_mirror_descent
+from oracles import frank_wolfe_design, reference_mirror_descent, reference_round_design
 from mopx.allocators import (
     DESIGN_CACHE_SIZE,
     DesignConvergenceError,
@@ -211,6 +211,42 @@ def test_round_design_budget_and_linfty_deviation():
             assert counts.counts[b] >= 1
 
 
+@st.composite
+def _rounding_cases(draw):
+    """(n, weights, basis, active) over up to 8 arms. Small integer masses give
+    equal weights, so bit-equal shares and tied remainders; a basis row may
+    carry no weight; n runs from 1 through the basis size to 3K + 3."""
+    k = draw(st.integers(1, 8))
+    mass = draw(
+        st.lists(st.one_of(st.integers(0, 4), st.floats(0.0, 4.0)), min_size=k, max_size=k).filter(any)
+    )
+    weights = tuple(m / sum(mass) for m in mass)
+    basis = tuple(draw(st.lists(st.integers(0, k - 1), unique=True, max_size=min(k, 4))))
+    n = draw(st.one_of(st.just(max(len(basis), 1)), st.integers(1, 3 * k + 3)))
+    active = draw(st.permutations(draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True))))
+    return n, weights, basis, active
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rounding_cases())
+@example(case=(10, (0.25,) * 4, (0, 1, 2, 3), [3, 1, 2, 0]))  # shares of 2.5: a four-way tie
+@example(case=(3, (0.0, 0.0, 1.0), (0, 1, 2), [5, 7, 9]))  # basis rows at zero, n = basis size
+@example(case=(2, (0.0, 0.0, 1.0), (0, 1), [0, 1, 2]))  # no count of 2 left for row 1
+@example(case=(1, (0.5, 0.5), (0, 1), [0, 1]))  # n below the basis size
+def test_round_design_matches_the_scalar_reference(case):
+    n, weights, basis, active = case
+    design = DesignWeights(weights=weights, objective_value=1.0, basis=basis)
+
+    def outcome(rounding):
+        try:
+            return rounding()
+        except ConfigurationError as err:
+            return str(err)
+
+    got = outcome(lambda: round_design(n, design, 1 / 3, active, np.zeros((len(active), 2))).counts)
+    assert got == outcome(lambda: reference_round_design(n, weights, basis, active))
+
+
 # ------------------------------------------------------------ design cache
 
 
@@ -269,6 +305,22 @@ def test_g_optimal_matches_untrimmed_mirror_descent():
         assert design.weights == tuple(best_w.tolist())
         assert design.objective_value == best_obj
         assert design.trace == trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [64, 32, 16])
+def test_g_optimal_matches_untrimmed_mirror_descent_on_halving_rounds(seed, k):
+    # the linear G-optimal benchmark's instances: d = 6 with a constant feature,
+    # K = 64 arms halved to 32 and 16; about 100 to 1,200 iterations a solve
+    rng = np.random.default_rng([seed, 0])
+    features = np.hstack([np.ones((64, 1)), rng.normal(size=(64, 5)) / np.sqrt(5.0)])
+    feats = features[np.sort(rng.choice(64, size=k, replace=False))]
+    allocators._DESIGNS.clear()
+    design = solve_g_optimal(feats, 0.1)
+    best_w, best_obj, trace = reference_mirror_descent(feats, 0.1)
+    assert design.weights == tuple(best_w.tolist())
+    assert design.objective_value == best_obj
+    assert design.trace == trace
 
 
 def test_design_convergence_error_is_raised_again_every_call():

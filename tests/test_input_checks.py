@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import mopx.features as features
-from mopx.algorithms import RunConfig, eliminate_pareto, run_algorithm, run_genpsi, theorem_bound
+from mopx.algorithms import (
+    RunConfig,
+    eliminate_pareto,
+    rank_constrained,
+    run_algorithm,
+    run_genpsi,
+    theorem_bound,
+)
 from mopx.allocators import DesignWeights, allocate_uniform, round_design, solve_g_optimal
 from mopx.core import (
     ConfigurationError,
@@ -22,10 +29,10 @@ from mopx.core import (
     ObservationBatch,
 )
 from mopx.environments import GaussianEnvironment, ReplayTable, load_replay_csv
-from mopx.estimators import mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse, select_independent_basis
+from mopx.estimators import MeanEstimates, mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse, select_independent_basis
 from mopx.features import jacobi_eigh, pca_reduce
 from mopx.gaps import constrained_gap_report, hardness, pareto_front
-from mopx.metrics import hypervolume
+from mopx.metrics import hypervolume, soft_constrained_reward
 from mopx.schedulers import Schedule
 
 MEANS = np.array([[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]])
@@ -44,6 +51,10 @@ def _genpsi_run_of_one_arm():
 
 def _gensec(**settings):
     return lambda: RunConfig(**{"algorithm": "gensec", "tau": 0.5, "per_arm_budget": 3, **settings})
+
+
+def _rank(tau):
+    return lambda: rank_constrained(MeanEstimates([0, 1, 2], MEANS), tau)
 
 
 def _run(loop, **settings):
@@ -137,6 +148,10 @@ CASES = {
         ConfigurationError,
         "need K >= 2 arms to schedule, got K=1",
     ),
+    # both comparisons with a NaN tau are false, so the order would drop every arm
+    "constrained ranking at a NaN tau": (_rank(np.nan), DomainError, "tau must be finite, got nan"),
+    "constrained ranking at an infinite tau": (_rank(np.inf), DomainError, "tau must be finite, got inf"),
+    "constrained ranking at a tau of -inf": (_rank(-np.inf), DomainError, "tau must be finite, got -inf"),
     "eliminate with nothing to eliminate": (
         lambda: eliminate_pareto([0, 1], 2, {0: 0.1, 1: 0.2}, {0, 1}),
         ConfigurationError,
@@ -333,6 +348,36 @@ CASES = {
         lambda: hypervolume([[0.5, np.inf], [0.2, 0.8]], [0.0, 0.0]),
         MetricError,
         "points must be finite",
+    ),
+    "soft constrained reward at a zero tau": (
+        lambda: soft_constrained_reward(MEANS[0], 0.0),
+        MetricError,
+        "soft constrained reward needs tau > 0, got 0.0",
+    ),
+    "soft constrained reward at a NaN tau": (
+        lambda: soft_constrained_reward(MEANS[0], np.nan),
+        MetricError,
+        "soft constrained reward needs tau > 0, got nan",
+    ),
+    "soft constrained reward at an infinite tau": (
+        lambda: soft_constrained_reward(MEANS[0], np.inf),
+        MetricError,
+        "soft constrained reward needs a finite tau, got inf",
+    ),
+    "soft constrained reward normalised by a zero optimum": (
+        lambda: soft_constrained_reward(MEANS[0], 0.5, mu1_star=0.0),
+        MetricError,
+        "cannot normalise by a non-positive optimum 0.0",
+    ),
+    "soft constrained reward normalised by a NaN optimum": (
+        lambda: soft_constrained_reward(MEANS[0], 0.5, mu1_star=np.nan),
+        MetricError,
+        "cannot normalise by a non-finite optimum nan",
+    ),
+    "soft constrained reward normalised by an infinite optimum": (
+        lambda: soft_constrained_reward(MEANS[0], 0.5, mu1_star=np.inf),
+        MetricError,
+        "cannot normalise by a non-finite optimum inf",
     ),
     # schedulers
     "schedule with more keep counts than pull rounds": (
