@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,25 +340,23 @@ class _RoundRunner:
         )
         return mlp_predict(self.mlp_state, self.features[arms], arms=arms)
 
-    def run(
-        self,
-        scope: Callable[[list[int]], list[int]],
-        eliminate: Callable[[list[int], int, MeanEstimates], tuple[list[int], dict]],
-        answer: Callable[[list[int]], tuple[int | None, tuple[int, ...] | None]],
-    ) -> RunResult:
-        """The elimination loop. Each round allocates over the active arms,
-        pulls, and estimates every arm in ``scope(active)``; ``eliminate``
-        returns the next active set plus its mode's ``RoundRecord`` fields,
-        and ``answer`` maps the final active set to (selected_arm, selected_set).
-        The active set is ascending: it starts as every arm, and ``eliminate``
-        returns it sorted, so the scope only shrinks. A round the plan gives no
-        pulls (successive rejects, when the cumulative target does not grow)
-        adds no rows: it reads the scope's rows off the last estimate, except
-        that the warm-started cumulative MLP refits. Round 1 always pulls."""
-        active = list(range(self.env.n_arms))
+    def run(self) -> RunResult:
+        """The elimination loop, with the rule of ``config.mode``. Each round
+        allocates over the active arms, pulls, and estimates every arm in scope:
+        the active arms, plus every arm accepted so far under the Pareto rule.
+        The constrained rule keeps the ``keep`` best-ranked arms. The Pareto rule
+        removes the largest empirical gaps, and under EGE accepts the removed arms
+        on the empirical front. The active set is ascending: it starts as every
+        arm, and both rules keep it sorted, so the scope only shrinks. A round the
+        plan gives no pulls (successive rejects, when the cumulative target does
+        not grow) adds no rows: it reads the scope's rows off the last estimate,
+        except that the warm-started cumulative MLP refits. Round 1 always pulls."""
+        pareto = self.config.mode == PARETO
+        active, accepted, front = list(range(self.env.n_arms)), [], set()
         rounds: list[RoundRecord] = []
         for r in range(1, self.plan.n_rounds + 1):
-            arms, counts = scope(active), {}
+            arms = sorted(set(active) | set(accepted)) if pareto else active
+            keep, counts = self.plan.keep_counts[r - 1], {}
             try:
                 if n_pulls := self.plan.pulls_per_round[r - 1]:
                     pulls, sequence = self.allocate(n_pulls, active)
@@ -368,16 +366,25 @@ class _RoundRunner:
                     estimates = self.estimate(r, arms)
                 else:
                     estimates = MeanEstimates(arms, estimates.matrix[np.searchsorted(estimates.arms, arms)])
-                active, fields = eliminate(active, self.plan.keep_counts[r - 1], estimates)
+                if pareto:
+                    front = {arms[i] for i in pareto_front(estimates.matrix)}
+                    gaps = dict(zip(arms, pareto_gap_report(estimates.matrix).gap_column.tolist()))
+                    active, on_front = eliminate_pareto(active, keep, gaps, front)
+                    newly_accepted = on_front if self.config.eliminator == "ege" else []
+                    accepted.extend(newly_accepted)
+                    record = RoundRecord(r, active, counts, front, gaps, newly_accepted)
+                else:
+                    ranking = rank_constrained(estimates, self.config.tau)
+                    active = sorted(ranking[:keep])
+                    record = RoundRecord(r, active, counts, ranking=ranking, estimates=estimates)
             except MopxError as err:  # stamped in place, so the class and its attributes survive
                 err.args = (f"round {r}: {err}",)
                 raise
-            rounds.append(RoundRecord(r, active, counts, **fields))
-        selected_arm, selected_set = answer(active)
+            rounds.append(record)
         return RunResult(
             algorithm=self.config.algorithm,
-            selected_arm=selected_arm,
-            selected_set=selected_set,
+            selected_arm=None if pareto else active[0],
+            selected_set=tuple(sorted(set(accepted) | (set(active) & front))) if pareto else None,
             pulls_used=len(self.batch),
             budget=self.plan.budget,
             rounds=tuple(rounds),
@@ -390,42 +397,14 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
         raise ConfigurationError(f"the constrained loop cannot run a {config.mode}-mode config")
     if env.n_objectives != 2:
         raise ConfigurationError("the constrained loop supports exactly two objectives")
-
-    def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
-        ranking = rank_constrained(estimates, config.tau)
-        return sorted(ranking[:keep]), {"ranking": ranking, "estimates": estimates}
-
-    return _RoundRunner(config, env).run(
-        lambda active: active, eliminate, lambda active: (active[0], None)
-    )
+    return _RoundRunner(config, env).run()
 
 
 def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
     """Pareto-set elimination: returns the accepted arms plus the surviving front."""
     if config.mode != PARETO:
         raise ConfigurationError(f"the Pareto loop cannot run a {config.mode}-mode config")
-    accepted: list[int] = []
-    front: set[int] = set()
-
-    def eliminate(active: list[int], keep: int, estimates: MeanEstimates) -> tuple[list[int], dict]:
-        nonlocal front
-        arms, mat = estimates.arms, estimates.matrix
-        front = {arms[i] for i in pareto_front(mat)}
-        gaps = dict(zip(arms, pareto_gap_report(mat).gap_column.tolist()))
-        active, newly_accepted = eliminate_pareto(active, keep, gaps, front)
-        if config.eliminator == "ege":
-            accepted.extend(newly_accepted)
-        else:
-            newly_accepted = []
-        return active, {"front": front, "gaps": gaps, "accepted": newly_accepted}
-
-    def answer(active: list[int]) -> tuple[None, tuple[int, ...]]:
-        survivors = [a for a in active if a in front]
-        return None, tuple(sorted(set(accepted) | set(survivors)))
-
-    return _RoundRunner(config, env).run(
-        lambda active: sorted(set(active) | set(accepted)), eliminate, answer
-    )
+    return _RoundRunner(config, env).run()
 
 
 def run_algorithm(config: RunConfig, env: Environment) -> RunResult:

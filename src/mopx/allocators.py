@@ -237,7 +237,10 @@ def round_design(
             f"round budget n={n} cannot cover the {len(basis)}-arm feature basis"
         )
     raw = n * np.array(weights.weights, dtype=float)
-    counts = np.floor(raw).astype(int)
+    floors = np.floor(raw)  # a NaN or inf share makes the remainder NaN or infinite, outside [0, K]
+    if not (raw.min() >= 0 and 0 <= n - floors.sum() <= len(arms)):
+        raise DomainError(f"design weights must be non-negative and sum to 1, got {weights.weights}")
+    counts = floors.astype(int)
     # the rest go to the largest fractional parts; stable, so ties go to the lowest row and arm
     largest = np.argsort(counts - raw, kind="stable")
     counts[largest[: n - int(counts.sum())]] += 1

@@ -164,18 +164,14 @@ def estimate_sample_mean(batch: ObservationBatch, active: list[int]) -> MeanEsti
     if len(batch) == 0:
         raise EstimationError("cannot estimate from an empty batch")
     sums, counts = batch.arm_totals()
+    if sums.shape[1] < 2:  # numpy sums one column pairwise, not row by row, so the totals miss its bits
+        raise EstimationError(f"sample means need m >= 2 objectives, got m={sums.shape[1]}")
     arms = sorted(active)
     idx = np.array(arms, dtype=int)
     if len(idx) and not (idx[0] >= 0 and idx[-1] < len(counts) and counts[idx].all()):
         arm = next(a for a in active if not 0 <= a < len(counts) or counts[a] == 0)
         raise EstimationError(f"active arm {arm} has no observations")
-    if sums.shape[1] == 1:
-        # numpy sums one column pairwise, not row by row: only the rows give its bits
-        pulled, rewards = batch.arms, batch.rewards
-        means = np.array([rewards[pulled == arm].mean(axis=0) for arm in arms]).reshape(-1, 1)
-    else:
-        means = sums[idx] / counts[idx][:, None]
-    return MeanEstimates(arms, means)
+    return MeanEstimates(arms, sums[idx] / counts[idx][:, None])
 
 
 def fit_linear(round_batch: ObservationBatch) -> np.ndarray:

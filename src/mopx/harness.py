@@ -438,15 +438,19 @@ def aggregate(records: list[MetricRecord]) -> list[SummaryRow]:
     for (algorithm, k, b, metric), values in sorted(groups.items()):
         n = len(values)
         mean = float(np.mean(values))
-        if n >= 2:
-            spread = float(np.std(values, ddof=1))
-            if spread == 0.0 and min(values) != max(values):  # the squared deviations underflowed
+        if n < 2:
+            half = None
+        elif min(values) == max(values):  # np.std reads the rounded mean's residue: 1.7e-17 for [0.1] * 3
+            half = 0.0
+        else:
+            with np.errstate(over="ignore"):
+                spread = float(np.std(values, ddof=1))
+            # squared deviations lose bits to underflow below sqrt(float min) = 1.49e-154, and overflow past the range
+            if not 1.5e-154 <= spread < np.inf:
                 deviations = np.subtract(values, mean)
                 scale = float(np.abs(deviations).max())
                 spread = scale * float(np.std(deviations / scale, ddof=1))
             half = Z_95 * spread / np.sqrt(n)
-        else:
-            half = None
         rows.append(
             SummaryRow(
                 algorithm=algorithm,

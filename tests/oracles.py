@@ -12,6 +12,8 @@ them bit for bit.
 
 import csv
 import math
+import statistics
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -205,6 +207,17 @@ def oracle_hv_monte_carlo(points, reference, n_samples, rng) -> tuple[float, flo
     est = box * frac
     se = box * math.sqrt(max(frac * (1 - frac), 1e-12) / n_samples)
     return est, se
+
+
+# ------------------------------------------------- summary half-widths
+
+
+def reference_ci_half_width(values):
+    """1.96 standard errors of the mean of ``values``, from their exact sample
+    standard deviation over ``Fraction``s (no squaring in floats, so nothing
+    underflows or overflows), or None for a single value."""
+    n = len(values)
+    return None if n == 1 else 1.96 * statistics.stdev(map(Fraction, values)) / math.sqrt(n)
 
 
 # ---------------------------------------------------- G-optimal design (FW)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mopx.allocators as allocators
 import mopx.harness as harness
@@ -19,6 +22,7 @@ from mopx.harness import (
     run_experiment,
     write_outputs,
 )
+from oracles import reference_ci_half_width
 
 INSTANCE = {
     "K": 4,
@@ -163,6 +167,52 @@ def test_aggregate_half_width_survives_seeds_that_differ_by_less_than_the_square
     rows = {row.metric: row for row in aggregate(records)}
     assert rows["soft_reward"].ci_half_width > 0.0
     assert rows["soft_reward"].ci_half_width == pytest.approx(1e-200 * rows["soft_reward_norm"].ci_half_width, rel=1e-12)
+
+
+def _half_width(values):
+    return aggregate([MetricRecord(f"r{i}", i, "alg", 4, 3, "m", v) for i, v in enumerate(values)])[0].ci_half_width
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mantissas=st.lists(
+        st.integers(-1000, 1000) | st.floats(-1000, 1000).filter(lambda x: x == 0 or abs(x) >= 1e-3),
+        min_size=1,
+        max_size=8,
+    ),
+    exponent=st.integers(-300, 290),  # squared deviations underflow below 1e-154 and overflow past 1e154
+    shift=st.sampled_from([0.0, 0.0, 0.5, -3e5]),
+)
+@example(mantissas=[1, 3], exponent=160, shift=0.0)  # [1e160, 3e160]: squares overflow; 1.96e160 exactly
+@example(mantissas=[0, 1, 1], exponent=-200, shift=0.0)  # squares underflow to zero
+@example(mantissas=[0, 2], exponent=-160, shift=0.0)  # squares underflow into subnormals, losing bits
+@example(mantissas=[1, 1, 1], exponent=-1, shift=0.0)  # [0.1] * 3: the float mean is not 0.1
+def test_aggregate_half_width_matches_the_exact_standard_deviation(mantissas, exponent, shift):
+    values = [shift + m * 10.0**exponent for m in mantissas]
+    n, half, want = len(values), _half_width(values), reference_ci_half_width(values)
+    if n == 1:
+        assert half is None and want is None
+    elif min(values) == max(values):
+        assert half == 0.0 and want == 0.0
+    else:
+        assert math.isfinite(half) and half > 0.0
+        # Tolerance: the float mean is off by up to about n ulps of the largest |value|, every
+        # deviation inherits that offset, and it moves the spread by at most sqrt(n / (n - 1))
+        # times as much; the squares, sums and square roots add a relative rounding of n ulps.
+        eps = sys.float_info.epsilon
+        assert abs(half - want) <= 4 * n * eps * (want + 1.96 * max(map(abs, values)) / math.sqrt(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=8))
+def test_aggregate_half_width_is_none_zero_or_finite_and_positive(values):
+    half = _half_width(values)  # any finite values, subnormal ones included
+    if len(values) == 1:
+        assert half is None
+    elif min(values) == max(values):
+        assert half == 0.0
+    else:
+        assert math.isfinite(half) and half > 0.0
 
 
 def test_aggregate_is_permutation_invariant():

@@ -29,7 +29,15 @@ from mopx.core import (
     ObservationBatch,
 )
 from mopx.environments import GaussianEnvironment, ReplayTable, load_replay_csv
-from mopx.estimators import MeanEstimates, mlp_fit, mlp_init, mlp_loss_grad, pseudo_inverse, select_independent_basis
+from mopx.estimators import (
+    MeanEstimates,
+    estimate_sample_mean,
+    mlp_fit,
+    mlp_init,
+    mlp_loss_grad,
+    pseudo_inverse,
+    select_independent_basis,
+)
 from mopx.features import jacobi_eigh, pca_reduce
 from mopx.gaps import constrained_gap_report, hardness, pareto_front
 from mopx.metrics import hypervolume, soft_constrained_reward
@@ -38,9 +46,9 @@ from mopx.schedulers import Schedule
 MEANS = np.array([[0.8, 0.6], [0.9, 0.4], [0.6, 0.7]])
 
 
-def _batch() -> ObservationBatch:
+def _batch(rewards=((0.5, 0.5), (0.2, 0.8))) -> ObservationBatch:
     batch = ObservationBatch()
-    batch.extend([0, 1], [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.2, 0.8]], 1)
+    batch.extend([0, 1], [[1.0, 0.0], [0.0, 1.0]], rewards, 1)
     return batch
 
 
@@ -193,6 +201,14 @@ CASES = {
         DomainError,
         "active arms must be distinct, repeated: [1]",
     ),
+    **{
+        f"rounded design of weights {weights}": (
+            lambda weights=weights: round_design(10, DesignWeights(weights, 2.0, (0,)), 1 / 3, [0, 1], np.eye(2)),
+            DomainError,
+            f"design weights must be non-negative and sum to 1, got {weights}",
+        )
+        for weights in [(0.9, 0.9), (0.1, 0.1), (-0.5, 1.5), (np.nan, 1.0)]
+    },
     "design over a feature vector": (
         lambda: solve_g_optimal(np.ones(3), 0.1),
         DomainError,
@@ -255,6 +271,11 @@ CASES = {
         lambda: pseudo_inverse(np.eye(2), np.zeros((2, 2))),
         NumericalError,
         "all active features are numerically zero",
+    ),
+    "sample mean of one-objective rows": (
+        lambda: estimate_sample_mean(_batch([[0.5], [0.2]]), [0, 1]),
+        EstimationError,
+        "sample means need m >= 2 objectives, got m=1",
     ),
     "basis of one feature row": (
         lambda: select_independent_basis(np.ones(3)),

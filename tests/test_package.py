@@ -1,6 +1,7 @@
 """The package surface: ``import mopx`` gives README's example its names, and
 every other name is imported from its module."""
 
+import ast
 import os
 import re
 import subprocess
@@ -28,3 +29,20 @@ def test_import_mopx_exposes_only_the_readme_names_and_loads_no_harness():
 def test_readme_python_example_runs_as_written():
     (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
     assert _python(example) == "0 29\n"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name a module-level import binds in a module of ``src/mopx`` is read
+    as a plain name somewhere in that module; ``__init__.py`` re-exports by design."""
+    unread = []
+    for path in sorted((ROOT / "src" / "mopx").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if (bound := alias.asname or alias.name.split(".")[0]) not in read:
+                        unread.append(f"{path.name}: {bound}")
+    assert unread == []
