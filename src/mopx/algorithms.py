@@ -34,7 +34,6 @@ from .core import (
     MopxError,
     ObservationBatch,
     RngStream,
-    reset_stream,
 )
 from .estimators import (
     MeanEstimates,
@@ -42,6 +41,7 @@ from .estimators import (
     estimate_sample_mean,
     fit_linear,
     mlp_fit,
+    mlp_init,
     mlp_predict,
     predict_linear,
 )
@@ -290,13 +290,14 @@ class _RoundRunner:
     """The allocate -> pull -> estimate -> eliminate loop of one run."""
 
     def __init__(self, config: RunConfig, env: Environment):
+        if config.mode == CONSTRAINED and env.n_objectives != 2:
+            raise ConfigurationError("the constrained loop supports exactly two objectives")
         self.config = config
         self.env = env
         feats = getattr(env, "features", None)
         self.plan = config.schedule(env.n_arms, feats)  # before any pull
         self.features = np.eye(env.n_arms) if feats is None else np.asarray(feats, dtype=float)
         self.batch = ObservationBatch()
-        self.gen = RngStream(config.seed).generator()  # reset to a (seed, path) stream before each use
         self.mlp_state: MlpParams | None = None
         self._warm_mlp = config.estimator == "mlp" and config.mlp_data_scope == "cumulative"
 
@@ -315,7 +316,7 @@ class _RoundRunner:
 
     def pull(self, sequence: list[int], round_index: int) -> None:
         arms = np.array(sequence, dtype=int)
-        rewards = self.env.pull(arms, reset_stream(self.gen, self.config.seed, (_ENV_DRAWS, round_index)))
+        rewards = self.env.pull(arms, RngStream(self.config.seed, (_ENV_DRAWS, round_index)).generator())
         self.batch.extend(arms, self.features[arms], rewards, round_index)
         if len(self.batch) > self.plan.budget:
             raise ConfigurationError(
@@ -329,15 +330,10 @@ class _RoundRunner:
         data = self.batch if self._warm_mlp else self.batch.round_slice(round_index)
         if cfg.estimator == "linear":
             return predict_linear(fit_linear(data), self.features[arms], arms=arms)
-        self.mlp_state = mlp_fit(
-            data,
-            cfg.mlp_lambda,
-            hidden=cfg.mlp_hidden,
-            iters=cfg.mlp_iters,
-            step_size=cfg.mlp_step_size,
-            init=self.mlp_state,
-            rng=reset_stream(self.gen, cfg.seed, (_MLP_DRAWS, 0)) if self.mlp_state is None else None,
-        )
+        if self.mlp_state is None:  # the run's first fit; later ones warm-start
+            start = RngStream(cfg.seed, (_MLP_DRAWS, 0)).generator()
+            self.mlp_state = mlp_init(self.features.shape[1], self.env.n_objectives, cfg.mlp_hidden, start)
+        self.mlp_state = mlp_fit(data, cfg.mlp_lambda, self.mlp_state, iters=cfg.mlp_iters, step_size=cfg.mlp_step_size)
         return mlp_predict(self.mlp_state, self.features[arms], arms=arms)
 
     def run(self) -> RunResult:
@@ -395,8 +391,6 @@ def run_gensec(config: RunConfig, env: Environment) -> RunResult:
     """Constrained elimination: returns the estimated best feasible arm."""
     if config.mode != CONSTRAINED:
         raise ConfigurationError(f"the constrained loop cannot run a {config.mode}-mode config")
-    if env.n_objectives != 2:
-        raise ConfigurationError("the constrained loop supports exactly two objectives")
     return _RoundRunner(config, env).run()
 
 

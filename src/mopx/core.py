@@ -71,17 +71,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def reset_stream(gen: np.random.Generator, seed: int, path: tuple[int, ...]) -> np.random.Generator:
-    """Return ``gen``, a Philox generator, reset to draw what ``RngStream(seed, path).generator()`` draws:
-    a Philox stream is its key and a counter, here zero with an empty buffer and no half-used 32-bit draw.
-    The key is the one ``Philox(seq)`` derives; no ``SeedSequence``-fed ``Philox`` is built."""
-    zeros = np.zeros(4, dtype=np.uint64)
-    key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-    gen.bit_generator.state = {"state": {"counter": zeros, "key": key}, "buffer": zeros,
-                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, "bit_generator": "Philox"}
-    return gen
-
-
 @dataclass(frozen=True)
 class Instance:
     """Ground truth of a bandit problem: per-arm true means plus optional structure.

@@ -211,7 +211,12 @@ class MlpParams:
 
 
 def mlp_init(dim: int, n_objectives: int, hidden: int, rng: np.random.Generator) -> MlpParams:
-    """Symmetric uniform fan-in initialisation."""
+    """Symmetric uniform fan-in initialisation, the one way a fit's start is drawn."""
+    for name, value in (("dim", dim), ("n_objectives", n_objectives), ("hidden", hidden)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"mlp {name} must be an int, got {value!r}")
+        if value < 1:
+            raise ConfigurationError(f"mlp {name} must be >= 1, got {value!r}")
     s1 = 1.0 / np.sqrt(dim)
     s2 = 1.0 / np.sqrt(hidden)
     return MlpParams(
@@ -313,8 +318,9 @@ def _mlp_loss_grad(feats: np.ndarray, targets: np.ndarray, lam: float, ws: _MlpW
     return loss
 
 
-def _check_mlp_shapes(params: MlpParams, name: str, hidden: int, dim: int, m: int) -> None:
-    """``ConfigurationError`` unless ``params`` fit ``hidden`` units, ``dim`` features and ``m`` rewards."""
+def _check_mlp_shapes(params: MlpParams, name: str, dim: int, m: int) -> None:
+    """``ConfigurationError`` unless ``params`` fit ``w1``'s hidden width, ``dim`` features and ``m`` rewards."""
+    hidden = params.w1.shape[0]
     for field, want in zip(("w1", "b1", "w2", "b2"), ((hidden, dim), (hidden,), (m, hidden), (m,))):
         if (got := getattr(params, field).shape) != want:
             raise ConfigurationError(
@@ -334,26 +340,19 @@ def mlp_loss_grad(params: MlpParams, batch: ObservationBatch, lam: float) -> tup
     if len(batch) == 0:
         raise EstimationError("cannot evaluate the loss on an empty batch")
     feats, targets = batch.features, batch.rewards
-    _check_mlp_shapes(params, "params", params.w1.shape[0], feats.shape[1], targets.shape[1])
+    _check_mlp_shapes(params, "params", feats.shape[1], targets.shape[1])
     ws = _MlpWorkspace(len(batch), params)
     return _mlp_loss_grad(feats, targets, lam, ws), ws.grads
 
 
 def mlp_fit(
-    batch: ObservationBatch,
-    lam: float,
-    *,
-    rng: np.random.Generator | None = None,
-    hidden: int = 30,
-    iters: int = 2000,
-    step_size: float = 1e-2,
-    init: MlpParams | None = None,
+    batch: ObservationBatch, lam: float, init: MlpParams, *, iters: int = 2000, step_size: float = 1e-2
 ) -> MlpParams:
     """Full-batch Adam on the regularised squared loss.
 
-    ``rng`` draws the initial weights; ``init`` instead warm-starts from a
-    previous round's parameters, which are copied and never written to.
-    Deterministic for a fixed ``rng`` state and config. The lowest-loss
+    The fit starts from ``init``, drawn by ``mlp_init`` or a previous fit's
+    parameters, which are copied and never written to; its hidden width is
+    read off ``init.w1``. Deterministic for a fixed start and config. The lowest-loss
     iterate, the final one included, is returned. The returned parameters are
     views of a vector of their own, allocated by this fit.
 
@@ -365,11 +364,9 @@ def mlp_fit(
         raise EstimationError("cannot fit on an empty batch")
     feats = batch.features  # read the log once, not once per iteration
     targets = batch.rewards
-    if init is None:
-        if rng is None:
-            raise ConfigurationError("mlp_fit needs an rng for the initial weights, or init")
-        init = mlp_init(feats.shape[1], targets.shape[1], hidden, rng)
-    _check_mlp_shapes(init, "init", hidden, feats.shape[1], targets.shape[1])
+    if not isinstance(init, MlpParams):
+        raise ConfigurationError(f"mlp_fit starts from MlpParams drawn by mlp_init, got {type(init).__name__}")
+    _check_mlp_shapes(init, "init", feats.shape[1], targets.shape[1])
     if lam < 0:
         raise EstimationError("regularisation weight must be >= 0")
 

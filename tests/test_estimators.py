@@ -603,7 +603,7 @@ def test_mlp_gradient_matches_finite_differences():
 
 def test_mlp_fit_interpolates_one_sample():
     batch = _batch([(0, [0.3, -0.2], [0.4, 0.9])] * 4)
-    params = mlp_fit(batch, 0.0, rng=np.random.default_rng(5), hidden=8, iters=2000)
+    params = mlp_fit(batch, 0.0, mlp_init(2, 2, 8, np.random.default_rng(5)), iters=2000)
     pred = mlp_predict(params, np.array([[0.3, -0.2]]))[0]
     assert np.max(np.abs(pred - [0.4, 0.9])) < 1e-2
 
@@ -613,8 +613,8 @@ def test_mlp_fit_deterministic():
     batch = ObservationBatch()
     for arm in range(5):
         batch.append(arm, rng.normal(size=2), rng.normal(size=2), 1)
-    a = mlp_fit(batch, 1e-4, rng=np.random.default_rng(9), hidden=6, iters=50)
-    b = mlp_fit(batch, 1e-4, rng=np.random.default_rng(9), hidden=6, iters=50)
+    a = mlp_fit(batch, 1e-4, mlp_init(2, 2, 6, np.random.default_rng(9)), iters=50)
+    b = mlp_fit(batch, 1e-4, mlp_init(2, 2, 6, np.random.default_rng(9)), iters=50)
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.b2, b.b2)
 
 
@@ -624,55 +624,46 @@ def test_mlp_fit_returns_its_lowest_loss_iterate():
     for arm in range(8):
         feat = rng.normal(size=2)
         batch.append(arm, feat, [feat @ [0.5, -0.2], feat @ [0.1, 0.3]], 1)
-    kwargs = {"hidden": 10, "iters": 600}
-    got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), **kwargs)
+    got = mlp_fit(batch, 1e-4, mlp_init(2, 2, 10, np.random.default_rng(1)), iters=600)
     # the oracle's trace holds the lowest loss after every iterate and the final one
-    _, trace = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), checkpoint_every=1, **kwargs)
+    _, trace = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), hidden=10, iters=600, checkpoint_every=1)
     assert mlp_loss_grad(got, batch, 1e-4)[0] == trace[-1] == min(trace)
 
 
 def test_mlp_fit_warm_start_continues_from_given_params():
     batch = _batch([(0, [1.0, 0.0], [0.5, 0.5])] * 3)
-    first = mlp_fit(batch, 0.0, rng=np.random.default_rng(2), hidden=4, iters=100)
-    second = mlp_fit(batch, 0.0, rng=np.random.default_rng(999), hidden=4, iters=1, init=first)
-    # warm start means the rng plays no role
-    third = mlp_fit(batch, 0.0, rng=np.random.default_rng(123), hidden=4, iters=1, init=first)
+    first = mlp_fit(batch, 0.0, mlp_init(2, 2, 4, np.random.default_rng(2)), iters=100)
+    second = mlp_fit(batch, 0.0, first, iters=1)
+    third = mlp_fit(batch, 0.0, first, iters=1)
     assert np.array_equal(second.w1, third.w1)
-    fourth = mlp_fit(batch, 0.0, hidden=4, iters=1, init=first)
-    assert np.array_equal(second.w1, fourth.w1)
-    with pytest.raises(ConfigurationError, match="rng"):
-        mlp_fit(batch, 0.0, hidden=4, iters=1)
+    want, _ = reference_mlp_fit(batch, 0.0, init=first, iters=1)
+    assert _mlp_bytes(second) == _mlp_bytes(want)
 
 
 @pytest.mark.parametrize(
-    "init, hidden, m, message",
+    "init, m, message",
     [
         (
-            _zero_params(dim=2, hidden=4), 30, 2,
-            "init w1 has shape (4, 2), but hidden=30 and a batch of 2 features and 2 rewards "
-            "need (30, 2)",
-        ),
-        (
-            _zero_params(dim=3, hidden=4), 4, 2,
+            _zero_params(dim=3, hidden=4), 2,
             "init w1 has shape (4, 3), but hidden=4 and a batch of 2 features and 2 rewards "
             "need (4, 2)",
         ),
         (
-            _zero_params(dim=2, hidden=4), 4, 3,
+            _zero_params(dim=2, hidden=4), 3,
             "init w2 has shape (2, 4), but hidden=4 and a batch of 2 features and 3 rewards "
             "need (3, 4)",
         ),
         (
-            MlpParams(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(2)), 4, 2,
+            MlpParams(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(2)), 2,
             "init b1 has shape (3,), but hidden=4 and a batch of 2 features and 2 rewards "
             "need (4,)",
         ),
     ],
 )
-def test_mlp_fit_rejects_init_of_another_shape(init, hidden, m, message):
+def test_mlp_fit_rejects_init_of_another_shape(init, m, message):
     batch = _batch([(0, [1.0, 0.0], [0.5] * m)] * 3)
     with pytest.raises(ConfigurationError) as err:
-        mlp_fit(batch, 0.0, init=init, hidden=hidden, iters=3)
+        mlp_fit(batch, 0.0, init, iters=3)
     assert str(err.value) == message
 
 
@@ -681,9 +672,8 @@ def test_mlp_fit_takes_one_gradient_per_iteration(monkeypatch):
     kernel = estimators._mlp_loss_grad
     monkeypatch.setattr(estimators, "_mlp_loss_grad", lambda *a: calls.append(1) or kernel(*a))
     batch = _random_batch(5, 12, 3, 2)
-    kwargs = {"hidden": 6, "iters": 9}
-    got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), **kwargs)
-    want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), **kwargs)
+    got = mlp_fit(batch, 1e-4, mlp_init(3, 2, 6, np.random.default_rng(1)), iters=9)
+    want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(1), hidden=6, iters=9)
     assert len(calls) == 9  # the loss after the last step needs no gradient
     assert _mlp_bytes(got) == _mlp_bytes(want)
 
@@ -692,14 +682,14 @@ def test_mlp_fit_takes_one_gradient_per_iteration(monkeypatch):
 def test_mlp_fit_reports_non_finite_loss_iteration():
     batch = _batch([(0, [1e200, 0.0], [1e200, -1e200])])
     with pytest.raises(NumericalError, match="iteration"):
-        mlp_fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10)
+        mlp_fit(batch, 0.0, mlp_init(2, 2, 4, np.random.default_rng(0)), iters=10)
 
 
 def test_mlp_empty_batch():
     with pytest.raises(EstimationError):
         mlp_loss_grad(_zero_params(), ObservationBatch(), 0.0)
     with pytest.raises(EstimationError):
-        mlp_fit(ObservationBatch(), 0.0)
+        mlp_fit(ObservationBatch(), 0.0, _zero_params())
 
 
 # ------------------------------------------- MLP fit against the reference
@@ -718,16 +708,17 @@ def _random_batch(seed, n, dim, m, grid=False):
     return _batch([(int(a), f, y) for a, f, y in zip(rng.integers(0, 9, size=n), feats, rewards)])
 
 
-def _assert_fit_matches_reference(batch, lam, seed, warm_iters, **kwargs):
-    """Cold fit from a seeded rng, then a warm start from its result: weights
-    equal the per-array loop bit for bit, and init is not written."""
-    got = mlp_fit(batch, lam, rng=np.random.default_rng(seed), **kwargs)
-    want, _ = reference_mlp_fit(batch, lam, rng=np.random.default_rng(seed), **kwargs)
+def _assert_fit_matches_reference(batch, lam, seed, warm_iters, hidden, **kwargs):
+    """Cold fit from a start drawn by a seeded rng, then a warm start from its
+    result: weights equal the per-array loop bit for bit, and init is not written."""
+    start = mlp_init(batch.features.shape[1], batch.rewards.shape[1], hidden, np.random.default_rng(seed))
+    got = mlp_fit(batch, lam, start, **kwargs)
+    want, _ = reference_mlp_fit(batch, lam, rng=np.random.default_rng(seed), hidden=hidden, **kwargs)
     assert _mlp_bytes(got) == _mlp_bytes(want)
 
     kwargs["iters"] = warm_iters
     init_bytes = _mlp_bytes(got)
-    warm = mlp_fit(batch, lam, init=got, **kwargs)
+    warm = mlp_fit(batch, lam, got, **kwargs)
     want_warm, _ = reference_mlp_fit(batch, lam, init=want, **kwargs)
     assert _mlp_bytes(got) == init_bytes
     assert _mlp_bytes(warm) == _mlp_bytes(want_warm)
@@ -790,9 +781,13 @@ def test_mlp_loss_grad_matches_per_array_reference_bit_for_bit(grid, lam, n, hid
 def test_mlp_fit_non_finite_loss_text_matches_reference(rows, step_size, message):
     batch = _batch(rows)
     errors = []
-    for fit in (mlp_fit, reference_mlp_fit):
+    fits = (
+        lambda: mlp_fit(batch, 0.0, mlp_init(2, 2, 4, np.random.default_rng(0)), iters=10, step_size=step_size),
+        lambda: reference_mlp_fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10, step_size=step_size),
+    )
+    for fit in fits:
         with pytest.raises(NumericalError) as err:
-            fit(batch, 0.0, rng=np.random.default_rng(0), hidden=4, iters=10, step_size=step_size)
+            fit()
         errors.append(str(err.value))
     assert errors == [f"non-finite training loss at {message}"] * 2
 
@@ -819,7 +814,7 @@ def test_warm_started_fit_leaves_the_first_fit_and_its_init_untouched():
 @pytest.mark.parametrize("rows", [1, 2, 17, 128, 640])
 def test_flat_adam_matches_the_reference_fit(iters, rows):
     batch = _random_batch(rows, rows, 4, 2)
-    got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), iters=iters)
+    got = mlp_fit(batch, 1e-4, mlp_init(4, 2, 30, np.random.default_rng(iters)), iters=iters)
     want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(iters), iters=iters)
     assert _mlp_bytes(got) == _mlp_bytes(want)
 
@@ -840,7 +835,8 @@ def test_halving_fit_sequence_matches_chained_reference_fits(hidden):
         rewards = table[arms] @ theta + 0.5 * rng.normal(size=(128, 2))
         batch.extend(arms, table[arms], rewards, round_index)
         # the rng draws the first fit's weights; the later fits start from the last
-        got = mlp_fit(batch, 1e-4, rng=np.random.default_rng(0), hidden=hidden, iters=60, init=got)
+        start = mlp_init(4, 2, hidden, np.random.default_rng(0)) if got is None else got
+        got = mlp_fit(batch, 1e-4, start, iters=60)
         want, _ = reference_mlp_fit(batch, 1e-4, rng=np.random.default_rng(0), hidden=hidden, iters=60, init=want)
         assert len(batch) == 128 * round_index
         assert _mlp_bytes(got) == _mlp_bytes(want), f"fit {round_index}"
@@ -888,7 +884,7 @@ def test_row_sums_equal_the_row_by_row_reduction(n, width, kind, special_share, 
 def test_fit_without_iterations_returns_init_when_its_loss_is_not_finite():
     batch = _batch([(0, [0.5, -1.0], [1e200, -1e200]), (1, [0.2, 0.3], [1e200, 1e200])])
     init = mlp_init(2, 2, 4, np.random.default_rng(5))
-    params = mlp_fit(batch, 0.0, init=init, hidden=4, iters=0)
+    params = mlp_fit(batch, 0.0, init, iters=0)
     assert _mlp_bytes(params) == _mlp_bytes(init)
     assert not any(np.shares_memory(x, y) for x in vars(params).values() for y in vars(init).values())
 
@@ -909,9 +905,9 @@ def test_round_scoped_mlp_run_matches_reference_fit(monkeypatch):
     got = json.dumps(run_algorithm(config, env).to_dict(), sort_keys=True)
     fits = []
 
-    def reference_fit(batch, lam, **kwargs):
+    def reference_fit(batch, lam, init, **kwargs):
         fits.append(len(batch))
-        return reference_mlp_fit(batch, lam, **kwargs)[0]
+        return reference_mlp_fit(batch, lam, init=init, **kwargs)[0]
 
     monkeypatch.setattr(algorithms, "mlp_fit", reference_fit)
     env = LinearEnvironment(random_linear_instance(np.random.default_rng(8), 6, 3, sigma=0.3))

@@ -11,6 +11,7 @@ import pytest
 import mopx.features as features
 from mopx.algorithms import (
     RunConfig,
+    _RoundRunner,
     eliminate_pareto,
     rank_constrained,
     run_algorithm,
@@ -67,6 +68,15 @@ def _rank(tau):
 
 def _run(loop, **settings):
     return lambda: loop(_gensec(**settings)(), GaussianEnvironment(Instance(MEANS, sigma=0.1)))
+
+
+def _runner_over_three_objectives(config):
+    """The runner is only built: its check comes before any pull."""
+    return lambda: _RoundRunner(config, GaussianEnvironment(Instance(np.hstack([MEANS, MEANS[:, :1]]), sigma=0.1)))
+
+
+def _mlp_init(dim=2, n_objectives=2, hidden=3):
+    return lambda: mlp_init(dim, n_objectives, hidden, np.random.default_rng(0))
 
 
 CASES = {
@@ -150,6 +160,16 @@ CASES = {
         _run(run_genpsi, per_arm_budget=5),
         ConfigurationError,
         "the Pareto loop cannot run a constrained-mode config",
+    ),
+    "round runner of a gensec config over three objectives": (
+        _runner_over_three_objectives(RunConfig(algorithm="gensec", tau=0.5, per_arm_budget=4)),
+        ConfigurationError,
+        "the constrained loop supports exactly two objectives",
+    ),
+    "round runner of a constrained uniform config over three objectives": (
+        _runner_over_three_objectives(RunConfig(algorithm="uniform", mode="constrained", tau=0.5, per_arm_budget=4)),
+        ConfigurationError,
+        "the constrained loop supports exactly two objectives",
     ),
     "genpsi run over one arm": (
         _genpsi_run_of_one_arm,
@@ -307,13 +327,30 @@ CASES = {
         ConfigurationError,
         "params w2 has shape (1, 3), but hidden=3 and a batch of 2 features and 2 rewards need (2, 3)",
     ),
+    "mlp start of no hidden units": (_mlp_init(hidden=0), ConfigurationError, "mlp hidden must be >= 1, got 0"),
+    "mlp start of a negative hidden width": (_mlp_init(hidden=-1), ConfigurationError, "mlp hidden must be >= 1, got -1"),
+    "mlp start of a fractional hidden width": (_mlp_init(hidden=2.5), ConfigurationError, "mlp hidden must be an int, got 2.5"),
+    "mlp start of a boolean hidden width": (_mlp_init(hidden=True), ConfigurationError, "mlp hidden must be an int, got True"),
+    "mlp start of no features": (_mlp_init(dim=0), ConfigurationError, "mlp dim must be >= 1, got 0"),
+    "mlp start of a fractional feature width": (_mlp_init(dim=1.5), ConfigurationError, "mlp dim must be an int, got 1.5"),
+    "mlp start of no objectives": (_mlp_init(n_objectives=0), ConfigurationError, "mlp n_objectives must be >= 1, got 0"),
+    "mlp start of a string objective count": (
+        _mlp_init(n_objectives="2"),
+        ConfigurationError,
+        "mlp n_objectives must be an int, got '2'",
+    ),
     "mlp fit with a negative lambda": (
-        lambda: mlp_fit(_batch(), -1.0, rng=np.random.default_rng(0), hidden=3, iters=1),
+        lambda: mlp_fit(_batch(), -1.0, mlp_init(2, 2, 3, np.random.default_rng(0)), iters=1),
         EstimationError,
         "regularisation weight must be >= 0",
     ),
+    "mlp fit without a start": (
+        lambda: mlp_fit(_batch(), 0.1, None, iters=1),
+        ConfigurationError,
+        "mlp_fit starts from MlpParams drawn by mlp_init, got NoneType",
+    ),
     "mlp fit warm-started from parameters for another feature width": (
-        lambda: mlp_fit(_batch(), 0.1, init=mlp_init(3, 2, 4, np.random.default_rng(0)), hidden=4, iters=1),
+        lambda: mlp_fit(_batch(), 0.1, mlp_init(3, 2, 4, np.random.default_rng(0)), iters=1),
         ConfigurationError,
         "init w1 has shape (4, 3), but hidden=4 and a batch of 2 features and 2 rewards need (4, 2)",
     ),
