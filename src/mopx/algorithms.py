@@ -402,12 +402,9 @@ def run_genpsi(config: RunConfig, env: Environment) -> RunResult:
 
 
 def run_algorithm(config: RunConfig, env: Environment) -> RunResult:
-    """Run the round loop with the elimination rule of ``config.mode``:
-    ``RunConfig`` fixes it for gensec (constrained) and genpsi (pareto), and
-    the uniform baseline runs either rule as one round that keeps one arm."""
-    if config.mode == CONSTRAINED:
-        return run_gensec(config, env)
-    return run_genpsi(config, env)
+    """The round loop, with the elimination rule ``RunConfig`` fixes: constrained for gensec, pareto
+    for genpsi, and either for the uniform baseline, which runs it as one round that keeps one arm."""
+    return _RoundRunner(config, env).run()
 
 
 run_uniform_baseline = run_algorithm  # pull every arm equally often, read the answer off the means

@@ -32,6 +32,7 @@ def jacobi_eigh(matrix: np.ndarray):
         raise ConfigurationError("matrix must be symmetric")
     n = a.shape[0]
     vectors = np.eye(n)
+    targets = (a, a.T, vectors)
     scale = max(float(np.abs(a).max()), 1.0)
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
@@ -49,18 +50,11 @@ def jacobi_eigh(matrix: np.ndarray):
                     t = np.sign(phi) / (abs(phi) + np.sqrt(phi * phi + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = a[:, p].copy()
-                rot_q = a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
+                for target in targets:  # a's columns, a's rows (a.T is a view), the eigenvectors
+                    col_p = target[:, p].copy()
+                    col_q = target[:, q].copy()
+                    target[:, p] = c * col_p - s * col_q
+                    target[:, q] = s * col_p + c * col_q
     raise NumericalError(f"Jacobi rotations did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 

@@ -2,8 +2,9 @@
 
 Each row changes one thing in a config that loads, and names the exact
 message of the error that loading must raise (``None``: the config still
-loads). Object and list errors name the full path of the key; scalar
-errors name the key below its section (``'mlp.iters'``, ``'seeds[0]'``).
+loads; a ``Warns`` text: it loads with that ``UserWarning``). Object and
+list errors name the full path of the key; scalar errors name the key below
+its section (``'mlp.iters'``, ``'seeds[0]'``).
 """
 
 import copy
@@ -38,6 +39,10 @@ BASE = {
 }
 
 DROP = object()  # as a row's value: delete the key
+
+
+class Warns(str):
+    """As a row's message: the config loads, warning with this text."""
 
 
 def _replay(**changes):
@@ -404,7 +409,12 @@ ROWS = [
     ((), dict(BASE, algorithms=[SR], per_arm_budgets=[2]), None),
     ((), dict(BASE, per_arm_budgets=[1]), ROUND_1.format("a", 2)),
     ((), dict(BASE, per_arm_budgets=[2]), None),
-    ((), dict(BASE, algorithms=[dict(BASE["algorithms"][0], estimator="linear")], per_arm_budgets=[1]), None),
+    (
+        (),
+        dict(BASE, algorithms=[dict(BASE["algorithms"][0], estimator="linear")], per_arm_budgets=[1]),
+        Warns("variant 'a' at K=4, b=1 scores arms without features from no rows of their own: "
+              "uniform allocation pulls fewer times than there are active arms in rounds [1]"),
+    ),
     ((), dict(BASE, algorithms=[dict(SR, estimator="mlp")], per_arm_budgets=[1]), "variant 's' at K=4, b=1: round 1 pulls 0 times, but the mlp estimator needs a pull of one of the K=4 arms"),
     ((), dict(BASE, algorithms=[dict(UNIFORM[0], scheduler="sr")], per_arm_budgets=[1]), None),
     # the design-budget floor B >= 45*d*ceil(log2 K) of every (variant, K, b), with d = K for one-hot arms
@@ -457,6 +467,11 @@ def test_every_single_fault_config_error_has_its_pinned_text(tmp_path, path, val
     data = _faulty(path, value)
     if message is None:
         experiment_config_from_dict(data, base_dir=tmp_path)
+        return
+    if isinstance(message, Warns):
+        with pytest.warns(UserWarning) as caught:
+            experiment_config_from_dict(data, base_dir=tmp_path)
+        assert [str(w.message) for w in caught] == [message]
         return
     with pytest.raises(MopxError) as err:
         experiment_config_from_dict(data, base_dir=tmp_path)

@@ -278,17 +278,23 @@ def test_unknown_config_keys_are_rejected_by_name(overrides, key):
 
 
 def test_known_nested_keys_load():
-    config = _config(
-        algorithms=[
-            {
-                "algorithm": "genpsi",
-                "estimator": "mlp",
-                "mlp": {"hidden": 8, "lambda": 0.0, "iters": 5, "step_size": 0.1, "data_scope": "round"},
-                "g_optimal": {"epsilon": 0.2},
-            }
-        ]
-    )
+    with pytest.warns(UserWarning) as caught:
+        config = _config(
+            algorithms=[
+                {
+                    "algorithm": "genpsi",
+                    "estimator": "mlp",
+                    "mlp": {"hidden": 8, "lambda": 0.0, "iters": 5, "step_size": 0.1, "data_scope": "round"},
+                    "g_optimal": {"epsilon": 0.2},
+                }
+            ]
+        )
     assert config.algorithms[0]["mlp"]["hidden"] == 8
+    assert [str(w.message) for w in caught] == [
+        f"variant 'genpsi' at K=4, b={b} scores arms without features from no rows of their own: "
+        "EGE keeps accepted arms in scope, and a round-scoped fit has no rows of theirs"
+        for b in (3, 4, 5, 6)
+    ]
 
 
 @pytest.mark.parametrize(
