@@ -128,7 +128,7 @@ def solve_g_optimal(features: np.ndarray, epsilon: float) -> DesignWeights:
         raise DomainError(f"features must be a non-empty 2-D array, got shape {feats.shape}")
     if not (0.0 < epsilon < 1.0):
         raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-    # matmul rounding can depend on memory layout, so the strides are part of the key
+    # product rounding can depend on memory layout, so the strides are part of the key
     key = (feats.tobytes(), feats.shape, feats.strides, epsilon, type(epsilon))
     design = _DESIGNS.get(key)
     if design is None:
@@ -152,15 +152,18 @@ def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
     feats_t = feats.T
     basis_rows = feats[basis]
     phi = basis_rows.T  # d x d_act, as pseudo_inverse builds it
-    # per-solve work arrays; each iteration writes them with out= and a direct
-    # C einsum, skipping numpy's Python dispatch, in the reference's operation order
-    rows, gram, sq = np.empty_like(feats), np.empty((feats.shape[1],) * 2), np.empty(k)
+    # per-solve work arrays; each iteration writes them with out=, np.dot (one BLAS
+    # call, no gufunc dispatch; on C- or F-ordered operands the call @ makes, same
+    # bits) and a direct C einsum, in the reference's operation order
+    d = feats.shape[1]
+    rows, gram, pv = np.empty_like(feats), np.empty((d, d)), np.empty(d)
+    sq, cross, lev = np.empty(k), np.empty(k), np.empty(k)
     w = np.full(k, 1.0 / k)
     best_w = w
     best_obj = np.inf
     trace: list[float] = []
     for it in range(MAX_DESIGN_ITERS):
-        np.matmul(feats_t, np.multiply(w[:, None], feats, out=rows), out=gram)
+        np.dot(feats_t, np.multiply(w[:, None], feats, out=rows), out=gram)
         # the first iteration validates through pseudo_inverse; the rest reuse
         # its basis matrix and skip the checks that cannot change within a solve;
         # the basis rows alone scan to the same basis, all of them in order
@@ -168,7 +171,7 @@ def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
             pinv = _restricted_inverse(gram, phi)
         else:
             pinv = pseudo_inverse(gram, basis_rows)
-        lev = c_einsum("ij,jk,ik->i", feats, pinv, feats)  # phi_i^T A^+ phi_i
+        c_einsum("ij,jk,ik->i", feats, pinv, feats, out=lev)  # phi_i^T A^+ phi_i
         star = int(lev.argmax())
         obj = float(lev[star])
         if obj < best_obj:
@@ -178,7 +181,7 @@ def _mirror_descent(feats: np.ndarray, epsilon: float) -> DesignWeights:
         if best_obj <= target:
             break
         # the subgradient of lev[star] in w is -sq, so w moves along exp(step * sq)
-        cross = feats @ (pinv @ feats[star])
+        np.dot(feats, np.dot(pinv, feats[star], out=pv), out=cross)
         scale = float(np.maximum.reduce(np.multiply(cross, cross, out=sq)))
         if scale <= 0.0:
             break

@@ -118,7 +118,7 @@ def pseudo_inverse(gram: np.ndarray, active_features: np.ndarray) -> np.ndarray:
 def _restricted_inverse(gram: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """``pseudo_inverse`` past its checks and its basis: ``phi`` is the d x k
     float matrix of basis rows, ``gram`` a float array."""
-    inner = phi.T @ gram @ phi
+    inner = np.dot(np.dot(phi.T, gram), phi)  # np.dot: the BLAS call of @ without its dispatch
     try:
         inv = _inverse(inner)
     except np.linalg.LinAlgError:
@@ -141,7 +141,7 @@ def _restricted_inverse(gram: np.ndarray, phi: np.ndarray) -> np.ndarray:
             )
         if inv is None:
             inv = _inverse(inner)  # raises the LinAlgError again
-    return phi @ inv @ phi.T
+    return np.dot(np.dot(phi, inv), phi.T)
 
 
 def _raise_singular(err, flag):

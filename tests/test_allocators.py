@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -321,6 +322,63 @@ def test_g_optimal_matches_untrimmed_mirror_descent_on_halving_rounds(seed, k):
     assert design.weights == tuple(best_w.tolist())
     assert design.objective_value == best_obj
     assert design.trace == trace
+
+
+def _untrimmed_case_features(seed: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "linear_gopt":  # the benchmark's recipe at any active-set size past its K=16 round
+        k = int(rng.integers(17, 71))
+        return np.hstack([np.ones((k, 1)), rng.normal(size=(k, 5)) / np.sqrt(5.0)])
+    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    rank = 1 if kind == "tiny_rank_one" else int(rng.integers(1, min(k, d) + 1))
+    return rng.normal(size=(k, rank)) @ rng.normal(size=(rank, d))
+
+
+def _full_solve_bytes(solve, feats):
+    """The bytes of a solve's weights, objective and trace, or its error text."""
+    out = _solve_or_error(solve, feats)
+    return out if isinstance(out, str) else tuple(np.array(v, dtype=float).tobytes() for v in out)
+
+
+def _design_tuple(design):
+    return list(design.weights), design.objective_value, design.trace
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["linear_gopt", "tiny", "tiny_rank_one"]),
+    fortran=st.booleans(),
+)
+@example(seed=0, kind="linear_gopt", fortran=False)
+@example(seed=1, kind="tiny_rank_one", fortran=True)
+def test_g_optimal_matches_untrimmed_mirror_descent_byte_for_byte(seed, kind, fortran):
+    # the loop multiplies with np.dot, the reference with @: the same BLAS calls on this kernel
+    feats = _untrimmed_case_features(seed, kind)
+    if fortran:
+        feats = np.asfortranarray(feats)
+    if kind == "tiny_rank_one":
+        assert len(select_independent_basis(feats)) == 1
+    allocators._DESIGNS.clear()
+    library = _full_solve_bytes(lambda f: _design_tuple(solve_g_optimal(f, 0.1)), feats)
+    reference = _full_solve_bytes(lambda f: reference_mirror_descent(f, 0.1), feats)
+    assert library == reference
+
+
+def test_overflowing_features_warn_first_in_the_basis_scan():
+    # x 1e160: the basis scan's matmul overflows before any design-loop product
+    feats = np.random.default_rng(0).normal(size=(8, 3)) * 1e160
+    allocators._DESIGNS.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in matmul$"):
+            solve_g_optimal(feats, 0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="^restricted Gram matrix holds NaN or inf entries$"):
+            solve_g_optimal(feats, 0.1)
+    assert str(caught[0].message) == "overflow encountered in matmul"
+    assert not allocators._DESIGNS
 
 
 def test_design_convergence_error_is_raised_again_every_call():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,13 @@ def test_features_csv_text_is_pinned_and_reads_back_bit_for_bit(tmp_path):
         b"arm_id,phi_1,phi_2\r\n0,0.1,-0.0\r\n1,1e-300,0.6666666666666666\r\n2,-12345.678,5e+20\r\n"
     )
     assert load_embeddings_csv(out).tobytes() == feats.tobytes()
+
+
+def test_pca_reduce_output_is_pinned_within_kernel_rounding():
+    # the covariance and the projection are BLAS products, so other OpenBLAS kernels round
+    # them otherwise: Haswell and Sandybridge differ from the recorded SkylakeX values by
+    # under 3e-13 relative, far below any change to jacobi_eigh or the projection
+    embeddings = np.random.default_rng(40).normal(size=(40, 12))
+    feats, _, _ = pca_reduce(embeddings, dim=5)
+    recorded = load_embeddings_csv(Path(__file__).resolve().parent.parent / "fixtures" / "pca_reduce_features.csv")
+    np.testing.assert_allclose(feats, recorded, rtol=1e-12, atol=0.0)
